@@ -23,15 +23,13 @@ from .words import (
     parse_word,
     total_cyclic_length,
 )
-from .graphs import Multigraph, is_two_vertex_connected
+from .graphs import Multigraph
 from .whitehead import (
     DECOMPOSABLE,
     INDECOMPOSABLE,
     IndecomposabilityVerdict,
     MinimizationTrace,
-    WhiteheadGraph,
     build_whitehead_graph,
-    components,
     decide_indecomposable,
     family_from_texts,
     minimize,

@@ -183,8 +183,12 @@ def star_graph(ball: TreeBall, axes, center: Word) -> Multigraph:
     center = tuple(center)
     if len(center) > ball.radius - 1:
         raise InvalidInputError(f"star of {center} does not lie inside the ball")
-    graph = Multigraph(ball.alphabet.letters(), allow_loops=False)
-    for d_in, d_out in _direction_pairs(axes).get(center, []):
+    return _star(ball.alphabet.letters(), _direction_pairs(axes).get(center, ()))
+
+
+def _star(letters, pairs) -> Multigraph:
+    graph = Multigraph(letters, allow_loops=False)
+    for d_in, d_out in pairs:
         graph.add_edge(d_in, d_out)
     return graph
 
@@ -212,10 +216,7 @@ def lemma33_certificate(ball: TreeBall, axes) -> StarCertificate:
     pairs = _direction_pairs(axes)
     letters = ball.alphabet.letters()
     for v in ball.interior_vertices():
-        graph = Multigraph(letters, allow_loops=False)
-        for d_in, d_out in pairs.get(v, []):
-            graph.add_edge(d_in, d_out)
-        ok, _ = graph.is_two_vertex_connected()
+        ok, _ = _star(letters, pairs.get(v, ())).is_two_vertex_connected()
         if not ok:
             return StarCertificate(False, v)
     return StarCertificate(True, None)

@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Exit status: 0 for any computed verdict (decomposable and
-not-one-ended are verdicts, not errors), 1 for parse or validation
-errors, 2 for a resource-cap refusal.  Diagnostics go to stderr.
+not-one-ended are verdicts, not errors), 1 for parse, validation and
+usage errors, 2 for a resource-cap refusal.  Diagnostics go to stderr.
 
 Output is deterministic: identical invocations produce byte-identical
 output.  JSON reports always carry the top-level keys ``command``,
@@ -12,11 +12,13 @@ output.  JSON reports always carry the top-level keys ``command``,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
 from . import arcs, gog, tree, whitehead
 from .errors import FreesplitError, ParseError, ResourceCapError
+from .graphs import Multigraph
 from .words import (
     Alphabet,
     CyclicWord,
@@ -26,64 +28,6 @@ from .words import (
     is_cyclically_reduced,
     parse_word,
 )
-
-
-def _add_common(parser, words=True, rank=True):
-    parser.add_argument("--format", choices=("text", "dot", "json"), default="text")
-    parser.add_argument("--cap", type=int, default=tree.DEFAULT_VERTEX_CAP,
-                        help="ball vertex budget (default 2000000)")
-    parser.add_argument("--strict", action="store_true",
-                        help="reject words that are not already cyclically reduced")
-    if rank:
-        parser.add_argument("--rank", type=int, required=True, help="free group rank")
-    if words:
-        parser.add_argument("words", nargs="+", help="cyclic words (letter or numeric form)")
-
-
-def _add_tree_arguments(p) -> None:
-    p.add_argument("what", choices=("ball", "axes", "counts", "certificate", "profile", "star"))
-    p.add_argument("--radius", type=int, default=None)
-    p.add_argument("--max-radius", type=int, default=None, dest="max_radius")
-    _add_common(p, words=False)
-    p.add_argument("words", nargs="*", help="cyclic words (unused for 'ball')")
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="freesplit",
-        description="Whitehead-graph and arc-system decisions for free groups"
-        " and graphs of groups",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("graph", help="Whitehead graph of a word family")
-    _add_common(p)
-
-    p = sub.add_parser("minimize", help="Whitehead length minimization")
-    _add_common(p)
-
-    p = sub.add_parser("indecomposable", help="decide indecomposability")
-    _add_common(p)
-
-    p = sub.add_parser("basis", help="recognise a free basis up to conjugacy")
-    _add_common(p)
-
-    p = sub.add_parser("tree", help="Cayley-tree ball and arc-system analyses")
-    _add_tree_arguments(p)
-
-    p = sub.add_parser("one-ended", help="decide one-endedness of a graph of groups")
-    p.add_argument("file", help="graph-of-groups file")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-
-    p = sub.add_parser("double", help="emit the double of a free group in a family")
-    _add_common(p)
-    p.add_argument("-o", "--output", default=None, help="write the file here instead of stdout")
-
-    p = sub.add_parser("present", help="presentation of a graph-of-groups fundamental group")
-    p.add_argument("file", help="graph-of-groups file")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-
-    return parser
 
 
 def _read_family(args) -> tuple[Alphabet, tuple[CyclicWord, ...]]:
@@ -107,11 +51,15 @@ def _render_words(family) -> list[str]:
     return [format_word(w.letters) for w in family]
 
 
-def _graph_payload(graph: whitehead.WhiteheadGraph) -> dict:
+def _graph_payload(graph: Multigraph) -> dict:
     return {
         "vertices": [format_letter(x) for x in graph.vertices],
         "edges": [[format_letter(u), format_letter(v), m] for u, v, m in graph.edges()],
     }
+
+
+def _edge_lines(graph: Multigraph) -> list[str]:
+    return [f"{format_letter(u)} -- {format_letter(v)} x{m}" for u, v, m in graph.edges()]
 
 
 def _steps_payload(trace: whitehead.MinimizationTrace) -> list[dict]:
@@ -137,13 +85,12 @@ def _bipartition_text(bipartition) -> str:
     return f"{fmt(left)}|{fmt(right)}"
 
 
-def _emit(payload: dict, fmt: str, text_lines: list[str], dot: str | None = None) -> str:
+def _emit(payload: dict, fmt: str, text_lines: list[str], dot=None) -> str:
+    """Render one report; ``dot`` makes the DOT text, for commands that offer it."""
     if fmt == "json":
         return json.dumps(payload, indent=2) + "\n"
     if fmt == "dot":
-        if dot is None:
-            raise ParseError("this command has no DOT form")
-        return dot
+        return dot()
     return "\n".join(text_lines) + "\n"
 
 
@@ -156,9 +103,9 @@ def _cmd_graph(args) -> str:
         "verdict": None,
         "certificate": {"graph": _graph_payload(graph)},
     }
-    lines = [f"{format_letter(u)} -- {format_letter(v)} x{m}" for u, v, m in graph.edges()]
-    lines.append(f"total {graph.total_edges()}")
-    return _emit(payload, args.format, lines, graph.to_dot())
+    lines = _edge_lines(graph) + [f"total {graph.total_edges()}"]
+    return _emit(payload, args.format, lines,
+                 lambda: graph.to_dot("whitehead", label=format_letter))
 
 
 def _cmd_minimize(args) -> str:
@@ -226,118 +173,114 @@ def _cmd_basis(args) -> str:
 
 def _tree_input(args, alphabet, family) -> dict:
     data = {"rank": alphabet.rank, "words": _render_words(family)}
-    if args.radius is not None:
-        data["radius"] = args.radius
-    if args.max_radius is not None:
-        data["max_radius"] = args.max_radius
+    for key in ("radius", "max_radius"):
+        if vars(args).get(key) is not None:
+            data[key] = vars(args)[key]
     return data
 
 
-def _cmd_tree(args) -> str:
-    alphabet = Alphabet(args.rank)
-    if args.what == "ball":
-        radius = args.radius if args.radius is not None else 2
-        ball = tree.build_ball(alphabet, radius, cap=args.cap)
-        payload = {
-            "command": "tree-ball",
-            "input": {"rank": alphabet.rank, "radius": radius},
-            "verdict": None,
-            "certificate": {"vertices": ball.vertex_count(), "edges": ball.edge_count()},
-        }
-        lines = [f"vertices {ball.vertex_count()}", f"edges {ball.edge_count()}"]
-        return _emit(payload, args.format, lines, ball.to_dot())
-
-    if not args.words:
-        raise ParseError(f"tree {args.what} needs at least one word")
+def _tree_axes(args):
+    """Ball (radius 3 unless given), the axes meeting it, and the report's input."""
     alphabet, family = _read_family(args)
-
-    if args.what == "profile":
-        max_radius = args.max_radius if args.max_radius is not None else 3
-        profile = arcs.class_count_profile(alphabet, family, max_radius, cap=args.cap)
-        payload = {
-            "command": "tree-profile",
-            "input": _tree_input(args, alphabet, family),
-            "verdict": None,
-            "certificate": {
-                "profile": [{"radius": r, "classes": c} for r, c in profile]
-            },
-        }
-        lines = [f"radius {r}: {c}" for r, c in profile]
-        return _emit(payload, args.format, lines)
-
     radius = args.radius if args.radius is not None else 3
     ball = tree.build_ball(alphabet, radius, cap=args.cap)
-    axes = arcs.enumerate_axes(family, ball)
+    return ball, arcs.enumerate_axes(family, ball), _tree_input(args, alphabet, family)
 
-    if args.what == "axes":
-        payload = {
-            "command": "tree-axes",
-            "input": _tree_input(args, alphabet, family),
-            "verdict": None,
-            "certificate": {
-                "axes": [
-                    {
-                        "base": format_word(a.base),
-                        "period": format_word(a.period),
-                        "trace": [format_word(v) for v in a.trace],
-                    }
-                    for a in axes
-                ]
-            },
-        }
-        lines = [
-            f"axis base={format_word(a.base)} period={format_word(a.period)}" for a in axes
-        ]
-        lines.append(f"total {len(axes)}")
-        return _emit(payload, args.format, lines)
 
-    if args.what == "counts":
-        counts = arcs.edge_counts(axes)
-        rows = []
-        for u, v in ball.edges():
-            count = counts.get(frozenset((u, v)), 0)
-            rows.append((format_word(u), format_word(v), count))
-        rows.sort(key=lambda r: (r[0], r[1]))
-        payload = {
-            "command": "tree-counts",
-            "input": _tree_input(args, alphabet, family),
-            "verdict": None,
-            "certificate": {
-                "counts": [{"edge": [u, v], "count": c} for u, v, c in rows]
-            },
-        }
-        lines = [f"{u} -- {v}: {c}" for u, v, c in rows]
-        return _emit(payload, args.format, lines)
+def _cmd_tree_ball(args) -> str:
+    alphabet = Alphabet(args.rank)
+    radius = args.radius if args.radius is not None else 2
+    ball = tree.build_ball(alphabet, radius, cap=args.cap)
+    payload = {
+        "command": "tree-ball",
+        "input": {"rank": alphabet.rank, "radius": radius},
+        "verdict": None,
+        "certificate": {"vertices": ball.vertex_count(), "edges": ball.edge_count()},
+    }
+    lines = [f"vertices {ball.vertex_count()}", f"edges {ball.edge_count()}"]
+    return _emit(payload, args.format, lines, ball.to_dot)
 
-    if args.what == "certificate":
-        cert = arcs.lemma33_certificate(ball, axes)
-        witness = None if cert.witness is None else format_word(cert.witness)
-        payload = {
-            "command": "tree-certificate",
-            "input": _tree_input(args, alphabet, family),
-            "verdict": "certified" if cert.certified else "not-certified",
-            "certificate": {"witness": witness},
-        }
-        lines = ["CERTIFIED" if cert.certified else f"NOT CERTIFIED (vertex {witness})"]
-        return _emit(payload, args.format, lines)
 
-    # star: the interval-gluing graph of the origin star
+def _cmd_tree_profile(args) -> str:
+    alphabet, family = _read_family(args)
+    max_radius = args.max_radius if args.max_radius is not None else 3
+    profile = arcs.class_count_profile(alphabet, family, max_radius, cap=args.cap)
+    payload = {
+        "command": "tree-profile",
+        "input": _tree_input(args, alphabet, family),
+        "verdict": None,
+        "certificate": {"profile": [{"radius": r, "classes": c} for r, c in profile]},
+    }
+    lines = [f"radius {r}: {c}" for r, c in profile]
+    return _emit(payload, args.format, lines)
+
+
+def _cmd_tree_axes(args) -> str:
+    _, axes, data = _tree_axes(args)
+    payload = {
+        "command": "tree-axes",
+        "input": data,
+        "verdict": None,
+        "certificate": {
+            "axes": [
+                {
+                    "base": format_word(a.base),
+                    "period": format_word(a.period),
+                    "trace": [format_word(v) for v in a.trace],
+                }
+                for a in axes
+            ]
+        },
+    }
+    lines = [f"axis base={format_word(a.base)} period={format_word(a.period)}" for a in axes]
+    lines.append(f"total {len(axes)}")
+    return _emit(payload, args.format, lines)
+
+
+def _cmd_tree_counts(args) -> str:
+    ball, axes, data = _tree_axes(args)
+    counts = arcs.edge_counts(axes)
+    rows = []
+    for u, v in ball.edges():
+        count = counts.get(frozenset((u, v)), 0)
+        rows.append((format_word(u), format_word(v), count))
+    rows.sort(key=lambda r: (r[0], r[1]))
+    payload = {
+        "command": "tree-counts",
+        "input": data,
+        "verdict": None,
+        "certificate": {"counts": [{"edge": [u, v], "count": c} for u, v, c in rows]},
+    }
+    lines = [f"{u} -- {v}: {c}" for u, v, c in rows]
+    return _emit(payload, args.format, lines)
+
+
+def _cmd_tree_certificate(args) -> str:
+    ball, axes, data = _tree_axes(args)
+    cert = arcs.lemma33_certificate(ball, axes)
+    witness = None if cert.witness is None else format_word(cert.witness)
+    payload = {
+        "command": "tree-certificate",
+        "input": data,
+        "verdict": "certified" if cert.certified else "not-certified",
+        "certificate": {"witness": witness},
+    }
+    lines = ["CERTIFIED" if cert.certified else f"NOT CERTIFIED (vertex {witness})"]
+    return _emit(payload, args.format, lines)
+
+
+def _cmd_tree_star(args) -> str:
+    """The interval-gluing graph of the origin star."""
+    ball, axes, data = _tree_axes(args)
     graph = arcs.star_graph(ball, axes, ())
     payload = {
         "command": "tree-star",
-        "input": _tree_input(args, alphabet, family),
+        "input": data,
         "verdict": None,
-        "certificate": {
-            "graph": {
-                "vertices": [format_letter(x) for x in graph.vertices],
-                "edges": [
-                    [format_letter(u), format_letter(v), m] for u, v, m in graph.edges()
-                ],
-            }
-        },
+        "certificate": {"graph": _graph_payload(graph)},
     }
-    lines = [f"{format_letter(u)} -- {format_letter(v)} x{m}" for u, v, m in graph.edges()]
-    return _emit(payload, args.format, lines, graph.to_dot("star", label=format_letter))
+    return _emit(payload, args.format, _edge_lines(graph),
+                 lambda: graph.to_dot("star", label=format_letter))
 
 
 def _cmd_one_ended(args) -> str:
@@ -402,39 +345,89 @@ def _cmd_present(args) -> str:
     return _emit(payload, args.format, [text])
 
 
-_HANDLERS = {
-    "graph": _cmd_graph,
-    "minimize": _cmd_minimize,
-    "indecomposable": _cmd_indecomposable,
-    "basis": _cmd_basis,
-    "tree": _cmd_tree,
-    "one-ended": _cmd_one_ended,
-    "double": _cmd_double,
-    "present": _cmd_present,
+_FAMILY = ("rank", "strict", "words")
+_TREE_FAMILY = ("rank", "radius", "cap", "strict", "words")
+_PLAIN = ("text", "json")
+_WITH_DOT = ("text", "dot", "json")
+
+# Flags and positionals, named for the command table below.
+_ARGUMENTS = {
+    "rank": (("--rank",), {"type": int, "required": True, "help": "free group rank"}),
+    "strict": (("--strict",), {"action": "store_true",
+                               "help": "reject words that are not already cyclically reduced"}),
+    "words": (("words",), {"nargs": "+", "help": "cyclic words (letter or numeric form)"}),
+    "radius": (("--radius",), {"type": int, "help": "ball radius (default 2 for ball, else 3)"}),
+    "max_radius": (("--max-radius",), {"type": int, "help": "largest radius (default 3)"}),
+    "cap": (("--cap",), {"type": int, "default": tree.DEFAULT_VERTEX_CAP,
+                         "help": "ball vertex budget (default 2000000)"}),
+    "output": (("-o", "--output"), {"help": "write the file here instead of stdout"}),
+    "file": (("file",), {"help": "graph-of-groups file"}),
 }
+
+# (name, help, handler, formats, arguments).  A "tree X" row is an analysis
+# under the "tree" row, whose handler is None.
+_COMMANDS = (
+    ("graph", "Whitehead graph of a word family", _cmd_graph, _WITH_DOT, _FAMILY),
+    ("minimize", "Whitehead length minimization", _cmd_minimize, _PLAIN, _FAMILY),
+    ("indecomposable", "decide indecomposability", _cmd_indecomposable, _PLAIN, _FAMILY),
+    ("basis", "recognise a free basis up to conjugacy", _cmd_basis, _PLAIN, _FAMILY),
+    ("tree", "Cayley-tree ball and arc-system analyses", None, (), ()),
+    ("tree ball", "ball vertex and edge counts", _cmd_tree_ball, _WITH_DOT,
+     ("rank", "radius", "cap")),
+    ("tree axes", "axes meeting the ball", _cmd_tree_axes, _PLAIN, _TREE_FAMILY),
+    ("tree counts", "per-edge axis counts", _cmd_tree_counts, _PLAIN, _TREE_FAMILY),
+    ("tree certificate", "all-stars 2-vertex-connectivity certificate",
+     _cmd_tree_certificate, _PLAIN, _TREE_FAMILY),
+    ("tree profile", "end-class counts per radius", _cmd_tree_profile, _PLAIN,
+     ("rank", "max_radius", "cap", "strict", "words")),
+    ("tree star", "origin star gluing graph", _cmd_tree_star, _WITH_DOT, _TREE_FAMILY),
+    ("one-ended", "decide one-endedness of a graph of groups", _cmd_one_ended, _PLAIN,
+     ("file",)),
+    ("double", "emit the double of a free group in a family", _cmd_double, _PLAIN,
+     _FAMILY + ("output",)),
+    ("present", "presentation of a graph-of-groups fundamental group", _cmd_present,
+     _PLAIN, ("file",)),
+)
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ParseError, so they exit 1 like any other bad input."""
+
+    def error(self, message):
+        raise ParseError(message)
+
+
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built from _COMMANDS once per process and shared."""
+    parser = _Parser(
+        prog="freesplit",
+        description="Whitehead-graph and arc-system decisions for free groups"
+        " and graphs of groups",
+    )
+    groups = {"": parser.add_subparsers(dest="command", required=True)}
+    for name, help_text, handler, formats, arguments in _COMMANDS:
+        group, _, leaf = name.rpartition(" ")
+        p = groups[group].add_parser(leaf, help=help_text)
+        if handler is None:
+            groups[name] = p.add_subparsers(dest="analysis", required=True)
+            continue
+        p.set_defaults(handler=handler)
+        p.add_argument("--format", choices=formats, default="text")
+        for key in arguments:
+            flags, options = _ARGUMENTS[key]
+            p.add_argument(*flags, **options)
+    return parser
 
 
 def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    if argv and argv[0] == "tree":
-        # A separate parser lets words and flags intermix freely, which
-        # argparse cannot do through a subparser with two positionals.
-        tree_parser = argparse.ArgumentParser(prog="freesplit tree")
-        _add_tree_arguments(tree_parser)
-        args = tree_parser.parse_intermixed_args(argv[1:])
-        args.command = "tree"
-    else:
-        args = build_parser().parse_args(argv)
     try:
-        output = _HANDLERS[args.command](args)
+        args = build_parser().parse_args(argv)
+        output = args.handler(args)
     except ResourceCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FreesplitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (FreesplitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     sys.stdout.write(output)

@@ -8,7 +8,8 @@ exponent, and to an opaque vertex by an uninterpreted tag.
 The fundamental group is one-ended exactly when no vertex group splits
 over a finite subgroup relative to its incident edge groups; for free
 vertex groups that is the indecomposability decision on the incident
-attachment words, for cyclic and opaque vertices it holds automatically.
+attachment words, for cyclic and opaque vertices it holds automatically
+once they carry an edge (a lone cyclic vertex is Z, which has two ends).
 The double construction attaches two copies of a free group along one
 edge per conjugacy class of a word family and is one-ended precisely
 when the family is indecomposable.
@@ -16,9 +17,11 @@ when the family is indecomposable.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import InvalidInputError, ParseError, UnsupportedExportError
+from .graphs import Multigraph
 from .whitehead import DECOMPOSABLE, IndecomposabilityVerdict, decide_indecomposable
 from .words import (
     Alphabet,
@@ -125,26 +128,17 @@ def validate(g: GraphOfGroups) -> list[str]:
         for vid in e.endpoints:
             if vid not in g.vertices:
                 errors.append(f"edge {e.id}: unknown vertex {vid}")
-    ids = [e.id for e in g.edges]
-    for dup in sorted({i for i in ids if ids.count(i) > 1}):
+    ids = Counter(e.id for e in g.edges)
+    for dup in sorted(i for i, n in ids.items() if n > 1):
         errors.append(f"duplicate edge id {dup}")
+    links = Multigraph(sorted(g.vertices))
     for e in g.edges:
         if all(v in g.vertices for v in e.endpoints):
+            links.add_edge(*e.endpoints)
             for slot in (0, 1):
                 errors.extend(_attachment_errors(g, e, slot))
-    reached = set()
-    start = min(g.vertices)
-    stack = [start]
-    reached.add(start)
-    while stack:
-        u = stack.pop()
-        for e in g.edges:
-            if u in e.endpoints:
-                for v in e.endpoints:
-                    if v in g.vertices and v not in reached:
-                        reached.add(v)
-                        stack.append(v)
-    if reached != set(g.vertices):
+    reached = links.components()[0]
+    if len(reached) != len(g.vertices):
         missing = ", ".join(sorted(set(g.vertices) - reached))
         errors.append(f"graph is not connected (unreached: {missing})")
     return errors
@@ -192,10 +186,11 @@ def one_ended(g: GraphOfGroups) -> OneEndednessVerdict:
 
     Precondition: the graph validates and has no trivial vertices.  Each
     free vertex is checked by deciding indecomposability of its incident
-    attachment words (a loop contributes both of its words); an
-    edge-free free vertex fails immediately since a free group splits
-    freely.  Cyclic and opaque vertices never split over a finite
-    subgroup relative to anything.  The lowest failing vertex id wins.
+    attachment words (a loop contributes both of its words).  A free or
+    cyclic vertex without incident edges is the whole graph, and its
+    group (free, or Z) splits freely.  Otherwise cyclic and opaque
+    vertices never split over a finite subgroup relative to their edge
+    groups.  The lowest failing vertex id wins.
     """
     errors = validate(g)
     if errors:
@@ -205,15 +200,19 @@ def one_ended(g: GraphOfGroups) -> OneEndednessVerdict:
         raise InvalidInputError(f"graph has trivial vertices: {', '.join(trivial)}")
     for vid in sorted(g.vertices):
         group = g.vertices[vid]
-        if not isinstance(group, FreeVertex):
+        if isinstance(group, OpaqueVertex):
             continue
-        words = [e.attachments[slot] for e, slot in g.incident(vid)]
-        if not words:
+        if not g.edges:
+            # A valid graph is connected, so vid is its only vertex.
+            kind = "free" if isinstance(group, FreeVertex) else "cyclic"
             return OneEndednessVerdict(
                 NOT_ONE_ENDED,
                 witness_vertex=vid,
-                reason=f"free vertex {vid} has no incident edges and splits freely",
+                reason=f"{kind} vertex {vid} has no incident edges and splits freely",
             )
+        if isinstance(group, CyclicVertex):
+            continue
+        words = [e.attachments[slot] for e, slot in g.incident(vid)]
         verdict = decide_indecomposable(Alphabet(group.rank), words)
         if verdict.decision == DECOMPOSABLE:
             return OneEndednessVerdict(
@@ -358,17 +357,6 @@ def _join_symbols(symbols, use_letters: bool) -> str:
 
 # ---------------------------------------------------------------------------
 # File format
-
-FORMAT_HELP = """\
-Line-oriented UTF-8 format.  '#' starts a comment; blank lines ignored.
-  vertex <id> free <rank>
-  vertex <id> cyclic
-  vertex <id> opaque
-  edge <id> <v1> <v2> <attach1> <attach2>
-Attachments: a word for a free endpoint (letter form, or numeric form
-with commas, e.g. 1,2,-1,-2), a signed nonzero integer for a cyclic
-endpoint, '-' for an opaque endpoint.  Vertices must be declared before
-the edges that use them."""
 
 
 def parse_gog(text: str) -> GraphOfGroups:

@@ -157,9 +157,3 @@ class Multigraph:
         lines.append("}")
         return "\n".join(lines) + "\n"
 
-
-def is_two_vertex_connected(graph) -> tuple[bool, tuple]:
-    """Module-level convenience wrapper; accepts anything with the method."""
-    if isinstance(graph, Multigraph):
-        return graph.is_two_vertex_connected()
-    return graph.to_multigraph().is_two_vertex_connected()

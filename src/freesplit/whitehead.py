@@ -23,7 +23,6 @@ from .words import (
     CyclicWord,
     FreeGroupMap,
     MultiplierAutomorphism,
-    format_letter,
     total_cyclic_length,
 )
 
@@ -31,86 +30,14 @@ INDECOMPOSABLE = "indecomposable"
 DECOMPOSABLE = "decomposable"
 
 
-class WhiteheadGraph:
-    """Multigraph on the 2n letters with edge multiplicities."""
-
-    def __init__(self, alphabet: Alphabet, multiplicity=None):
-        self.alphabet = alphabet
-        self._mult: dict[frozenset, int] = {}
-        for pair, count in (multiplicity or {}).items():
-            self._add(pair, count)
-
-    def _add(self, pair, count=1):
-        pair = frozenset(pair)
-        if len(pair) != 2:
-            raise InvalidInputError(f"loop or malformed edge: {set(pair)}")
-        self.alphabet.validate_letters(pair)
-        self._mult[pair] = self._mult.get(pair, 0) + count
-
-    @property
-    def vertices(self) -> tuple[int, ...]:
-        return self.alphabet.letters()
-
-    def multiplicity(self, x: int, y: int) -> int:
-        return self._mult.get(frozenset((x, y)), 0)
-
-    def total_edges(self) -> int:
-        return self.total_multiplicity()
-
-    def total_multiplicity(self) -> int:
-        return sum(self._mult.values())
-
-    def edges(self):
-        """Edges as (x, y, multiplicity) with x < y in canonical order."""
-        graph = self.to_multigraph()
-        return graph.edges()
-
-    def degree(self, letter: int) -> int:
-        return sum(m for pair, m in self._mult.items() if letter in pair)
-
-    def to_multigraph(self) -> Multigraph:
-        graph = Multigraph(self.vertices, allow_loops=False)
-        for pair, m in self._mult.items():
-            u, v = sorted(pair, key=lambda x: self.vertices.index(x))
-            graph.add_edge(u, v, m)
-        return graph
-
-    def components(self) -> tuple[frozenset, ...]:
-        return self.to_multigraph().components()
-
-    def is_two_vertex_connected(self) -> tuple[bool, tuple]:
-        return self.to_multigraph().is_two_vertex_connected()
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, WhiteheadGraph)
-            and self.alphabet == other.alphabet
-            and self._mult == other._mult
-        )
-
-    def __repr__(self):
-        parts = ", ".join(
-            f"{format_letter(u)}-{format_letter(v)}x{m}" for u, v, m in self.edges()
-        )
-        return f"WhiteheadGraph(rank={self.alphabet.rank}: {parts})"
-
-    def to_dot(self, name: str = "whitehead") -> str:
-        return self.to_multigraph().to_dot(name, label=format_letter)
-
-
-def build_whitehead_graph(alphabet: Alphabet, family) -> WhiteheadGraph:
-    """Whitehead graph of a family (multiset) of cyclic words."""
-    graph = WhiteheadGraph(alphabet)
+def build_whitehead_graph(alphabet: Alphabet, family) -> Multigraph:
+    """Whitehead graph of a family (multiset) of cyclic words, on the 2n letters."""
+    graph = Multigraph(alphabet.letters(), allow_loops=False)
     for word in family:
         alphabet.validate_letters(word.letters)
         for x, y in word.cyclic_pairs():
-            graph._add((x, -y))
+            graph.add_edge(x, -y)
     return graph
-
-
-def components(graph: WhiteheadGraph) -> tuple[frozenset, ...]:
-    """Connected components of the letter graph, isolated letters included."""
-    return graph.components()
 
 
 def whitehead_moves(alphabet: Alphabet):
@@ -188,7 +115,7 @@ class IndecomposabilityVerdict:
 
     decision: str
     minimized: tuple[CyclicWord, ...]
-    graph: WhiteheadGraph
+    graph: Multigraph
     automorphism: FreeGroupMap
     trace: MinimizationTrace
     bipartition: tuple[frozenset[int], frozenset[int]] | None
@@ -198,41 +125,21 @@ class IndecomposabilityVerdict:
         return self.decision == INDECOMPOSABLE
 
 
-def _generator_groups(alphabet: Alphabet, graph: WhiteheadGraph) -> list[frozenset[int]]:
+def _generator_groups(alphabet: Alphabet, graph: Multigraph) -> tuple[frozenset[int], ...]:
     """Partition generator indices by letter components, merging i with -i.
 
     On a minimal Whitehead graph a used generator always has both its
     letters in one component (otherwise cutting that component off would
     strictly reduce length), so the merge only ever glues the two
-    singleton letters of an unused generator.
+    singleton letters of an unused generator.  Groups come in order of
+    their smallest generator.
     """
-    comp_of = {}
-    for idx, comp in enumerate(graph.components()):
-        for letter in comp:
-            comp_of[letter] = idx
-    parent = list(range(alphabet.rank + 1))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i, j):
-        parent[find(i)] = find(j)
-
-    by_comp: dict[int, int] = {}
-    for gen in range(1, alphabet.rank + 1):
-        for letter in (gen, -gen):
-            idx = comp_of[letter]
-            if idx in by_comp:
-                union(gen, by_comp[idx])
-            else:
-                by_comp[idx] = gen
-    groups: dict[int, set[int]] = {}
-    for gen in range(1, alphabet.rank + 1):
-        groups.setdefault(find(gen), set()).add(gen)
-    return [frozenset(g) for g in sorted(groups.values(), key=min)]
+    generators = Multigraph(range(1, alphabet.rank + 1))
+    for comp in graph.components():
+        first, *rest = sorted({abs(x) for x in comp})
+        for gen in rest:
+            generators.add_edge(first, gen)
+    return generators.components()
 
 
 def decide_indecomposable(alphabet: Alphabet, family) -> IndecomposabilityVerdict:
@@ -252,10 +159,9 @@ def decide_indecomposable(alphabet: Alphabet, family) -> IndecomposabilityVerdic
             raise InvalidInputError(f"family members must be CyclicWord, got {w!r}")
     minimized, trace = minimize(alphabet, family)
     graph = build_whitehead_graph(alphabet, minimized)
-    comps = graph.components()
-    if len(comps) == 1:
-        two_connected, cuts = graph.is_two_vertex_connected()
-        if not two_connected:
+    if len(graph.components()) == 1:
+        cuts = graph.articulation_points()
+        if cuts:
             raise InternalConsistencyError(
                 f"minimal Whitehead graph is connected but has cut vertices {cuts}"
             )

@@ -109,6 +109,41 @@ class TestTreeCommands:
         assert code == 0 and out == "CERTIFIED\n"
 
 
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("graph", "abAB"),
+            ("tree", "ball", "--rank", "2", "--radius", "x"),
+            ("tree",),
+            ("tree", "profile", "--rank", "2"),
+            ("graph", "--rank", "2", "--cap", "5", "abAB"),
+            ("minimize", "--rank", "2", "--format", "dot", "ab"),
+            ("tree", "ball", "--rank", "2", "--radius", "2", "abAB"),
+            ("tree", "ball", "--rank", "2", "--strict"),
+            ("tree", "profile", "--rank", "2", "--radius", "3", "abAB"),
+            ("tree", "certificate", "--rank", "2", "--max-radius", "3", "abAB"),
+            ("one-ended", "--format", "dot", "x.gog"),
+            ("present", "--strict", "x.gog"),
+        ],
+    )
+    def test_usage_error_exits_one(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [("--help",), ("tree", "--help"), ("tree", "star", "-h")])
+    def test_help_exits_zero(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            main(list(argv))
+        assert info.value.code == 0
+        assert "usage: freesplit" in capsys.readouterr().out
+
+    def test_tree_analyses_take_cap(self, capsys):
+        code, _, err = run(capsys, "tree", "ball", "--rank", "2", "--radius", "3", "--cap", "5")
+        assert code == 2 and "cap 5" in err
+
+
 class TestWordHygiene:
     def test_auto_reduction_warns(self, capsys):
         code, out, err = run(capsys, "indecomposable", "--rank", "2", "baB")
@@ -163,6 +198,16 @@ class TestGraphOfGroupsCommands:
         path.write_text("vertex v1 free 2\nedge e1 v1 vX ab ab\n")
         code, _, err = run(capsys, "one-ended", str(path))
         assert code == 1 and "line 2" in err
+
+    def test_lone_cyclic_vertex_is_not_one_ended(self, capsys, tmp_path):
+        path = tmp_path / "z.gog"
+        path.write_text("vertex v cyclic\n")
+        code, out, _ = run(capsys, "one-ended", str(path))
+        assert code == 0
+        assert out == (
+            "NOT ONE-ENDED (vertex v: cyclic vertex v has no incident edges"
+            " and splits freely)\n"
+        )
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "one-ended", "/nonexistent/file.gog")

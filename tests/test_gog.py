@@ -146,6 +146,22 @@ class TestOneEnded:
         assert verdict.decision == NOT_ONE_ENDED
         assert verdict.witness_vertex == "v1"
         assert verdict.witness is None
+        assert verdict.reason == "free vertex v1 has no incident edges and splits freely"
+        # a lone cyclic vertex is Z, which has two ends
+        verdict = one_ended(GraphOfGroups({"v": CyclicVertex()}, []))
+        assert verdict.decision == NOT_ONE_ENDED
+        assert verdict.witness_vertex == "v" and verdict.witness is None
+        assert verdict.reason == "cyclic vertex v has no incident edges and splits freely"
+        # Z^2, the Klein bottle group, and <a, b | a^2 = b^2> are one-ended
+        for graph in (
+            GraphOfGroups({"v": CyclicVertex()}, [EdgeSpec("e", ("v", "v"), (1, 1))]),
+            GraphOfGroups({"v": CyclicVertex()}, [EdgeSpec("e", ("v", "v"), (1, -1))]),
+            GraphOfGroups(
+                {"u": CyclicVertex(), "v": CyclicVertex()},
+                [EdgeSpec("e", ("u", "v"), (2, 2))],
+            ),
+        ):
+            assert one_ended(graph).decision == ONE_ENDED, graph
 
     def test_trivial_vertex_precondition(self):
         g = GraphOfGroups(

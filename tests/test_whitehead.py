@@ -7,7 +7,6 @@ from freesplit.whitehead import (
     DECOMPOSABLE,
     INDECOMPOSABLE,
     build_whitehead_graph,
-    components,
     decide_indecomposable,
     family_from_texts,
     minimize,
@@ -258,7 +257,7 @@ class TestRecognizeBasis:
 class TestComponentsOp:
     def test_four_cycle_connected(self):
         g = build_whitehead_graph(ALPH2, fam("abAB"))
-        assert components(g) == (frozenset({1, -1, 2, -2}),)
+        assert g.components() == (frozenset({1, -1, 2, -2}),)
 
     def test_path_family_has_cut_vertices(self):
         # {ab, b} gives the path a - B - b - A: connected, two cut vertices
