@@ -30,7 +30,8 @@ from .words import (
 )
 
 
-def _read_family(args) -> tuple[Alphabet, tuple[CyclicWord, ...]]:
+def _read_family(args) -> tuple[CyclicWord, ...]:
+    """The words, each cyclically reduced; a word that was not already warns."""
     alphabet = Alphabet(args.rank)
     family = []
     for text in args.words:
@@ -38,13 +39,18 @@ def _read_family(args) -> tuple[Alphabet, tuple[CyclicWord, ...]]:
         core, _ = cyclic_reduce(raw)
         if core is None:
             raise ParseError(f"word {text!r} reduces to the trivial word")
-        if not is_cyclically_reduced(raw) or tuple(raw) != core.letters:
+        if not is_cyclically_reduced(raw):
             message = f"word {text!r} auto-reduced to {format_word(core.letters)!r}"
             if args.strict:
                 raise ParseError(message + " (--strict)")
             print(f"warning: {message}", file=sys.stderr)
         family.append(core)
-    return alphabet, tuple(family)
+    return tuple(family)
+
+
+def _read_gog(args) -> gog.GraphOfGroups:
+    with open(args.file, encoding="utf-8") as fh:
+        return gog.parse_gog(fh.read())
 
 
 def _render_words(family) -> list[str]:
@@ -79,47 +85,33 @@ def _map_payload(mapping) -> dict:
     return {"images": [format_word(img) for img in mapping.images]}
 
 
+def _sides_payload(bipartition) -> list[list[str]]:
+    return [[format_letter(i) for i in sorted(side)] for side in bipartition]
+
+
 def _bipartition_text(bipartition) -> str:
-    left, right = bipartition
-    fmt = lambda side: "{" + ",".join(format_letter(i) for i in sorted(side)) + "}"
-    return f"{fmt(left)}|{fmt(right)}"
+    left, right = _sides_payload(bipartition)
+    return "{" + ",".join(left) + "}|{" + ",".join(right) + "}"
 
 
-def _emit(payload: dict, fmt: str, text_lines: list[str], dot=None) -> str:
-    """Render one report; ``dot`` makes the DOT text, for commands that offer it."""
-    if fmt == "json":
-        return json.dumps(payload, indent=2) + "\n"
-    if fmt == "dot":
-        return dot()
-    return "\n".join(text_lines) + "\n"
+# Each handler returns (verdict, certificate, text lines, dot): certificate
+# makes the JSON certificate, dot makes the DOT text for the commands that
+# offer it.  A report without a certificate prints its text in any format.
 
 
-def _cmd_graph(args) -> str:
-    alphabet, family = _read_family(args)
-    graph = whitehead.build_whitehead_graph(alphabet, family)
-    payload = {
-        "command": "graph",
-        "input": {"rank": alphabet.rank, "words": _render_words(family)},
-        "verdict": None,
-        "certificate": {"graph": _graph_payload(graph)},
-    }
+def _cmd_graph(args):
+    graph = whitehead.build_whitehead_graph(Alphabet(args.rank), args.words)
     lines = _edge_lines(graph) + [f"total {graph.total_edges()}"]
-    return _emit(payload, args.format, lines,
-                 lambda: graph.to_dot("whitehead", label=format_letter))
+    return (None, lambda: {"graph": _graph_payload(graph)}, lines,
+            lambda: graph.to_dot("whitehead", label=format_letter))
 
 
-def _cmd_minimize(args) -> str:
-    alphabet, family = _read_family(args)
-    minimized, trace = whitehead.minimize(alphabet, family)
-    payload = {
-        "command": "minimize",
-        "input": {"rank": alphabet.rank, "words": _render_words(family)},
-        "verdict": None,
-        "certificate": {
-            "minimized": _render_words(minimized),
-            "steps": _steps_payload(trace),
-            "automorphism": _map_payload(trace.composite),
-        },
+def _cmd_minimize(args):
+    minimized, trace = whitehead.minimize(Alphabet(args.rank), args.words)
+    certificate = lambda: {
+        "minimized": _render_words(minimized),
+        "steps": _steps_payload(trace),
+        "automorphism": _map_payload(trace.composite),
     }
     lines = [
         f"step {i + 1}: multiplier {format_letter(s.automorphism.multiplier)}"
@@ -128,225 +120,138 @@ def _cmd_minimize(args) -> str:
         for i, s in enumerate(trace.steps)
     ]
     lines.append("minimized: " + " ".join(_render_words(minimized)))
-    return _emit(payload, args.format, lines)
+    return None, certificate, lines, None
 
 
-def _cmd_indecomposable(args) -> str:
-    alphabet, family = _read_family(args)
-    verdict = whitehead.decide_indecomposable(alphabet, family)
-    certificate: dict = {
+def _cmd_indecomposable(args):
+    verdict = whitehead.decide_indecomposable(Alphabet(args.rank), args.words)
+    certificate = lambda: {
         "minimized": _render_words(verdict.minimized),
         "graph": _graph_payload(verdict.graph),
         "steps": _steps_payload(verdict.trace),
         "automorphism": _map_payload(verdict.automorphism),
-        "bipartition": None,
-    }
-    if verdict.bipartition is not None:
-        certificate["bipartition"] = [
-            [format_letter(i) for i in sorted(side)] for side in verdict.bipartition
-        ]
-    payload = {
-        "command": "indecomposable",
-        "input": {"rank": alphabet.rank, "words": _render_words(family)},
-        "verdict": verdict.decision,
-        "certificate": certificate,
+        "bipartition": (None if verdict.bipartition is None
+                        else _sides_payload(verdict.bipartition)),
     }
     if verdict.is_indecomposable:
         lines = ["INDECOMPOSABLE"]
     else:
         lines = [f"DECOMPOSABLE {_bipartition_text(verdict.bipartition)}"]
-    return _emit(payload, args.format, lines)
+    return verdict.decision, certificate, lines, None
 
 
-def _cmd_basis(args) -> str:
-    alphabet, family = _read_family(args)
-    ok, witness = whitehead.recognize_basis(alphabet, family)
-    payload = {
-        "command": "basis",
-        "input": {"rank": alphabet.rank, "words": _render_words(family)},
-        "verdict": "basis" if ok else "not-a-basis",
-        "certificate": {"automorphism": _map_payload(witness)} if ok else None,
-    }
-    lines = ["BASIS" if ok else "NOT A BASIS"]
-    return _emit(payload, args.format, lines)
-
-
-def _tree_input(args, alphabet, family) -> dict:
-    data = {"rank": alphabet.rank, "words": _render_words(family)}
-    for key in ("radius", "max_radius"):
-        if vars(args).get(key) is not None:
-            data[key] = vars(args)[key]
-    return data
+def _cmd_basis(args):
+    ok, witness = whitehead.recognize_basis(Alphabet(args.rank), args.words)
+    return ("basis" if ok else "not-a-basis",
+            lambda: {"automorphism": _map_payload(witness)} if ok else None,
+            ["BASIS" if ok else "NOT A BASIS"], None)
 
 
 def _tree_axes(args):
-    """Ball (radius 3 unless given), the axes meeting it, and the report's input."""
-    alphabet, family = _read_family(args)
+    """The ball (radius 3 unless given) and the axes meeting it."""
     radius = args.radius if args.radius is not None else 3
-    ball = tree.build_ball(alphabet, radius, cap=args.cap)
-    return ball, arcs.enumerate_axes(family, ball), _tree_input(args, alphabet, family)
+    ball = tree.build_ball(Alphabet(args.rank), radius, cap=args.cap)
+    return ball, arcs.enumerate_axes(args.words, ball)
 
 
-def _cmd_tree_ball(args) -> str:
-    alphabet = Alphabet(args.rank)
-    radius = args.radius if args.radius is not None else 2
-    ball = tree.build_ball(alphabet, radius, cap=args.cap)
-    payload = {
-        "command": "tree-ball",
-        "input": {"rank": alphabet.rank, "radius": radius},
-        "verdict": None,
-        "certificate": {"vertices": ball.vertex_count(), "edges": ball.edge_count()},
-    }
-    lines = [f"vertices {ball.vertex_count()}", f"edges {ball.edge_count()}"]
-    return _emit(payload, args.format, lines, ball.to_dot)
+def _cmd_tree_ball(args):
+    ball = tree.build_ball(Alphabet(args.rank), args.radius, cap=args.cap)
+    counts = {"vertices": ball.vertex_count(), "edges": ball.edge_count()}
+    return None, lambda: counts, [f"{k} {n}" for k, n in counts.items()], ball.to_dot
 
 
-def _cmd_tree_profile(args) -> str:
-    alphabet, family = _read_family(args)
+def _cmd_tree_profile(args):
     max_radius = args.max_radius if args.max_radius is not None else 3
-    profile = arcs.class_count_profile(alphabet, family, max_radius, cap=args.cap)
-    payload = {
-        "command": "tree-profile",
-        "input": _tree_input(args, alphabet, family),
-        "verdict": None,
-        "certificate": {"profile": [{"radius": r, "classes": c} for r, c in profile]},
-    }
-    lines = [f"radius {r}: {c}" for r, c in profile]
-    return _emit(payload, args.format, lines)
+    profile = arcs.class_count_profile(Alphabet(args.rank), args.words, max_radius,
+                                       cap=args.cap)
+    return (None, lambda: {"profile": [{"radius": r, "classes": c} for r, c in profile]},
+            [f"radius {r}: {c}" for r, c in profile], None)
 
 
-def _cmd_tree_axes(args) -> str:
-    _, axes, data = _tree_axes(args)
-    payload = {
-        "command": "tree-axes",
-        "input": data,
-        "verdict": None,
-        "certificate": {
-            "axes": [
-                {
-                    "base": format_word(a.base),
-                    "period": format_word(a.period),
-                    "trace": [format_word(v) for v in a.trace],
-                }
-                for a in axes
-            ]
-        },
+def _cmd_tree_axes(args):
+    _, axes = _tree_axes(args)
+    certificate = lambda: {
+        "axes": [
+            {
+                "base": format_word(a.base),
+                "period": format_word(a.period),
+                "trace": [format_word(v) for v in a.trace],
+            }
+            for a in axes
+        ]
     }
     lines = [f"axis base={format_word(a.base)} period={format_word(a.period)}" for a in axes]
     lines.append(f"total {len(axes)}")
-    return _emit(payload, args.format, lines)
+    return None, certificate, lines, None
 
 
-def _cmd_tree_counts(args) -> str:
-    ball, axes, data = _tree_axes(args)
+def _cmd_tree_counts(args):
+    ball, axes = _tree_axes(args)
     counts = arcs.edge_counts(axes)
     rows = []
     for u, v in ball.edges():
         count = counts.get(frozenset((u, v)), 0)
         rows.append((format_word(u), format_word(v), count))
     rows.sort(key=lambda r: (r[0], r[1]))
-    payload = {
-        "command": "tree-counts",
-        "input": data,
-        "verdict": None,
-        "certificate": {"counts": [{"edge": [u, v], "count": c} for u, v, c in rows]},
-    }
-    lines = [f"{u} -- {v}: {c}" for u, v, c in rows]
-    return _emit(payload, args.format, lines)
+    return (None, lambda: {"counts": [{"edge": [u, v], "count": c} for u, v, c in rows]},
+            [f"{u} -- {v}: {c}" for u, v, c in rows], None)
 
 
-def _cmd_tree_certificate(args) -> str:
-    ball, axes, data = _tree_axes(args)
-    cert = arcs.lemma33_certificate(ball, axes)
+def _cmd_tree_certificate(args):
+    cert = arcs.lemma33_certificate(*_tree_axes(args))
     witness = None if cert.witness is None else format_word(cert.witness)
-    payload = {
-        "command": "tree-certificate",
-        "input": data,
-        "verdict": "certified" if cert.certified else "not-certified",
-        "certificate": {"witness": witness},
-    }
-    lines = ["CERTIFIED" if cert.certified else f"NOT CERTIFIED (vertex {witness})"]
-    return _emit(payload, args.format, lines)
+    return ("certified" if cert.certified else "not-certified",
+            lambda: {"witness": witness},
+            ["CERTIFIED" if cert.certified else f"NOT CERTIFIED (vertex {witness})"], None)
 
 
-def _cmd_tree_star(args) -> str:
+def _cmd_tree_star(args):
     """The interval-gluing graph of the origin star."""
-    ball, axes, data = _tree_axes(args)
-    graph = arcs.star_graph(ball, axes, ())
-    payload = {
-        "command": "tree-star",
-        "input": data,
-        "verdict": None,
-        "certificate": {"graph": _graph_payload(graph)},
-    }
-    return _emit(payload, args.format, _edge_lines(graph),
-                 lambda: graph.to_dot("star", label=format_letter))
+    graph = arcs.star_graph(*_tree_axes(args), ())
+    return (None, lambda: {"graph": _graph_payload(graph)}, _edge_lines(graph),
+            lambda: graph.to_dot("star", label=format_letter))
 
 
-def _cmd_one_ended(args) -> str:
-    with open(args.file, encoding="utf-8") as fh:
-        graph = gog.parse_gog(fh.read())
-    verdict = gog.one_ended(graph)
-    certificate = None
-    if not verdict.is_one_ended:
-        certificate = {"vertex": verdict.witness_vertex, "reason": verdict.reason}
-        if verdict.witness is not None and verdict.witness.bipartition is not None:
-            certificate["bipartition"] = [
-                [format_letter(i) for i in sorted(side)]
-                for side in verdict.witness.bipartition
-            ]
-    payload = {
-        "command": "one-ended",
-        "input": {"file": args.file},
-        "verdict": verdict.decision,
-        "certificate": certificate,
-    }
+def _cmd_one_ended(args):
+    verdict = gog.one_ended(_read_gog(args))
+    witness = verdict.witness
+
+    def certificate():
+        if verdict.is_one_ended:
+            return None
+        out = {"vertex": verdict.witness_vertex, "reason": verdict.reason}
+        if witness is not None and witness.bipartition is not None:
+            out["bipartition"] = _sides_payload(witness.bipartition)
+        return out
+
     if verdict.is_one_ended:
-        lines = ["ONE-ENDED"]
-    elif verdict.witness is not None:
-        lines = [
-            f"NOT ONE-ENDED (vertex {verdict.witness_vertex}:"
-            f" factor split {_bipartition_text(verdict.witness.bipartition)})"
-        ]
+        line = "ONE-ENDED"
+    elif witness is not None:
+        line = (f"NOT ONE-ENDED (vertex {verdict.witness_vertex}:"
+                f" factor split {_bipartition_text(witness.bipartition)})")
     else:
-        lines = [f"NOT ONE-ENDED (vertex {verdict.witness_vertex}: {verdict.reason})"]
-    return _emit(payload, args.format, lines)
+        line = f"NOT ONE-ENDED (vertex {verdict.witness_vertex}: {verdict.reason})"
+    return verdict.decision, certificate, [line], None
 
 
-def _cmd_double(args) -> str:
-    alphabet, family = _read_family(args)
-    graph = gog.double(alphabet, family)
-    text = gog.serialize_gog(graph)
+def _cmd_double(args):
+    text = gog.serialize_gog(gog.double(Alphabet(args.rank), args.words))
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
-        return f"wrote {args.output}\n"
-    if args.format == "json":
-        payload = {
-            "command": "double",
-            "input": {"rank": alphabet.rank, "words": _render_words(family)},
-            "verdict": None,
-            "certificate": {"file": text},
-        }
-        return json.dumps(payload, indent=2) + "\n"
-    return text
+        return None, None, [f"wrote {args.output}"], None
+    return None, lambda: {"file": text}, text.splitlines(), None
 
 
-def _cmd_present(args) -> str:
-    with open(args.file, encoding="utf-8") as fh:
-        graph = gog.parse_gog(fh.read())
-    text = gog.presentation(graph)
-    payload = {
-        "command": "present",
-        "input": {"file": args.file},
-        "verdict": None,
-        "certificate": {"presentation": text},
-    }
-    return _emit(payload, args.format, [text])
+def _cmd_present(args):
+    text = gog.presentation(_read_gog(args))
+    return None, lambda: {"presentation": text}, [text], None
 
 
 _FAMILY = ("rank", "strict", "words")
 _TREE_FAMILY = ("rank", "radius", "cap", "strict", "words")
+# Parsed values that a JSON report echoes as its input, when set.
+_INPUT = ("rank", "words", "radius", "max_radius", "file")
 _PLAIN = ("text", "json")
 _WITH_DOT = ("text", "dot", "json")
 
@@ -356,7 +261,8 @@ _ARGUMENTS = {
     "strict": (("--strict",), {"action": "store_true",
                                "help": "reject words that are not already cyclically reduced"}),
     "words": (("words",), {"nargs": "+", "help": "cyclic words (letter or numeric form)"}),
-    "radius": (("--radius",), {"type": int, "help": "ball radius (default 2 for ball, else 3)"}),
+    "radius": (("--radius",), {"type": int, "help": "ball radius (default 3)"}),
+    "ball_radius": (("--radius",), {"type": int, "default": 2, "help": "ball radius (default 2)"}),
     "max_radius": (("--max-radius",), {"type": int, "help": "largest radius (default 3)"}),
     "cap": (("--cap",), {"type": int, "default": tree.DEFAULT_VERTEX_CAP,
                          "help": "ball vertex budget (default 2000000)"}),
@@ -373,7 +279,7 @@ _COMMANDS = (
     ("basis", "recognise a free basis up to conjugacy", _cmd_basis, _PLAIN, _FAMILY),
     ("tree", "Cayley-tree ball and arc-system analyses", None, (), ()),
     ("tree ball", "ball vertex and edge counts", _cmd_tree_ball, _WITH_DOT,
-     ("rank", "radius", "cap")),
+     ("rank", "ball_radius", "cap")),
     ("tree axes", "axes meeting the ball", _cmd_tree_axes, _PLAIN, _TREE_FAMILY),
     ("tree counts", "per-edge axis counts", _cmd_tree_counts, _PLAIN, _TREE_FAMILY),
     ("tree certificate", "all-stars 2-vertex-connectivity certificate",
@@ -412,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
         if handler is None:
             groups[name] = p.add_subparsers(dest="analysis", required=True)
             continue
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=handler, name=name.replace(" ", "-"))
         p.add_argument("--format", choices=formats, default="text")
         for key in arguments:
             flags, options = _ARGUMENTS[key]
@@ -423,7 +329,21 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        output = args.handler(args)
+        if "words" in args:
+            args.words = _read_family(args)
+        verdict, certificate, lines, dot = args.handler(args)
+        if args.format == "dot":
+            output = dot()
+        elif args.format == "json" and certificate is not None:
+            data = {key: getattr(args, key) for key in _INPUT
+                    if getattr(args, key, None) is not None}
+            if "words" in data:
+                data["words"] = _render_words(data["words"])
+            report = {"command": args.name, "input": data, "verdict": verdict,
+                      "certificate": certificate()}
+            output = json.dumps(report, indent=2) + "\n"
+        else:
+            output = "\n".join(lines) + "\n"
     except ResourceCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

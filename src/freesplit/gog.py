@@ -17,7 +17,8 @@ when the family is indecomposable.
 
 from __future__ import annotations
 
-from collections import Counter
+import heapq
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 
 from .errors import InvalidInputError, ParseError, UnsupportedExportError
@@ -75,17 +76,18 @@ class GraphOfGroups:
     vertices: dict[str, VertexGroup]
     edges: list[EdgeSpec]
 
-    def incident(self, vertex_id: str) -> list[tuple[EdgeSpec, int]]:
-        """Incident (edge, endpoint slot) pairs; loops appear twice."""
-        out = []
-        for e in self.edges:
-            for slot in (0, 1):
-                if e.endpoints[slot] == vertex_id:
-                    out.append((e, slot))
-        return out
 
-    def degree(self, vertex_id: str) -> int:
-        return len(self.incident(vertex_id))
+def incidence(g: GraphOfGroups) -> defaultdict[str, list[tuple[EdgeSpec, int]]]:
+    """Each vertex id's incident (edge, endpoint slot) pairs, in edge order.
+
+    Loops appear twice.  Built in one pass over the edges; the graph is
+    mutable, so callers build it where they use it rather than caching it.
+    """
+    out = defaultdict(list)
+    for e in g.edges:
+        for slot in (0, 1):
+            out[e.endpoints[slot]].append((e, slot))
+    return out
 
 
 def _attachment_errors(g: GraphOfGroups, edge: EdgeSpec, slot: int) -> list[str]:
@@ -150,12 +152,12 @@ def trivial_vertices(g: GraphOfGroups) -> list[str]:
     A cyclic vertex with attachment exponent +-1, or a rank-1 free
     vertex whose attachment word is a single letter.
     """
+    incident = incidence(g)
     out = []
     for vid in sorted(g.vertices):
-        incident = g.incident(vid)
-        if len(incident) != 1:
+        if len(incident[vid]) != 1:
             continue
-        edge, slot = incident[0]
+        edge, slot = incident[vid][0]
         group = g.vertices[vid]
         att = edge.attachments[slot]
         if isinstance(group, CyclicVertex) and att in (1, -1):
@@ -198,6 +200,7 @@ def one_ended(g: GraphOfGroups) -> OneEndednessVerdict:
     trivial = trivial_vertices(g)
     if trivial:
         raise InvalidInputError(f"graph has trivial vertices: {', '.join(trivial)}")
+    incident = incidence(g)
     for vid in sorted(g.vertices):
         group = g.vertices[vid]
         if isinstance(group, OpaqueVertex):
@@ -212,7 +215,7 @@ def one_ended(g: GraphOfGroups) -> OneEndednessVerdict:
             )
         if isinstance(group, CyclicVertex):
             continue
-        words = [e.attachments[slot] for e, slot in g.incident(vid)]
+        words = [e.attachments[slot] for e, slot in incident[vid]]
         verdict = decide_indecomposable(Alphabet(group.rank), words)
         if verdict.decision == DECOMPOSABLE:
             return OneEndednessVerdict(
@@ -261,9 +264,12 @@ def presentation(g: GraphOfGroups) -> str:
 
     Generators: fresh letters per free/cyclic vertex (in vertex id
     order) plus one stable letter per non-tree edge (in edge id order).
-    Relations: ``u = v`` for tree edges and ``t u t^-1 = v`` for
-    non-tree edges, emitted tree edges first, each side ordered by edge
-    id.  Opaque vertices have no presentation and are rejected.
+    The spanning tree grows from the least vertex id by sweeping the
+    edges in id order again and again; an edge joins it when the sweep
+    finds exactly one of its ends reached.  Relations: ``u = v`` for
+    tree edges, in the order they join the tree, then ``t u t^-1 = v``
+    for non-tree edges, in edge id order.  Opaque vertices have no
+    presentation and are rejected.
     """
     errors = validate(g)
     if errors:
@@ -302,24 +308,32 @@ def presentation(g: GraphOfGroups) -> str:
         ]
         return _join_symbols(symbols, use_letters)
 
+    # Replay the sweeps as (sweep, id position) events: once a tree edge
+    # at position i reaches a vertex, each edge j at that vertex comes up
+    # later in the same sweep if j > i, else in the next one.  An edge
+    # that comes up with both ends reached (a loop, too) never joins.
     sorted_edges = sorted(g.edges, key=lambda e: e.id)
-    tree_edges = []
-    non_tree = []
-    reached = {min(g.vertices)}
-    remaining = list(sorted_edges)
-    grew = True
-    while grew:
-        grew = False
-        for e in list(remaining):
-            u, v = e.endpoints
-            if u == v:
-                continue
-            if (u in reached) != (v in reached):
-                reached |= {u, v}
-                tree_edges.append(e)
-                remaining.remove(e)
-                grew = True
-    non_tree = [e for e in sorted_edges if e not in tree_edges]
+    position = {e.id: i for i, e in enumerate(sorted_edges)}
+    incident = incidence(g)
+    root = min(g.vertices)
+    reached = {root}
+    events = [(0, position[e.id]) for e, _ in incident[root]]
+    heapq.heapify(events)
+    tree = []
+    while events:
+        sweep, i = heapq.heappop(events)
+        u, v = sorted_edges[i].endpoints
+        if (u in reached) == (v in reached):
+            continue
+        new = v if u in reached else u
+        reached.add(new)
+        tree.append(i)
+        for e, _ in incident[new]:
+            j = position[e.id]
+            heapq.heappush(events, (sweep if j > i else sweep + 1, j))
+    tree_edges = [sorted_edges[i] for i in tree]
+    in_tree = set(tree)
+    non_tree = [e for i, e in enumerate(sorted_edges) if i not in in_tree]
 
     stable_names = {}
     for i, e in enumerate(non_tree, start=1):

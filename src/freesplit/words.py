@@ -20,13 +20,9 @@ from .errors import InvalidInputError, ParseError
 Word = tuple[int, ...]
 
 
-def letter_key(x: int) -> tuple[int, int]:
-    """Sort key realising the canonical letter order."""
-    return (abs(x), 0 if x > 0 else 1)
-
-
-def word_key(word) -> tuple:
-    return tuple(letter_key(x) for x in word)
+def word_key(word) -> tuple[int, ...]:
+    """Sort key realising the canonical order: a_i is 2i-1 and a_i^-1 is 2i."""
+    return tuple(2 * x - 1 if x > 0 else -2 * x for x in word)
 
 
 def invert_word(word) -> Word:
@@ -99,7 +95,10 @@ def is_cyclically_reduced(word) -> bool:
 
 def canonical_rotation(word: Word) -> Word:
     """Lexicographically least rotation under the canonical letter order."""
-    return min((word[i:] + word[:i] for i in range(len(word))), key=word_key)
+    n = len(word)
+    key = word_key(word) * 2
+    best = min(range(n), key=lambda i: key[i:i + n])
+    return word[best:] + word[:best]
 
 
 class CyclicWord:

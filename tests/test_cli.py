@@ -154,6 +154,13 @@ class TestWordHygiene:
         code, out, err = run(capsys, "indecomposable", "--rank", "2", "--strict", "baB")
         assert code == 1 and "auto-reduced" in err
 
+    @pytest.mark.parametrize("word", ["BAba", "ba"])
+    def test_rotation_is_not_a_reduction(self, capsys, word):
+        # a cyclically reduced word is taken as given, in any rotation
+        for strict in ((), ("--strict",)):
+            code, _, err = run(capsys, "indecomposable", "--rank", "2", *strict, word)
+            assert code == 0 and err == ""
+
     def test_trivial_word_rejected(self, capsys):
         code, _, err = run(capsys, "indecomposable", "--rank", "2", "abBA")
         assert code == 1 and "trivial" in err

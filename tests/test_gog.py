@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from freesplit.errors import InvalidInputError, ParseError, UnsupportedExportError
 from freesplit.gog import (
@@ -291,7 +292,63 @@ class TestDouble:
             )
 
 
+def reference_sweep(g):
+    """Tree and non-tree edges by repeated sweeps over the edges in id order."""
+    sorted_edges = sorted(g.edges, key=lambda e: e.id)
+    tree_edges = []
+    reached = {min(g.vertices)}
+    remaining = list(sorted_edges)
+    grew = True
+    while grew:
+        grew = False
+        for e in list(remaining):
+            u, v = e.endpoints
+            if u == v:
+                continue
+            if (u in reached) != (v in reached):
+                reached |= {u, v}
+                tree_edges.append(e)
+                remaining.remove(e)
+                grew = True
+    return tree_edges, [e for e in sorted_edges if e not in tree_edges]
+
+
+def reference_presentation(g):
+    """The presentation of a graph of cyclic vertices with positive exponents."""
+    names = dict(zip(sorted(g.vertices), "abcdefghijklmnopqrsuvwxyz"))
+    tree_edges, non_tree = reference_sweep(g)
+    stable = {e.id: "t" if len(non_tree) == 1 else f"t{i}" for i, e in enumerate(non_tree, 1)}
+    side = lambda e, slot: names[e.endpoints[slot]] * e.attachments[slot]
+    relations = [f"{side(e, 0)} = {side(e, 1)}" for e in tree_edges]
+    relations += [f"{stable[e.id]} {side(e, 0)} {stable[e.id]}^-1 = {side(e, 1)}" for e in non_tree]
+    generators = [names[v] for v in sorted(g.vertices)] + [stable[e.id] for e in non_tree]
+    return f"< {', '.join(generators)} | {', '.join(relations)} >"
+
+
+@st.composite
+def connected_cyclic_graphs(draw):
+    """Connected graphs of cyclic vertices: shuffled vertex and edge ids, loops,
+    parallel edges, and a distinct exponent pair per edge."""
+    n = draw(st.integers(min_value=2, max_value=8))
+    names = draw(st.permutations([f"v{i}" for i in range(n)]))
+    vertex = st.integers(min_value=0, max_value=n - 1)
+    pairs = [(draw(st.integers(min_value=0, max_value=v - 1)), v) for v in range(1, n)]
+    pairs += draw(st.lists(st.tuples(vertex, vertex), max_size=8))
+    ids = draw(st.permutations([f"e{i:02d}" for i in range(len(pairs))]))
+    edges = []
+    for k, (u, v) in enumerate(pairs):
+        if draw(st.booleans()):
+            u, v = v, u
+        edges.append(EdgeSpec(ids[k], (names[u], names[v]), (k + 1, k + 2)))
+    return GraphOfGroups({name: CyclicVertex() for name in names}, edges)
+
+
 class TestPresentation:
+    @settings(max_examples=300)
+    @given(connected_cyclic_graphs())
+    def test_matches_repeated_sweep_reference(self, g):
+        assert presentation(g) == reference_presentation(g)
+
     def test_surface_presentation(self):
         text = presentation(double(ALPH2, fam("abAB")))
         assert text == "< a, b, c, d | abAB = cdCD >"

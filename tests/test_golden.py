@@ -68,6 +68,16 @@ ARGVS = [
     (["indecomposable", "--rank", "2", "baB"], None),
     # the ball budget refusal: exit 2, message on stderr, nothing on stdout
     (["tree", "ball", "--rank", "2", "--radius", "20"], None),
+    # default radii: ball reports its radius 2, the analyses leave theirs out
+    (["tree", "ball", "--rank", "2", "--format", "json"], None),
+    (["tree", "axes", "--rank", "2", "--format", "json", "a"], None),
+    (["tree", "profile", "--rank", "2", "--format", "json", "abAB"], None),
+    # -o prints the same line in any format
+    (["double", "--rank", "2", "-o", "out.gog", "--format", "json", "abAB"], "out.gog"),
+    (["one-ended", "--format", "json", "lone.gog"], None),
+    # tree relations come in sweep order, not edge id order
+    (["present", "sweep.gog"], None),
+    (["one-ended", "missing.gog"], None),
 ]
 
 

@@ -1,5 +1,6 @@
 import random
 
+import networkx as nx
 import pytest
 
 from freesplit.errors import InvalidInputError
@@ -79,6 +80,24 @@ class TestTwoVertexConnectivity:
             g = helpers.random_multigraph(rng, 10)
             assert set(g.articulation_points()) == helpers.brute_articulation_points(g)
             assert g.is_two_vertex_connected()[0] == helpers.brute_is_two_vertex_connected(g)
+
+
+class TestNetworkxOracle:
+    """Cut vertices and components against networkx on the same multigraph."""
+
+    def test_against_networkx(self):
+        rng = random.Random(404)
+        for _ in range(300):
+            n = rng.randint(1, 12)
+            g, h = Multigraph(range(n)), nx.MultiGraph()
+            h.add_nodes_from(range(n))
+            # loops, parallel edges, and often several components
+            for _ in range(rng.randint(0, 2 * n)):
+                u, v, m = rng.randrange(n), rng.randrange(n), rng.randint(1, 2)
+                g.add_edge(u, v, m)
+                h.add_edges_from([(u, v)] * m)
+            assert set(g.articulation_points()) == set(nx.articulation_points(h))
+            assert set(g.components()) == {frozenset(c) for c in nx.connected_components(h)}
 
 
 class TestDot:

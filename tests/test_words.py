@@ -21,12 +21,20 @@ from freesplit.words import (
     is_cyclically_reduced,
     parse_word,
     total_cyclic_length,
+    word_key,
 )
 
 import helpers
 
 
 ALPH2 = Alphabet(2)
+# Few letters, so that periodic words and repeated rotations are common.
+LETTERS = st.integers(min_value=-2, max_value=2).filter(bool)
+
+
+def nested_key(word):
+    """The canonical order as a (generator index, inverse flag) pair per letter."""
+    return tuple((abs(x), 0 if x > 0 else 1) for x in word)
 
 
 def W(text, rank=2):
@@ -114,6 +122,17 @@ class TestCyclicWord:
         assert CW("bba").letters == (1, 2, 2)
         assert canonical_rotation((2, 2, 1)) == (1, 2, 2)
         assert canonical_rotation((2, 2, -1)) == (-1, 2, 2)
+
+    @given(st.lists(LETTERS, min_size=1, max_size=24))
+    def test_canonical_rotation_matches_nested_key_reference(self, letters):
+        word = tuple(letters)
+        expected = min((word[i:] + word[:i] for i in range(len(word))), key=nested_key)
+        assert canonical_rotation(word) == expected
+
+    @given(st.lists(LETTERS, max_size=6), st.lists(LETTERS, max_size=6))
+    def test_word_key_order_matches_nested_key(self, u, v):
+        assert (word_key(u) < word_key(v)) == (nested_key(u) < nested_key(v))
+        assert (word_key(u) == word_key(v)) == (u == v)
 
     def test_rejects_unreduced(self):
         with pytest.raises(InvalidInputError):
