@@ -4,6 +4,7 @@ Vertices are arbitrary hashables supplied in a fixed order, which makes
 every derived output (components, articulation points, DOT text)
 deterministic.  Connectivity and articulation points are computed on the
 simple-graph shadow: multiplicities and loops have no effect on either.
+Minimum cuts take multiplicities as capacities.
 """
 
 from __future__ import annotations
@@ -69,6 +70,45 @@ class Multigraph:
             if b == v:
                 total += m
         return total
+
+    def min_cut(self, s, t) -> tuple[int, frozenset]:
+        """Minimum s-t edge cut with multiplicities as capacities.
+
+        Edmonds-Karp: augment along shortest residual paths until t is
+        unreachable.  Returns the cut value and the source side, the
+        vertices reachable from s in the final residual graph.  That side
+        is contained in the source side of every minimum cut.  Loops
+        never cross a cut and are ignored.
+        """
+        if s not in self._index or t not in self._index or s == t:
+            raise InvalidInputError(f"min cut needs two distinct vertices: {s!r}, {t!r}")
+        residual = {}
+        for (u, v), m in self._mult.items():
+            if u != v:
+                residual[u, v] = residual[v, u] = m
+        value = 0
+        while True:
+            parent = {s: None}
+            queue = [s]
+            for u in queue:
+                for w in self._adj[u]:
+                    if w not in parent and residual[u, w]:
+                        parent[w] = u
+                        queue.append(w)
+                if t in parent:
+                    break
+            if t not in parent:
+                return value, frozenset(parent)
+            path = []
+            w = t
+            while w != s:
+                path.append((parent[w], w))
+                w = parent[w]
+            push = min(residual[e] for e in path)
+            for u, w in path:
+                residual[u, w] -= push
+                residual[w, u] += push
+            value += push
 
     def components(self) -> tuple[frozenset, ...]:
         """Connected components, isolated vertices as singletons."""

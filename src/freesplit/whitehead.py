@@ -6,7 +6,8 @@ in a family word, one edge joining ``x`` to ``y^-1``.  Its total edge
 multiplicity therefore equals the total cyclic length of the family.
 
 Minimization greedily applies the multiplier-type Whitehead automorphism
-that most reduces total cyclic length, until none does.  On a minimal
+that most reduces total cyclic length, until none does; the best move for
+each multiplier is a minimum cut in the Whitehead graph.  On a minimal
 family the graph is either disconnected (the family can be conjugated
 into a proper free factor, and the component structure exhibits the
 factorisation) or 2-vertex connected (the family is indecomposable).
@@ -73,32 +74,45 @@ class MinimizationTrace:
 def minimize(alphabet: Alphabet, family) -> tuple[tuple[CyclicWord, ...], MinimizationTrace]:
     """Greedy Whitehead descent on total cyclic length.
 
-    At each step every multiplier automorphism is tried and the best
-    strict reducer is applied (first in canonical order on ties).  Only
-    multiplier moves are searched: permutation-type automorphisms
-    preserve length and cannot help the descent.  The trace length is at
-    most the initial total length.
+    A multiplier move (x, A) changes total length by cap(A) - deg(x) in
+    the Whitehead graph, where cap(A) counts the edges with exactly one
+    end in A.  So the best move with multiplier x is a minimum cut
+    between x and x^-1, and each step solves 2n max-flow problems on the
+    Whitehead graph of the current family.  The step applies the best
+    strict reducer: the first multiplier in canonical order on ties, with
+    the inclusion-minimal minimum cut as side set, which is also the
+    first such side in ``whitehead_moves`` order.  Only multiplier moves
+    are searched: permutation-type automorphisms preserve length and
+    cannot help the descent.  The trace length is at most the initial
+    total length.
     """
     current = tuple(family)
     composite = FreeGroupMap.identity(alphabet.rank)
     steps = []
     length = total_cyclic_length(current)
     while True:
+        graph = build_whitehead_graph(alphabet, current)
         best = None
-        best_length = length
-        for move in whitehead_moves(alphabet):
-            mapping = move.to_map()
-            candidate = tuple(mapping.apply_cyclic(w) for w in current)
-            cand_length = total_cyclic_length(candidate)
-            if cand_length < best_length:
-                best = (move, candidate)
-                best_length = cand_length
+        best_change = 0
+        for x in alphabet.letters():
+            cut, side = graph.min_cut(x, -x)
+            change = cut - graph.degree(x)
+            if change < best_change:
+                best = MultiplierAutomorphism(alphabet.rank, x, side)
+                best_change = change
         if best is None:
             break
-        move, current = best
-        steps.append(TraceStep(move, length, best_length))
-        composite = composite.then(move.to_map())
-        length = best_length
+        mapping = best.to_map()
+        current = tuple(mapping.apply_cyclic(w) for w in current)
+        new_length = total_cyclic_length(current)
+        if new_length != length + best_change:
+            raise InternalConsistencyError(
+                f"move {best} changed length {length} -> {new_length}, "
+                f"but its cut predicts {length + best_change}"
+            )
+        steps.append(TraceStep(best, length, new_length))
+        composite = composite.then(mapping)
+        length = new_length
     return current, MinimizationTrace(tuple(steps), composite)
 
 

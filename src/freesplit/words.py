@@ -93,12 +93,17 @@ def is_cyclically_reduced(word) -> bool:
     return word[0] != -word[-1]
 
 
-def canonical_rotation(word: Word) -> Word:
-    """Lexicographically least rotation under the canonical letter order."""
+def _least_rotation(word: Word) -> int:
+    """First offset k at which word[k:] + word[:k] is least in canonical order."""
     n = len(word)
     key = word_key(word) * 2
-    best = min(range(n), key=lambda i: key[i:i + n])
-    return word[best:] + word[:best]
+    return min(range(n), key=lambda i: key[i:i + n])
+
+
+def canonical_rotation(word: Word) -> Word:
+    """Lexicographically least rotation under the canonical letter order."""
+    k = _least_rotation(word)
+    return word[k:] + word[:k]
 
 
 class CyclicWord:
@@ -118,6 +123,13 @@ class CyclicWord:
         if not is_cyclically_reduced(letters):
             raise InvalidInputError(f"not cyclically reduced: {letters}")
         object.__setattr__(self, "letters", canonical_rotation(letters))
+
+    @classmethod
+    def _from_canonical(cls, letters: Word) -> "CyclicWord":
+        """Wrap letters already cyclically reduced and in canonical rotation."""
+        word = object.__new__(cls)
+        object.__setattr__(word, "letters", letters)
+        return word
 
     def __setattr__(self, name, value):
         raise AttributeError("CyclicWord is immutable")
@@ -191,13 +203,10 @@ def cyclic_reduce(word) -> tuple[CyclicWord | None, Word]:
     prefix = w[:i]
     if not core:
         return None, prefix
-    result = CyclicWord(core)
     # rotating the core to canonical form shifts the conjugator:
     # core = core[:k] . canonical . core[:k]^-1
-    for k in range(len(core)):
-        if core[k:] + core[:k] == result.letters:
-            return result, free_reduce(prefix + core[:k])
-    raise AssertionError("unreachable: canonical form is a rotation")
+    k = _least_rotation(core)
+    return CyclicWord._from_canonical(core[k:] + core[:k]), free_reduce(prefix + core[:k])
 
 
 def total_cyclic_length(family) -> int:

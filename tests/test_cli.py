@@ -31,6 +31,14 @@ class TestVerdictCommands:
         assert code == 0
         assert out.endswith("minimized: a b\n")
 
+    def test_minimize_rank_26_primitive_word(self, capsys):
+        # a1 a2 ... a26 is primitive, so the descent ends at one letter;
+        # every step shortens it by one
+        code, out, _ = run(capsys, "minimize", "--rank", "26", "abcdefghijklmnopqrstuvwxyz")
+        lines = out.splitlines()
+        assert code == 0 and lines[-1] == "minimized: z"
+        assert [line.split()[-1] for line in lines[:-1]] == [str(n) for n in range(25, 0, -1)]
+
     def test_numeric_form_words(self, capsys):
         code, out, _ = run(capsys, "indecomposable", "--rank", "2", "1 2 -1 -2")
         assert code == 0 and out == "INDECOMPOSABLE\n"

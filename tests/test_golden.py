@@ -78,6 +78,9 @@ ARGVS = [
     # tree relations come in sweep order, not edge id order
     (["present", "sweep.gog"], None),
     (["one-ended", "missing.gog"], None),
+    # ranks past the reach of an exhaustive move scan; the minimize takes several steps
+    (["indecomposable", "--rank", "6", "--format", "json", "ab"], None),
+    (["minimize", "--rank", "5", "--format", "json", "abcAC", "bbcd"], None),
 ]
 
 

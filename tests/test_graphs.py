@@ -100,6 +100,72 @@ class TestNetworkxOracle:
             assert set(g.components()) == {frozenset(c) for c in nx.connected_components(h)}
 
 
+def cut_capacity(graph, side):
+    return sum(m for u, v, m in graph.edges() if (u in side) != (v in side))
+
+
+class TestMinCut:
+    """Minimum s-t cuts against networkx and, on small graphs, every cut."""
+
+    def test_path_and_parallel_edges(self):
+        g = graph_from_edges(4, [(0, 1, 3), (1, 2), (1, 2), (2, 3, 5)])
+        assert g.min_cut(0, 3) == (2, frozenset({0, 1}))
+        assert g.min_cut(3, 0) == (2, frozenset({2, 3}))
+
+    def test_disconnected_and_loops(self):
+        g = graph_from_edges(4, [(0, 0, 4), (0, 1, 2), (2, 3)])
+        assert g.min_cut(0, 3) == (0, frozenset({0, 1}))
+
+    def test_side_is_inclusion_minimal_on_ties(self):
+        # cutting {0} or {0, 1} both cost 2; the smaller side is returned
+        g = graph_from_edges(3, [(0, 1, 2), (1, 2, 2)])
+        assert g.min_cut(0, 2) == (2, frozenset({0}))
+
+    def test_bad_terminals(self):
+        g = graph_from_edges(2, [(0, 1)])
+        with pytest.raises(InvalidInputError):
+            g.min_cut(0, 0)
+        with pytest.raises(InvalidInputError):
+            g.min_cut(0, 7)
+
+    def test_against_networkx(self):
+        rng = random.Random(505)
+        for _ in range(300):
+            n = rng.randint(2, 12)
+            g, h = Multigraph(range(n)), nx.Graph()
+            h.add_nodes_from(range(n))
+            for _ in range(rng.randint(0, 3 * n)):
+                u, v, m = rng.randrange(n), rng.randrange(n), rng.randint(1, 3)
+                g.add_edge(u, v, m)
+            for u, v, m in g.edges():
+                if u != v:
+                    h.add_edge(u, v, capacity=m)
+            s, t = rng.sample(range(n), 2)
+            value, side = g.min_cut(s, t)
+            nx_value, (nx_side, _) = nx.minimum_cut(h, s, t)
+            assert value == nx_value
+            assert s in side and t not in side
+            assert cut_capacity(g, side) == value
+            assert side <= nx_side
+
+    def test_side_lies_in_every_minimum_cut(self):
+        rng = random.Random(606)
+        for _ in range(150):
+            g = helpers.random_multigraph(rng, max_vertices=8)
+            n = len(g.vertices)
+            s, t = rng.sample(range(n), 2)
+            value, side = g.min_cut(s, t)
+            rest = [v for v in range(n) if v not in (s, t)]
+            minimum = []
+            for mask in range(1 << len(rest)):
+                cut = {s} | {rest[i] for i in range(len(rest)) if mask >> i & 1}
+                if cut_capacity(g, cut) == value:
+                    minimum.append(cut)
+                assert cut_capacity(g, cut) >= value
+            assert side in minimum
+            assert all(side <= cut for cut in minimum)
+
+
 class TestDot:
     def test_dot_output(self):
         g = graph_from_edges(2, [(0, 1, 2)])

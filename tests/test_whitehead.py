@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from freesplit.errors import InvalidInputError
 from freesplit.whitehead import (
@@ -16,6 +17,7 @@ from freesplit.whitehead import (
 from freesplit.words import (
     Alphabet,
     CyclicWord,
+    FreeGroupMap,
     MultiplierAutomorphism,
     apply_automorphism,
     cyclic_reduce,
@@ -36,6 +38,58 @@ def fam(*texts, rank=2):
 
 def edge_set(graph):
     return {(u, v): m for u, v, m in graph.edges()}
+
+
+def reference_minimize(alphabet, family):
+    """Greedy descent by trying every multiplier move at every step.
+
+    The best strict reducer wins, the first in ``whitehead_moves`` order
+    on ties.  Returns (minimized, steps as tuples, composite).
+    """
+    current = tuple(family)
+    composite = FreeGroupMap.identity(alphabet.rank)
+    steps = []
+    length = total_cyclic_length(current)
+    while True:
+        best = None
+        best_length = length
+        for move in whitehead_moves(alphabet):
+            candidate = tuple(move.to_map().apply_cyclic(w) for w in current)
+            cand_length = total_cyclic_length(candidate)
+            if cand_length < best_length:
+                best = (move, candidate)
+                best_length = cand_length
+        if best is None:
+            return current, tuple(steps), composite
+        move, current = best
+        steps.append((move.multiplier, move.side, length, best_length))
+        composite = composite.then(move.to_map())
+        length = best_length
+
+
+def random_move(rng, rank):
+    letters = Alphabet(rank).letters()
+    x = rng.choice(letters)
+    side = {x} | {y for y in letters if y not in (x, -x) and rng.random() < 0.5}
+    return MultiplierAutomorphism(rank, x, frozenset(side))
+
+
+@st.composite
+def descent_corpus(draw):
+    """A family of rank 1-4, often pushed off minimality by random moves."""
+    rank = draw(st.integers(min_value=1, max_value=4))
+    letters = Alphabet(rank).letters()
+    words = draw(st.lists(st.lists(st.sampled_from(letters), max_size=7), min_size=1, max_size=3))
+    family = tuple(core for core, _ in map(cyclic_reduce, words) if core is not None)
+    if not family:
+        family = (CyclicWord((rank,)),)
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        moved = tuple(apply_automorphism(random_move(rng, rank), w) for w in family)
+        if total_cyclic_length(moved) > 30:
+            break
+        family = moved
+    return Alphabet(rank), family
 
 
 class TestBuildGraph:
@@ -89,6 +143,32 @@ class TestMoves:
 
 
 class TestMinimize:
+    @settings(max_examples=80, deadline=None)
+    @given(descent_corpus())
+    def test_matches_exhaustive_scan(self, case):
+        alphabet, family = case
+        minimized, trace = minimize(alphabet, family)
+        steps = tuple(
+            (s.automorphism.multiplier, s.automorphism.side, s.length_before, s.length_after)
+            for s in trace.steps
+        )
+        assert (minimized, steps, trace.composite) == reference_minimize(alphabet, family)
+
+    def test_length_change_is_cut_minus_degree(self):
+        # |phi(W)| - |W| = cap(A) - deg(x) for every multiplier move (x, A)
+        rng = random.Random(73)
+        for _ in range(40):
+            rank = rng.randint(1, 3)
+            alphabet = Alphabet(rank)
+            family = helpers.random_family(rng, rank, 3, 12)
+            graph = build_whitehead_graph(alphabet, family)
+            for move in whitehead_moves(alphabet):
+                side = move.side
+                cap = sum(m for u, v, m in graph.edges() if (u in side) != (v in side))
+                moved = tuple(apply_automorphism(move, w) for w in family)
+                change = total_cyclic_length(moved) - total_cyclic_length(family)
+                assert change == cap - graph.degree(move.multiplier)
+
     def test_reducible_pair(self):
         minimized, trace = minimize(ALPH2, fam("ab", "b"))
         assert set(minimized) == set(fam("a", "b"))

@@ -37,6 +37,23 @@ def nested_key(word):
     return tuple((abs(x), 0 if x > 0 else 1) for x in word)
 
 
+def reference_cyclic_reduce(word):
+    """The conjugator found by searching every rotation for the canonical one."""
+    w = free_reduce(word)
+    i, j = 0, len(w)
+    while j - i >= 2 and w[i] == -w[j - 1]:
+        i += 1
+        j -= 1
+    core, prefix = w[i:j], w[:i]
+    if not core:
+        return None, prefix
+    result = CyclicWord(core)
+    for k in range(len(core)):
+        if core[k:] + core[:k] == result.letters:
+            return result, free_reduce(prefix + core[:k])
+    raise AssertionError("canonical form is not a rotation")
+
+
 def W(text, rank=2):
     return parse_word(text, Alphabet(rank))
 
@@ -105,6 +122,16 @@ class TestCyclicReduce:
                 conj + (core.letters if core else ()) + invert_word(conj)
             )
             assert rebuilt == free_reduce(raw)
+
+    @given(st.lists(LETTERS, max_size=24))
+    def test_matches_rotation_search(self, letters):
+        core, conj = cyclic_reduce(letters)
+        assert (core, conj) == reference_cyclic_reduce(letters)
+        if core is not None:
+            assert core.letters == canonical_rotation(core.letters)
+            assert is_cyclically_reduced(core.letters)
+        body = core.letters if core else ()
+        assert free_reduce(conj + body + invert_word(conj)) == free_reduce(letters)
 
 
 class TestCyclicWord:
