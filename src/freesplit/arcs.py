@@ -8,9 +8,13 @@ axis objects are equal exactly when they describe the same line; the
 period is anchored at the base, so it is a specific rotation of the
 generating word or of its inverse, not a rotation class.
 
-Enumeration is complete for every line meeting the ball: such a line
-passes through a ball vertex u, and the lines through u are exactly
-u.axis(w') over cyclic rotations w' of the family words.
+Enumeration generates each line meeting the ball once, from its base.
+The base of such a line is its nearest vertex to the origin, so it lies
+in the ball; conversely a vertex u and a period p, read forward as p^oo
+and backward as (p^-1)^oo, span a line based at u exactly when neither
+direction cancels against the last letter of u.  An axis keeps only
+(base, period, radius): its ball trace, its edges and its vertices at a
+given distance are read off those letters when asked for.
 
 The subtree analysis computes, for a finite subtree S, the intervals
 axis-by-axis, the interval-gluing graph on interval endpoints, and the
@@ -25,17 +29,17 @@ from dataclasses import dataclass, field
 
 from .errors import InvalidInputError
 from .graphs import Multigraph
-from .tree import TreeBall, build_ball, edge_label, DEFAULT_VERTEX_CAP
-from .words import Alphabet, CyclicWord, Word, invert_word, reduced_mul, word_key
+from .tree import TreeBall, build_ball, DEFAULT_VERTEX_CAP
+from .words import Alphabet, CyclicWord, Word, invert_word, word_key
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Axis:
-    """A line in the Cayley tree, canonically keyed, with its ball trace."""
+    """A line in the Cayley tree, canonically keyed, traced in a ball of ``radius``."""
 
     base: Word
     period: Word
-    trace: tuple[Word, ...] = field(compare=False)
+    radius: int = field(compare=False)
 
     @property
     def key(self):
@@ -44,95 +48,76 @@ class Axis:
     def sort_key(self):
         return (len(self.base), word_key(self.base), word_key(self.period))
 
+    def _rays(self, reach: int) -> tuple[Word, Word]:
+        """The first ``reach`` letters of period^oo and of (period^-1)^oo."""
+        repeats = reach // len(self.period) + 1
+        return ((self.period * repeats)[:reach],
+                (invert_word(self.period) * repeats)[:reach])
+
+    @property
+    def reach(self) -> int:
+        """Steps from the base to the ball boundary in either direction."""
+        return self.radius - len(self.base)
+
+    @property
+    def trace(self) -> tuple[Word, ...]:
+        """The line's vertices in the ball, from the far end against the period."""
+        u, reach = self.base, self.reach
+        forward, backward = self._rays(reach)
+        return (tuple(u + backward[:k] for k in range(reach, 0, -1)) + (u,)
+                + tuple(u + forward[:k] for k in range(1, reach + 1)))
+
     def edges(self) -> set[frozenset]:
         """Unordered vertex pairs of the trace path."""
-        return {
-            frozenset((self.trace[i], self.trace[i + 1])) for i in range(len(self.trace) - 1)
-        }
+        u, reach = self.base, self.reach
+        return {frozenset((u + ray[:k - 1], u + ray[:k]))
+                for ray in self._rays(reach) for k in range(1, reach + 1)}
 
     def vertices_at(self, distance: int) -> tuple[Word, ...]:
         """The (up to two) line vertices at the given distance from the origin.
 
-        Walks outward from the base, so it works at any distance, not
-        just within the stored trace.
+        Read from the base outward, so it works at any distance, not
+        just within the ball.
         """
-        if len(self.base) > distance:
+        steps = distance - len(self.base)
+        if steps < 0:
             return ()
-        if len(self.base) == distance:
+        if steps == 0:
             return (self.base,)
-        out = []
-        for direction in (self.period, invert_word(self.period)):
-            v = self.base
-            i = 0
-            while len(v) < distance:
-                v = reduced_mul(v, direction[i % len(direction)])
-                i += 1
-            out.append(v)
-        return tuple(out)
-
-
-def _rotations(word: CyclicWord) -> tuple[Word, ...]:
-    return tuple(sorted(word.rotations(), key=word_key))
-
-
-def _axis_through(vertex: Word, rotation: Word, radius: int) -> Axis:
-    """The line through ``vertex`` reading ``rotation`` forward, traced in the ball."""
-    length = len(rotation)
-    v, phase = vertex, 0
-    while True:
-        fwd = reduced_mul(v, rotation[phase % length])
-        if len(fwd) < len(v):
-            v, phase = fwd, phase + 1
-            continue
-        bwd = reduced_mul(v, -rotation[(phase - 1) % length])
-        if len(bwd) < len(v):
-            v, phase = bwd, phase - 1
-            continue
-        break
-    base = v
-    fwd_period = tuple(rotation[(phase + i) % length] for i in range(length))
-    bwd_period = invert_word(fwd_period)
-    period = min(fwd_period, bwd_period, key=word_key)
-    forward = []
-    v, i = base, 0
-    while True:
-        nxt = reduced_mul(v, period[i % length])
-        if len(nxt) > radius:
-            break
-        forward.append(nxt)
-        v, i = nxt, i + 1
-    backward = []
-    v, i = base, 0
-    rev = invert_word(period)
-    while True:
-        nxt = reduced_mul(v, rev[i % length])
-        if len(nxt) > radius:
-            break
-        backward.append(nxt)
-        v, i = nxt, i + 1
-    trace = tuple(reversed(backward)) + (base,) + tuple(forward)
-    return Axis(base, period, trace)
+        return tuple(self.base + ray for ray in self._rays(steps))
 
 
 def enumerate_axes(family, ball: TreeBall) -> tuple[Axis, ...]:
     """All distinct axes of conjugates of family words meeting the ball.
 
-    Complete: every such line contains a ball vertex and is generated
-    from it; duplicates collapse because the key names the line itself.
+    Each line is generated once, from its base u: for every canonical
+    period p (a rotation of a family word or of its inverse, whichever
+    is smaller under ``word_key``), (u, p) is a line based at u exactly
+    when p does not start with u's last letter inverted and does not end
+    with u's last letter.  A word, its inverse and its conjugates give
+    the same periods, so their lines are generated once; a proper power
+    keeps its own, longer periods.  The ball lists its vertices in
+    (length, ``word_key``) order and the periods are sorted once, so the
+    axes come out in ``Axis.sort_key`` order.
     """
     family = tuple(family)
     for w in family:
         if not isinstance(w, CyclicWord):
             raise InvalidInputError(f"family members must be CyclicWord, got {w!r}")
         ball.alphabet.validate_letters(w.letters)
-    rotation_sets = [_rotations(w) for w in sorted(set(family))]
-    found: dict[tuple, Axis] = {}
+    periods = sorted(
+        {min(r, invert_word(r), key=word_key) for w in family for r in w.rotations()},
+        key=word_key,
+    )
+    admissible = {
+        x: [p for p in periods if p[0] != -x and p[-1] != x] for x in ball.alphabet.letters()
+    }
+    radius = ball.radius
+    axes = []
     for u in ball.vertices:
-        for rotations in rotation_sets:
-            for rot in rotations:
-                axis = _axis_through(u, rot, ball.radius)
-                found.setdefault(axis.key, axis)
-    return tuple(sorted(found.values(), key=Axis.sort_key))
+        for p in admissible[u[-1]] if u else periods:
+            axes.append(Axis(u, p, radius))
+    return tuple(axes)
 
 
 def edge_arc_count(edge, axes) -> int:
@@ -141,13 +126,35 @@ def edge_arc_count(edge, axes) -> int:
     return sum(1 for axis in axes if target in axis.edges())
 
 
-def edge_counts(axes) -> dict[frozenset, int]:
-    """Per-edge axis counts over all traced edges."""
-    counts: dict[frozenset, int] = {}
+def _spans(axes):
+    """(base, reach, forward ray, backward ray) of every axis with a ball edge.
+
+    Each period's rays are built once, ``radius`` letters long, and an
+    axis reads only their first ``reach`` letters.
+    """
+    rays = {}
     for axis in axes:
-        for e in axis.edges():
-            counts[e] = counts.get(e, 0) + 1
-    return counts
+        reach = axis.reach
+        if reach > 0:
+            key = (axis.period, axis.radius)
+            if key not in rays:
+                rays[key] = axis._rays(axis.radius)
+            yield (axis.base, reach) + rays[key]
+
+
+def edge_counts(axes) -> dict[frozenset, int]:
+    """Per-edge axis counts over all traced edges.
+
+    Every traced edge joins a vertex to its parent, so axes are counted
+    per child vertex, read outward from each base.
+    """
+    children: dict[Word, int] = {}
+    for u, reach, forward, backward in _spans(axes):
+        for ray in (forward, backward):
+            for k in range(1, reach + 1):
+                v = u + ray[:k]
+                children[v] = children.get(v, 0) + 1
+    return {frozenset((v[:-1], v)): n for v, n in children.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -160,14 +167,16 @@ def _direction_pairs(axes):
     An axis passing a vertex p reads some letter u into p and some
     letter v out of it; the recorded pair is {u, v^-1}, matching the
     Whitehead-graph rule for the cyclic substring ``u v``.  The pair is
-    independent of the traversal direction.
+    independent of the traversal direction.  Pairs are read from the
+    letters around each vertex, oriented as the trace runs: from the far
+    end against the period to the far end along it.
     """
     pairs: dict[Word, list[tuple[int, int]]] = {}
-    for axis in axes:
-        t = axis.trace
-        for i in range(1, len(t) - 1):
-            pair = (edge_label(t[i - 1], t[i]), edge_label(t[i + 1], t[i]))
-            pairs.setdefault(t[i], []).append(pair)
+    for u, reach, forward, backward in _spans(axes):
+        pairs.setdefault(u, []).append((-backward[0], -forward[0]))
+        for k in range(1, reach):
+            pairs.setdefault(u + forward[:k], []).append((forward[k - 1], -forward[k]))
+            pairs.setdefault(u + backward[:k], []).append((-backward[k], backward[k - 1]))
     return pairs
 
 

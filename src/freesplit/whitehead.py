@@ -86,6 +86,16 @@ def minimize(alphabet: Alphabet, family) -> tuple[tuple[CyclicWord, ...], Minimi
     cannot help the descent.  The trace length is at most the initial
     total length.
     """
+    minimized, trace, _ = _descend(alphabet, family)
+    return minimized, trace
+
+
+def _descend(alphabet: Alphabet, family):
+    """``minimize``, plus the Whitehead graph of the minimized family.
+
+    The last, non-improving step builds that graph anyway, so a decision
+    takes it from here instead of building it again.
+    """
     current = tuple(family)
     composite = FreeGroupMap.identity(alphabet.rank)
     steps = []
@@ -101,7 +111,7 @@ def minimize(alphabet: Alphabet, family) -> tuple[tuple[CyclicWord, ...], Minimi
                 best = MultiplierAutomorphism(alphabet.rank, x, side)
                 best_change = change
         if best is None:
-            break
+            return current, MinimizationTrace(tuple(steps), composite), graph
         mapping = best.to_map()
         current = tuple(mapping.apply_cyclic(w) for w in current)
         new_length = total_cyclic_length(current)
@@ -113,7 +123,6 @@ def minimize(alphabet: Alphabet, family) -> tuple[tuple[CyclicWord, ...], Minimi
         steps.append(TraceStep(best, length, new_length))
         composite = composite.then(mapping)
         length = new_length
-    return current, MinimizationTrace(tuple(steps), composite)
 
 
 @dataclass(frozen=True)
@@ -171,8 +180,7 @@ def decide_indecomposable(alphabet: Alphabet, family) -> IndecomposabilityVerdic
     for w in family:
         if not isinstance(w, CyclicWord):
             raise InvalidInputError(f"family members must be CyclicWord, got {w!r}")
-    minimized, trace = minimize(alphabet, family)
-    graph = build_whitehead_graph(alphabet, minimized)
+    minimized, trace, graph = _descend(alphabet, family)
     if len(graph.components()) == 1:
         cuts = graph.articulation_points()
         if cuts:

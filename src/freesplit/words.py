@@ -77,13 +77,6 @@ def free_reduce(letters, alphabet: Alphabet | None = None) -> Word:
     return tuple(out)
 
 
-def reduced_mul(word: Word, letter: int) -> Word:
-    """Right-multiply a reduced word by one letter, staying reduced."""
-    if word and word[-1] == -letter:
-        return word[:-1]
-    return word + (letter,)
-
-
 def is_cyclically_reduced(word) -> bool:
     word = tuple(word)
     if not word:

@@ -81,6 +81,11 @@ ARGVS = [
     # ranks past the reach of an exhaustive move scan; the minimize takes several steps
     (["indecomposable", "--rank", "6", "--format", "json", "ab"], None),
     (["minimize", "--rank", "5", "--format", "json", "abcAC", "bbcd"], None),
+    # a proper power beside its root, and a word beside its inverse, whose
+    # lines the inverse shares
+    (["tree", "axes", "--rank", "2", "--radius", "4", "--format", "json", "abab", "ab", "BA"],
+     None),
+    (["tree", "counts", "--rank", "1", "--radius", "3", "aa", "a"], None),
 ]
 
 

@@ -1,8 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from freesplit.arcs import (
+    _direction_pairs,
     analyze_subtree,
     class_count_profile,
     edge_arc_count,
@@ -18,7 +20,14 @@ from freesplit.whitehead import (
     decide_indecomposable,
     family_from_texts,
 )
-from freesplit.words import Alphabet, CyclicWord, invert_word, total_cyclic_length
+from freesplit.words import (
+    Alphabet,
+    CyclicWord,
+    cyclic_reduce,
+    invert_word,
+    total_cyclic_length,
+    word_key,
+)
 
 import helpers
 
@@ -33,6 +42,101 @@ def fam(*texts, rank=2):
 
 def origin_star(ball):
     return [()] + [(x,) for x in ball.alphabet.letters()]
+
+
+def reduced_mul(word, letter):
+    """Right-multiply a reduced word by one letter, staying reduced."""
+    if word and word[-1] == -letter:
+        return word[:-1]
+    return word + (letter,)
+
+
+def _reference_axis_through(vertex, rotation, radius):
+    """(base, period, trace) of the line through ``vertex`` reading ``rotation`` forward."""
+    length = len(rotation)
+    v, phase = vertex, 0
+    while True:
+        fwd = reduced_mul(v, rotation[phase % length])
+        if len(fwd) < len(v):
+            v, phase = fwd, phase + 1
+            continue
+        bwd = reduced_mul(v, -rotation[(phase - 1) % length])
+        if len(bwd) < len(v):
+            v, phase = bwd, phase - 1
+            continue
+        break
+    base = v
+    fwd_period = tuple(rotation[(phase + i) % length] for i in range(length))
+    period = min(fwd_period, invert_word(fwd_period), key=word_key)
+    rays = []
+    for direction in (period, invert_word(period)):
+        ray, v, i = [], base, 0
+        while len(nxt := reduced_mul(v, direction[i % length])) <= radius:
+            ray.append(nxt)
+            v, i = nxt, i + 1
+        rays.append(ray)
+    forward, backward = rays
+    return base, period, tuple(reversed(backward)) + (base,) + tuple(forward)
+
+
+def reference_enumerate_axes(family, ball):
+    """((base, period), trace) of every line meeting the ball, by the full scan.
+
+    Walks from every ball vertex with every rotation of every family
+    word, keeps the first trace found for each line, and sorts by
+    (base length, base, period).
+    """
+    found = {}
+    for u in ball.vertices:
+        for w in sorted(set(family)):
+            for rotation in sorted(w.rotations(), key=word_key):
+                base, period, trace = _reference_axis_through(u, rotation, ball.radius)
+                found.setdefault((base, period), trace)
+    return sorted(
+        found.items(),
+        key=lambda item: (len(item[0][0]), word_key(item[0][0]), word_key(item[0][1])),
+    )
+
+
+def reference_edge_counts(traces):
+    counts = {}
+    for t in traces:
+        for e in {frozenset((t[i], t[i + 1])) for i in range(len(t) - 1)}:
+            counts[e] = counts.get(e, 0) + 1
+    return counts
+
+
+def reference_direction_pairs(traces):
+    pairs = {}
+    for t in traces:
+        for i in range(1, len(t) - 1):
+            pair = (edge_label(t[i - 1], t[i]), edge_label(t[i + 1], t[i]))
+            pairs.setdefault(t[i], []).append(pair)
+    return pairs
+
+
+@st.composite
+def axis_corpus(draw):
+    """A ball of rank 1-3 and radius 0-4 with a family that may hold a proper
+    power, a word beside its inverse, and a conjugate of another member."""
+    rank = draw(st.integers(min_value=1, max_value=3))
+    letters = Alphabet(rank).letters()
+    words = draw(st.lists(st.lists(st.sampled_from(letters), max_size=4), min_size=1, max_size=3))
+    family = [core for core, _ in map(cyclic_reduce, words) if core is not None]
+    if not family:
+        family = [CyclicWord((rank,))]
+    pick = st.sampled_from(family)
+    if draw(st.booleans()):
+        w = draw(pick)
+        family.append(CyclicWord(w.letters * draw(st.integers(min_value=2, max_value=3))))
+    if draw(st.booleans()):
+        family.append(draw(pick).inverse())
+    if draw(st.booleans()):
+        w = draw(pick)
+        k = draw(st.integers(min_value=0, max_value=len(w) - 1))
+        family.append(CyclicWord(w.letters[k:] + w.letters[:k]))
+    family = draw(st.permutations(family))
+    return build_ball(Alphabet(rank), draw(st.integers(min_value=0, max_value=4))), tuple(family)
 
 
 class TestBall:
@@ -61,6 +165,13 @@ class TestBall:
             build_ball(ALPH2, 20)
         assert info.value.predicted == predicted_vertex_count(2, 20)
 
+    def test_vertices_in_length_then_word_key_order(self):
+        # enumerate_axes relies on this order to emit axes already sorted
+        for rank in (1, 2, 3):
+            for radius in range(0, 5):
+                vertices = build_ball(Alphabet(rank), radius).vertices
+                assert list(vertices) == sorted(vertices, key=lambda v: (len(v), word_key(v)))
+
     def test_edge_label(self):
         assert edge_label((), (1,)) == 1
         assert edge_label((1,), ()) == -1
@@ -69,6 +180,35 @@ class TestBall:
 
 
 class TestEnumerateAxes:
+    @settings(max_examples=60, deadline=None)
+    @given(axis_corpus())
+    def test_matches_full_scan(self, corpus):
+        ball, family = corpus
+        axes = enumerate_axes(family, ball)
+        reference = reference_enumerate_axes(family, ball)
+        assert [a.key for a in axes] == [key for key, _ in reference]
+        assert [a.trace for a in axes] == [trace for _, trace in reference]
+        traces = [trace for _, trace in reference]
+        assert edge_counts(axes) == reference_edge_counts(traces)
+        assert _direction_pairs(axes) == reference_direction_pairs(traces)
+        for axis in axes:
+            for distance in range(ball.radius + 1):
+                assert axis.vertices_at(distance) == tuple(
+                    v for v in reversed(axis.trace) if len(v) == distance
+                )
+
+    def test_powers_and_inverses(self):
+        # abab keeps its own period beside ab; BA shares ab's lines
+        ball = build_ball(ALPH2, 2)
+        family = fam("abab", "ab", "BA")
+        axes = enumerate_axes(family, ball)
+        reference = reference_enumerate_axes(family, ball)
+        assert [a.key for a in axes] == [key for key, _ in reference]
+        assert {a.period for a in axes if a.base == ()} == {
+            (1, 2), (1, 2, 1, 2), (-1, -2), (-1, -2, -1, -2)
+        }
+        assert axes == enumerate_axes(fam("abab", "ab"), ball)
+
     def test_single_letter_radius2(self):
         # one axis per coset with a representative of length <= 2 that
         # does not end in a or a^-1
