@@ -12,9 +12,16 @@ Enumeration generates each line meeting the ball once, from its base.
 The base of such a line is its nearest vertex to the origin, so it lies
 in the ball; conversely a vertex u and a period p, read forward as p^oo
 and backward as (p^-1)^oo, span a line based at u exactly when neither
-direction cancels against the last letter of u.  An axis keeps only
-(base, period, radius): its ball trace, its edges and its vertices at a
-given distance are read off those letters when asked for.
+direction cancels against the last letter of u.  An axis keeps its
+base, its base's vertex id and its period; its trace and its vertices
+at a given distance are read off those letters when asked for.
+
+The per-edge counts, the star certificate and the class profile run on
+vertex ids (see ``tree``): each period's rays are turned once into id
+steps, so walking a line from its base is integer arithmetic, counts and
+stars are flat lists indexed by id, a star is an adjacency bitmask over
+the 2n letters, and the profile is a union-find over ids.  Words appear
+only in what these functions return.
 
 The subtree analysis computes, for a finite subtree S, the intervals
 axis-by-axis, the interval-gluing graph on interval endpoints, and the
@@ -28,18 +35,51 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import InvalidInputError
-from .graphs import Multigraph
-from .tree import TreeBall, build_ball, DEFAULT_VERTEX_CAP
+from .graphs import Multigraph, bitmask_two_connected
+from .tree import TreeBall, build_ball, child_step, letter_index, DEFAULT_VERTEX_CAP
 from .words import Alphabet, CyclicWord, Word, invert_word, word_key
 
 
-@dataclass(frozen=True, slots=True)
+class _Rays:
+    """A period's two rays in a ball, as letter indices and id steps.
+
+    The forward ray reads period^oo from the base, the backward ray
+    (period^-1)^oo.  Per ray, ``first`` is the letter index of its first
+    letter, whose id step depends on the base, and ``steps`` are the id
+    steps (``tree.child_step``) of its later letters.  ``pairs`` are the
+    star pair codes, by letter index a * 2n + b, of the ray's vertices
+    1 .. radius - 1 from the base, and ``origin`` is the code at the base.
+    """
+
+    __slots__ = ("ball", "first", "steps", "pairs", "origin")
+
+    def __init__(self, period: Word, ball: TreeBall):
+        self.ball = ball
+        m, length = 2 * ball.alphabet.rank, ball.radius + 1
+        repeats = length // len(period) + 1
+        rays = [[letter_index(x) for x in (word * repeats)[:length]]
+                for word in (period, invert_word(period))]
+        forward, backward = rays
+        self.first = [ray[0] for ray in rays]
+        self.steps = [[child_step(a, b) for a, b in zip(ray, ray[1:])] for ray in rays]
+        # the letter index of x^-1 is that of x with its last bit flipped
+        self.pairs = [[a * m + (b ^ 1) for a, b in zip(forward, forward[1:])],
+                      [(b ^ 1) * m + a for a, b in zip(backward, backward[1:])]]
+        self.origin = (backward[0] ^ 1) * m + (forward[0] ^ 1)
+
+
+@dataclass(slots=True, unsafe_hash=True)
 class Axis:
-    """A line in the Cayley tree, canonically keyed, traced in a ball of ``radius``."""
+    """A line in the Cayley tree, keyed by (base, period), traced in a ball.
+
+    ``base_id`` is the base's vertex id in the ball, and ``rays`` holds
+    the ball and the id steps along the line.
+    """
 
     base: Word
     period: Word
-    radius: int = field(compare=False)
+    base_id: int = field(compare=False, repr=False)
+    rays: _Rays = field(compare=False, repr=False)
 
     @property
     def key(self):
@@ -48,30 +88,28 @@ class Axis:
     def sort_key(self):
         return (len(self.base), word_key(self.base), word_key(self.period))
 
-    def _rays(self, reach: int) -> tuple[Word, Word]:
+    @property
+    def radius(self) -> int:
+        return self.rays.ball.radius
+
+    @property
+    def reach(self) -> int:
+        """Steps from the base to the ball boundary in either direction."""
+        return self.rays.ball.radius - len(self.base)
+
+    def _ray_letters(self, reach: int) -> tuple[Word, Word]:
         """The first ``reach`` letters of period^oo and of (period^-1)^oo."""
         repeats = reach // len(self.period) + 1
         return ((self.period * repeats)[:reach],
                 (invert_word(self.period) * repeats)[:reach])
 
     @property
-    def reach(self) -> int:
-        """Steps from the base to the ball boundary in either direction."""
-        return self.radius - len(self.base)
-
-    @property
     def trace(self) -> tuple[Word, ...]:
         """The line's vertices in the ball, from the far end against the period."""
         u, reach = self.base, self.reach
-        forward, backward = self._rays(reach)
+        forward, backward = self._ray_letters(reach)
         return (tuple(u + backward[:k] for k in range(reach, 0, -1)) + (u,)
                 + tuple(u + forward[:k] for k in range(1, reach + 1)))
-
-    def edges(self) -> set[frozenset]:
-        """Unordered vertex pairs of the trace path."""
-        u, reach = self.base, self.reach
-        return {frozenset((u + ray[:k - 1], u + ray[:k]))
-                for ray in self._rays(reach) for k in range(1, reach + 1)}
 
     def vertices_at(self, distance: int) -> tuple[Word, ...]:
         """The (up to two) line vertices at the given distance from the origin.
@@ -84,7 +122,23 @@ class Axis:
             return ()
         if steps == 0:
             return (self.base,)
-        return tuple(self.base + ray for ray in self._rays(steps))
+        return tuple(self.base + ray for ray in self._ray_letters(steps))
+
+
+def _ray_ids(axis: Axis, steps: int) -> list[list[int]]:
+    """Ids of the vertices 1 .. steps away from the base, forward and backward."""
+    rays = axis.rays
+    branch = rays.ball.branch
+    last = letter_index(axis.base[-1]) if axis.base else -1
+    out = []
+    for first, later in zip(rays.first, rays.steps):
+        v = branch * axis.base_id + child_step(last, first)
+        ids = [v]
+        for step in later[:steps - 1]:
+            v = branch * v + step
+            ids.append(v)
+        out.append(ids)
+    return out
 
 
 def enumerate_axes(family, ball: TreeBall) -> tuple[Axis, ...]:
@@ -96,9 +150,9 @@ def enumerate_axes(family, ball: TreeBall) -> tuple[Axis, ...]:
     when p does not start with u's last letter inverted and does not end
     with u's last letter.  A word, its inverse and its conjugates give
     the same periods, so their lines are generated once; a proper power
-    keeps its own, longer periods.  The ball lists its vertices in
-    (length, ``word_key``) order and the periods are sorted once, so the
-    axes come out in ``Axis.sort_key`` order.
+    keeps its own, longer periods.  The ball lists its vertices in id
+    order, which is (length, ``word_key``) order, and the periods are
+    sorted once, so the axes come out in ``Axis.sort_key`` order.
     """
     family = tuple(family)
     for w in family:
@@ -109,75 +163,73 @@ def enumerate_axes(family, ball: TreeBall) -> tuple[Axis, ...]:
         {min(r, invert_word(r), key=word_key) for w in family for r in w.rotations()},
         key=word_key,
     )
-    admissible = {
-        x: [p for p in periods if p[0] != -x and p[-1] != x] for x in ball.alphabet.letters()
-    }
+    periods = [(p, _Rays(p, ball)) for p in periods]
+    # the periods after each last letter x sit at list index x, the root's at 0
+    rank = ball.alphabet.rank
+    admissible = [[(p, rays) for p, rays in periods if p[0] != -x and p[-1] != x]
+                  for x in [*range(rank + 1), *range(-rank, 0)]]
+    vertices = ball.vertices
+    return tuple([Axis((), p, 0, rays) for p, rays in admissible[0]]
+                 + [Axis(u, p, i, rays) for i, u in enumerate(vertices[1:], 1)
+                    for p, rays in admissible[u[-1]]])
+
+
+def child_counts(ball: TreeBall, axes) -> list[int]:
+    """Axes through each ball edge, by the id of the edge's child vertex (0 at the root)."""
+    counts = [0] * len(ball.vertices)
     radius = ball.radius
-    axes = []
-    for u in ball.vertices:
-        for p in admissible[u[-1]] if u else periods:
-            axes.append(Axis(u, p, radius))
-    return tuple(axes)
+    for axis in axes:
+        reach = radius - len(axis.base)
+        if reach > 0:
+            for ids in _ray_ids(axis, reach):
+                for v in ids:
+                    counts[v] += 1
+    return counts
 
 
 def edge_arc_count(edge, axes) -> int:
     """Number of distinct axes whose ball trace contains the edge."""
-    target = frozenset(tuple(v) for v in edge)
-    return sum(1 for axis in axes if target in axis.edges())
-
-
-def _spans(axes):
-    """(base, reach, forward ray, backward ray) of every axis with a ball edge.
-
-    Each period's rays are built once, ``radius`` letters long, and an
-    axis reads only their first ``reach`` letters.
-    """
-    rays = {}
-    for axis in axes:
-        reach = axis.reach
-        if reach > 0:
-            key = (axis.period, axis.radius)
-            if key not in rays:
-                rays[key] = axis._rays(axis.radius)
-            yield (axis.base, reach) + rays[key]
+    axes = tuple(axes)
+    words = sorted({tuple(v) for v in edge}, key=len)
+    if not axes or len(words) != 2 or words[1][:-1] != words[0]:
+        return 0
+    ball = axes[0].rays.ball
+    child = ball.index(words[1])
+    return 0 if child is None else child_counts(ball, axes)[child]
 
 
 def edge_counts(axes) -> dict[frozenset, int]:
-    """Per-edge axis counts over all traced edges.
-
-    Every traced edge joins a vertex to its parent, so axes are counted
-    per child vertex, read outward from each base.
-    """
-    children: dict[Word, int] = {}
-    for u, reach, forward, backward in _spans(axes):
-        for ray in (forward, backward):
-            for k in range(1, reach + 1):
-                v = u + ray[:k]
-                children[v] = children.get(v, 0) + 1
-    return {frozenset((v[:-1], v)): n for v, n in children.items()}
+    """Per-edge axis counts over all traced edges, keyed by {parent, child}."""
+    axes = tuple(axes)
+    if not axes:
+        return {}
+    ball = axes[0].rays.ball
+    return {frozenset((ball.vertices[v][:-1], ball.vertices[v])): n
+            for v, n in enumerate(child_counts(ball, axes)) if n}
 
 
 # ---------------------------------------------------------------------------
 # Star graphs and the 2-vertex-connectivity certificate
 
 
-def _direction_pairs(axes):
-    """For each vertex interior to some trace, the letter pairs of axes through it.
+def _star_pairs(axes):
+    """The vertex ids and pair codes of the vertices interior to each axis's trace.
 
     An axis passing a vertex p reads some letter u into p and some
     letter v out of it; the recorded pair is {u, v^-1}, matching the
-    Whitehead-graph rule for the cyclic substring ``u v``.  The pair is
-    independent of the traversal direction.  Pairs are read from the
-    letters around each vertex, oriented as the trace runs: from the far
-    end against the period to the far end along it.
+    Whitehead-graph rule for the cyclic substring ``u v``, and its code
+    is index(u) * 2n + index(v^-1).  The pair is independent of the
+    traversal direction.  Axes come in the order given, and each axis's
+    vertices from the base outward.  Yields them in chunks, as (ids,
+    codes) list pairs.
     """
-    pairs: dict[Word, list[tuple[int, int]]] = {}
-    for u, reach, forward, backward in _spans(axes):
-        pairs.setdefault(u, []).append((-backward[0], -forward[0]))
-        for k in range(1, reach):
-            pairs.setdefault(u + forward[:k], []).append((forward[k - 1], -forward[k]))
-            pairs.setdefault(u + backward[:k], []).append((-backward[k], backward[k - 1]))
-    return pairs
+    for axis in axes:
+        rays = axis.rays
+        reach = rays.ball.radius - len(axis.base)
+        if reach > 0:
+            yield [axis.base_id], [rays.origin]
+            if reach > 1:
+                yield from zip(_ray_ids(axis, reach - 1), rays.pairs)
 
 
 def star_graph(ball: TreeBall, axes, center: Word) -> Multigraph:
@@ -192,13 +244,13 @@ def star_graph(ball: TreeBall, axes, center: Word) -> Multigraph:
     center = tuple(center)
     if len(center) > ball.radius - 1:
         raise InvalidInputError(f"star of {center} does not lie inside the ball")
-    return _star(ball.alphabet.letters(), _direction_pairs(axes).get(center, ()))
-
-
-def _star(letters, pairs) -> Multigraph:
+    target = ball.index(center)
+    letters = ball.alphabet.letters()
     graph = Multigraph(letters, allow_loops=False)
-    for d_in, d_out in pairs:
-        graph.add_edge(d_in, d_out)
+    for ids, codes in _star_pairs(axes):
+        for v, code in zip(ids, codes):
+            if v == target:
+                graph.add_edge(*(letters[i] for i in divmod(code, len(letters))))
     return graph
 
 
@@ -219,15 +271,30 @@ class StarCertificate:
 
 
 def lemma33_certificate(ball: TreeBall, axes) -> StarCertificate:
-    """Check 2-vertex connectivity of the star graph at every interior vertex."""
+    """Check 2-vertex connectivity of the star graph at every interior vertex.
+
+    Each interior star is one int per vertex id: the simple graph on the
+    2n letters as an adjacency bit matrix, bit a * 2n + b for the edge
+    a -- b.  Connectivity ignores multiplicities, and the verdict depends
+    on that mask alone, so each distinct mask is tested once.
+    """
     if ball.radius < 2:
         raise InvalidInputError("certificate needs radius >= 2")
-    pairs = _direction_pairs(axes)
-    letters = ball.alphabet.letters()
-    for v in ball.interior_vertices():
-        ok, _ = _star(letters, pairs.get(v, ())).is_two_vertex_connected()
+    m = 2 * ball.alphabet.rank
+    bits = [1 << code | 1 << (code % m * m + code // m) for code in range(m * m)]
+    stars = [0] * ball.offsets[ball.radius]
+    for ids, codes in _star_pairs(axes):
+        for v, code in zip(ids, codes):
+            stars[v] |= bits[code]
+    full = (1 << m) - 1
+    verdicts = {}
+    for v, star in enumerate(stars):
+        ok = verdicts.get(star)
+        if ok is None:
+            ok = verdicts[star] = bitmask_two_connected(
+                [star >> (a * m) & full for a in range(m)])
         if not ok:
-            return StarCertificate(False, v)
+            return StarCertificate(False, ball.vertices[v])
     return StarCertificate(True, None)
 
 
@@ -354,26 +421,25 @@ def class_count_profile(
     if max_radius < 1:
         raise InvalidInputError("max_radius must be >= 1")
     ball = build_ball(alphabet, max_radius, cap=cap)
-    axes = enumerate_axes(family, ball)
-    profile = []
-    for radius in range(1, max_radius + 1):
-        sphere = ball.sphere(radius)
-        index = {v: i for i, v in enumerate(sphere)}
-        parent = list(range(len(sphere)))
+    # one union-find over vertex ids; an axis joins its exits at each
+    # distance past its base, so unions never leave a sphere
+    parent = list(range(len(ball.vertices)))
 
-        def find(i):
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
 
-        for axis in axes:
-            if len(axis.base) >= radius:
-                continue
-            exits = axis.vertices_at(radius)
-            a, b = find(index[exits[0]]), find(index[exits[1]])
-            if a != b:
-                parent[a] = b
-        count = sum(1 for i in range(len(sphere)) if find(i) == i)
-        profile.append((radius, count))
-    return tuple(profile)
+    for axis in enumerate_axes(family, ball):
+        reach = max_radius - len(axis.base)
+        if reach > 0:
+            for a, b in zip(*_ray_ids(axis, reach)):
+                a, b = find(a), find(b)
+                if a != b:
+                    parent[a] = b
+    offsets = ball.offsets
+    return tuple(
+        (radius, sum(1 for v in range(offsets[radius], offsets[radius + 1]) if parent[v] == v))
+        for radius in range(1, max_radius + 1)
+    )

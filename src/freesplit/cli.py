@@ -169,30 +169,30 @@ def _cmd_tree_profile(args):
 
 
 def _cmd_tree_axes(args):
-    _, axes = _tree_axes(args)
+    ball, axes = _tree_axes(args)
+    # labels of the bases by vertex id, and of each period once
+    labels = ball.labels()
+    periods = {p: format_word(p) for p in {a.period for a in axes}}
     certificate = lambda: {
         "axes": [
             {
-                "base": format_word(a.base),
-                "period": format_word(a.period),
+                "base": labels[a.base_id],
+                "period": periods[a.period],
                 "trace": [format_word(v) for v in a.trace],
             }
             for a in axes
         ]
     }
-    lines = [f"axis base={format_word(a.base)} period={format_word(a.period)}" for a in axes]
+    lines = [f"axis base={labels[a.base_id]} period={periods[a.period]}" for a in axes]
     lines.append(f"total {len(axes)}")
     return None, certificate, lines, None
 
 
 def _cmd_tree_counts(args):
     ball, axes = _tree_axes(args)
-    counts = arcs.edge_counts(axes)
-    rows = []
-    for u, v in ball.edges():
-        count = counts.get(frozenset((u, v)), 0)
-        rows.append((format_word(u), format_word(v), count))
-    rows.sort(key=lambda r: (r[0], r[1]))
+    counts = arcs.child_counts(ball, axes)
+    labels = ball.labels()
+    rows = sorted((labels[p], labels[v], counts[v]) for v, p in enumerate(ball.parents(), 1))
     return (None, lambda: {"counts": [{"edge": [u, v], "count": c} for u, v, c in rows]},
             [f"{u} -- {v}: {c}" for u, v, c in rows], None)
 

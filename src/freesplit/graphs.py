@@ -61,15 +61,17 @@ class Multigraph:
     def neighbors(self, v) -> set:
         return set(self._adj[v])
 
-    def degree(self, v) -> int:
-        """Edge-end count at v, multiplicities included, loops twice."""
-        total = 0
+    def degrees(self) -> dict:
+        """Edge-end count at every vertex, multiplicities included, loops twice."""
+        out = dict.fromkeys(self._order, 0)
         for (a, b), m in self._mult.items():
-            if a == v:
-                total += m
-            if b == v:
-                total += m
-        return total
+            out[a] += m
+            out[b] += m
+        return out
+
+    def degree(self, v) -> int:
+        """Edge-end count at v."""
+        return self.degrees().get(v, 0)
 
     def min_cut(self, s, t) -> tuple[int, frozenset]:
         """Minimum s-t edge cut with multiplicities as capacities.
@@ -197,3 +199,27 @@ class Multigraph:
         lines.append("}")
         return "\n".join(lines) + "\n"
 
+
+def bitmask_two_connected(rows) -> bool:
+    """2-vertex connectivity of a simple graph given as adjacency bitmasks.
+
+    Vertex i is adjacent to j when bit j of ``rows[i]`` is set.  The
+    convention is ``Multigraph.is_two_vertex_connected``'s: connected, at
+    least two vertices, and no cut vertex, i.e. still connected after
+    deleting any one vertex.
+    """
+    everyone = (1 << len(rows)) - 1
+    return len(rows) >= 2 and _bitmask_connected(rows, everyone) and all(
+        _bitmask_connected(rows, everyone & ~(1 << x)) for x in range(len(rows)))
+
+
+def _bitmask_connected(rows, alive) -> bool:
+    """Whether the vertices in the bitmask ``alive`` induce a connected graph."""
+    seen = frontier = alive & -alive
+    while frontier:
+        low = frontier & -frontier
+        frontier ^= low
+        new = rows[low.bit_length() - 1] & alive & ~seen
+        seen |= new
+        frontier |= new
+    return seen == alive

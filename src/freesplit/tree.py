@@ -5,12 +5,21 @@ holds every reduced word of length at most r.  Edges join u to u.x when
 the product stays reduced.  For rank n >= 2 the vertex count is
 1 + 2n((2n-1)^r - 1)/(2n-2), and a guard refuses to materialise balls
 beyond a configurable budget.
+
+Vertex ids.  The ball lists its vertices in (length, ``word_key``)
+order, and that order is a mixed-radix numbering: the first letter is
+one of 2n digits, each later letter one of the 2n-1 letters other than
+the inverse of the one before, ranked in canonical order.  So a vertex's
+id, its position in ``vertices``, is arithmetic: the root is 0, the
+child of the root by the letter with index i (a is 0, a^-1 is 1, b is 2,
+...) is 1 + i, and the child of any other vertex v by the letter with
+digit d is (2n-1)·v + 2 + d.  The ids do not depend on the radius.
 """
 
 from __future__ import annotations
 
 from .errors import InvalidInputError, ResourceCapError
-from .words import Alphabet, Word, format_word
+from .words import Alphabet, Word, format_letter, format_word
 
 DEFAULT_VERTEX_CAP = 2_000_000
 
@@ -24,17 +33,51 @@ def predicted_vertex_count(rank: int, radius: int) -> int:
     return 1 + d * ((d - 1) ** radius - 1) // (d - 2)
 
 
+def letter_index(x: int) -> int:
+    """Position of a letter in canonical order: a is 0, a^-1 is 1, b is 2, ..."""
+    return 2 * x - 2 if x > 0 else -2 * x - 1
+
+
+def child_step(last: int, x: int) -> int:
+    """The id step from a vertex to its child: child = branch * parent + step.
+
+    ``x`` is the letter index of the child's last letter and ``last`` that
+    of the parent's, or -1 at the root.  The index of a letter's inverse
+    is its own with the last bit flipped, so x must not be ``last ^ 1``.
+    """
+    return 2 + x - (x > last ^ 1)
+
+
 class TreeBall:
-    """The radius-r ball around the identity vertex."""
+    """The radius-r ball around the identity vertex, ids in ``vertices`` order."""
 
     def __init__(self, alphabet: Alphabet, radius: int, vertices):
         self.alphabet = alphabet
         self.radius = radius
         self.vertices: tuple[Word, ...] = tuple(vertices)
-        self._vset = frozenset(self.vertices)
+        self.branch = 2 * alphabet.rank - 1
+        # offsets[k] is the id of the first vertex at distance k
+        self.offsets = [0, 1]
+        for k in range(1, radius + 1):
+            self.offsets.append(self.branch * self.offsets[k] + 2)
+
+    def index(self, vertex) -> int | None:
+        """The id of a vertex, or None for anything that is not a ball vertex."""
+        word = tuple(vertex)
+        if len(word) > self.radius:
+            return None
+        v, last = 0, -1
+        for x in word:
+            if not isinstance(x, int) or not self.alphabet.contains(x):
+                return None
+            x = letter_index(x)
+            if x == last ^ 1:
+                return None
+            v, last = self.branch * v + child_step(last, x), x
+        return v
 
     def __contains__(self, vertex) -> bool:
-        return tuple(vertex) in self._vset
+        return self.index(vertex) is not None
 
     def vertex_count(self) -> int:
         return len(self.vertices)
@@ -48,12 +91,45 @@ class TreeBall:
             if v:
                 yield v[:-1], v
 
+    def parents(self) -> list[int]:
+        """The parent id of every vertex but the root, in id order.
+
+        The children of each vertex are consecutive ids, the root's 2n
+        first and then 2n - 1 for each vertex inside the ball, in id order.
+        """
+        if not self.radius:
+            return []
+        inner = range(1, self.offsets[self.radius])
+        return [0] * (self.branch + 1) + [p for p in inner for _ in range(self.branch)]
+
+    def labels(self) -> list[str]:
+        """``format_word`` of every vertex in id order, each built from its parent's.
+
+        A word with a letter past the 26 of the letter form is numeric
+        throughout, so such a letter switches the label to the numeric
+        form of the whole word.
+        """
+        letter = {x: format_letter(x) for x in self.alphabet.letters() if abs(x) <= 26}
+        out = [""]
+        for word, parent in zip(self.vertices[1:], self.parents()):
+            head, x = out[parent], word[-1]
+            if head[-1:].isdigit():
+                out.append(f"{head} {x}")
+            elif x in letter:
+                out.append(head + letter[x])
+            else:
+                out.append(format_word(word))
+        out[0] = format_word(())
+        return out
+
     def sphere(self, distance: int) -> tuple[Word, ...]:
-        return tuple(v for v in self.vertices if len(v) == distance)
+        if not 0 <= distance <= self.radius:
+            return ()
+        return self.vertices[self.offsets[distance]:self.offsets[distance + 1]]
 
     def interior_vertices(self) -> tuple[Word, ...]:
         """Vertices whose whole star lies inside the ball."""
-        return tuple(v for v in self.vertices if len(v) <= self.radius - 1)
+        return self.vertices[:self.offsets[self.radius]]
 
     def interior_edges(self):
         """Edges with both endpoints at distance <= radius - 1."""
@@ -73,11 +149,11 @@ class TreeBall:
         return tuple(out)
 
     def to_dot(self, name: str = "ball") -> str:
+        labels = self.labels()
         lines = [f"graph {name} {{"]
-        for v in self.vertices:
-            lines.append(f'  "{format_word(v)}";')
-        for u, v in self.edges():
-            lines.append(f'  "{format_word(u)}" -- "{format_word(v)}";')
+        lines += [f'  "{label}";' for label in labels]
+        lines += [f'  "{labels[p]}" -- "{labels[v]}";'
+                  for v, p in enumerate(self.parents(), 1)]
         lines.append("}")
         return "\n".join(lines) + "\n"
 

@@ -104,9 +104,10 @@ def _descend(alphabet: Alphabet, family):
         graph = build_whitehead_graph(alphabet, current)
         best = None
         best_change = 0
+        degrees = graph.degrees()
         for x in alphabet.letters():
             cut, side = graph.min_cut(x, -x)
-            change = cut - graph.degree(x)
+            change = cut - degrees[x]
             if change < best_change:
                 best = MultiplierAutomorphism(alphabet.rank, x, side)
                 best_change = change

@@ -86,6 +86,13 @@ ARGVS = [
     (["tree", "axes", "--rank", "2", "--radius", "4", "--format", "json", "abab", "ab", "BA"],
      None),
     (["tree", "counts", "--rank", "1", "--radius", "3", "aa", "a"], None),
+    # the ball route on vertex ids: counts at rank 3, numeric labels past
+    # the 26 letters, a decomposable profile, a failing certificate
+    (["tree", "counts", "--rank", "3", "--radius", "2", "abcABC"], None),
+    (["tree", "counts", "--rank", "27", "--radius", "1", "27"], None),
+    (["tree", "axes", "--rank", "27", "--radius", "1", "--format", "json", "27"], None),
+    (["tree", "profile", "--rank", "2", "--max-radius", "3", "a", "b"], None),
+    (["tree", "certificate", "--rank", "2", "--radius", "3", "--format", "json", "a"], None),
 ]
 
 

@@ -1,10 +1,11 @@
+import itertools
 import random
 
 import networkx as nx
 import pytest
 
 from freesplit.errors import InvalidInputError
-from freesplit.graphs import Multigraph
+from freesplit.graphs import Multigraph, bitmask_two_connected
 
 import helpers
 
@@ -98,6 +99,43 @@ class TestNetworkxOracle:
                 h.add_edges_from([(u, v)] * m)
             assert set(g.articulation_points()) == set(nx.articulation_points(h))
             assert set(g.components()) == {frozenset(c) for c in nx.connected_components(h)}
+
+
+class TestBitmaskTwoConnected:
+    """The bitmask test behind the star certificate, against networkx."""
+
+    @staticmethod
+    def agree(n, edges):
+        rows = [0] * n
+        for a, b in edges:
+            rows[a] |= 1 << b
+            rows[b] |= 1 << a
+        g = nx.Graph()
+        g.add_nodes_from(range(n))
+        g.add_edges_from(edges)
+        expected = n >= 2 and nx.is_connected(g) and not list(nx.articulation_points(g))
+        assert bitmask_two_connected(rows) == expected, (n, edges)
+        return expected
+
+    def test_every_graph_on_four_letters(self):
+        pairs = list(itertools.combinations(range(4), 2))
+        verdicts = [self.agree(4, [p for i, p in enumerate(pairs) if mask >> i & 1])
+                    for mask in range(1 << len(pairs))]
+        assert len(verdicts) == 64 and 0 < sum(verdicts) < 64
+
+    def test_random_graphs_on_six_letters(self):
+        rng = random.Random(149)
+        pairs = list(itertools.combinations(range(6), 2))
+        verdicts = []
+        for _ in range(500):
+            density = rng.choice((0.3, 0.5, 0.7))
+            verdicts.append(self.agree(6, [p for p in pairs if rng.random() < density]))
+        assert 0 < sum(verdicts) < 500
+
+    def test_tiny_graphs(self):
+        assert not self.agree(1, [])
+        assert not self.agree(2, [])
+        assert self.agree(2, [(0, 1)])
 
 
 def cut_capacity(graph, side):

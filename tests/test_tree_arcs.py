@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from freesplit.arcs import (
-    _direction_pairs,
+    StarCertificate,
+    _star_pairs,
     analyze_subtree,
     class_count_profile,
     edge_arc_count,
@@ -14,6 +15,7 @@ from freesplit.arcs import (
     star_graph,
 )
 from freesplit.errors import InvalidInputError, ResourceCapError
+from freesplit.graphs import Multigraph
 from freesplit.tree import build_ball, edge_label, predicted_vertex_count
 from freesplit.whitehead import (
     build_whitehead_graph,
@@ -24,6 +26,7 @@ from freesplit.words import (
     Alphabet,
     CyclicWord,
     cyclic_reduce,
+    format_word,
     invert_word,
     total_cyclic_length,
     word_key,
@@ -106,6 +109,17 @@ def reference_edge_counts(traces):
     return counts
 
 
+def direction_pairs(ball, axes):
+    """The (letter in, letter out inverted) pairs of ``_star_pairs``, by vertex word."""
+    letters = ball.alphabet.letters()
+    pairs = {}
+    for ids, codes in _star_pairs(axes):
+        for v, code in zip(ids, codes):
+            a, b = divmod(code, len(letters))
+            pairs.setdefault(ball.vertices[v], []).append((letters[a], letters[b]))
+    return pairs
+
+
 def reference_direction_pairs(traces):
     pairs = {}
     for t in traces:
@@ -113,6 +127,79 @@ def reference_direction_pairs(traces):
             pair = (edge_label(t[i - 1], t[i]), edge_label(t[i + 1], t[i]))
             pairs.setdefault(t[i], []).append(pair)
     return pairs
+
+
+def reference_lemma33_certificate(ball, traces):
+    """The all-stars check with one ``Multigraph`` per interior vertex."""
+    pairs = reference_direction_pairs(traces)
+    for v in ball.vertices:
+        if len(v) <= ball.radius - 1:
+            star = Multigraph(ball.alphabet.letters(), allow_loops=False)
+            for d_in, d_out in pairs.get(v, ()):
+                star.add_edge(d_in, d_out)
+            if not star.is_two_vertex_connected()[0]:
+                return StarCertificate(False, v)
+    return StarCertificate(True, None)
+
+
+def reference_class_count_profile(alphabet, family, max_radius):
+    """Class counts per radius, with a {word: index} union-find per sphere."""
+    ball = build_ball(alphabet, max_radius)
+    axes = enumerate_axes(family, ball)
+    profile = []
+    for radius in range(1, max_radius + 1):
+        sphere = [v for v in ball.vertices if len(v) == radius]
+        index = {v: i for i, v in enumerate(sphere)}
+        parent = list(range(len(sphere)))
+
+        def find(i):
+            while parent[i] != i:
+                i = parent[i]
+            return i
+
+        for axis in axes:
+            if len(axis.base) < radius:
+                a, b = (find(index[v]) for v in axis.vertices_at(radius))
+                parent[a] = b
+        profile.append((radius, sum(1 for i in range(len(sphere)) if find(i) == i)))
+    return tuple(profile)
+
+
+def mixed_radix_id(word, letters):
+    """The sphere offset plus the mixed-radix number of a reduced word.
+
+    The first letter is one of 2n digits, each later one of the 2n - 1
+    letters other than the inverse of the letter before.
+    """
+    if not word:
+        return 0
+    number = letters.index(word[0])
+    for prev, x in zip(word, word[1:]):
+        number = number * (len(letters) - 1) + [y for y in letters if y != -prev].index(x)
+    return predicted_vertex_count(len(letters) // 2, len(word) - 1) + number
+
+
+# Families whose interior stars are all 2-connected
+FILLING = {1: [("a",), ("aa",)], 2: [("abAB",), ("aabb",), ("abaB",)],
+           3: [("aabbcc",), ("abAB", "bcBC")]}
+
+
+@st.composite
+def route_corpus(draw):
+    """Rank 1-3, radius 2-5, and a certified or random family, either
+    possibly with a proper power of one of its words added."""
+    rank = draw(st.integers(min_value=1, max_value=3))
+    alphabet = Alphabet(rank)
+    if draw(st.booleans()):
+        family = list(fam(*draw(st.sampled_from(FILLING[rank])), rank=rank))
+    else:
+        words = draw(st.lists(st.lists(st.sampled_from(alphabet.letters()), max_size=4),
+                              min_size=1, max_size=3))
+        family = [core for core, _ in map(cyclic_reduce, words) if core is not None]
+        family = family or [CyclicWord((rank,))]
+    if draw(st.booleans()):
+        family.append(CyclicWord(draw(st.sampled_from(family)).letters * 2))
+    return alphabet, draw(st.integers(min_value=2, max_value=5)), tuple(family)
 
 
 @st.composite
@@ -172,6 +259,51 @@ class TestBall:
                 vertices = build_ball(Alphabet(rank), radius).vertices
                 assert list(vertices) == sorted(vertices, key=lambda v: (len(v), word_key(v)))
 
+    def test_ids_are_positions(self):
+        for rank in (1, 2, 3):
+            alphabet = Alphabet(rank)
+            letters = list(alphabet.letters())
+            for radius in range(0, 7):
+                ball = build_ball(alphabet, radius)
+                labels, parents = ball.labels(), [None] + ball.parents()
+                for position, v in enumerate(ball.vertices):
+                    assert mixed_radix_id(v, letters) == position == ball.index(v)
+                    assert labels[position] == format_word(v)
+                    if v:
+                        assert ball.vertices[parents[position]] == v[:-1]
+
+    def test_spheres_are_id_ranges(self):
+        for rank in (1, 2, 3):
+            for radius in range(0, 5):
+                ball = build_ball(Alphabet(rank), radius)
+                for distance in range(-1, radius + 3):
+                    assert ball.sphere(distance) == tuple(
+                        v for v in ball.vertices if len(v) == distance)
+                assert ball.interior_vertices() == tuple(
+                    v for v in ball.vertices if len(v) <= radius - 1)
+
+    def test_labels_past_the_letter_form(self):
+        # a letter past z makes the whole word numeric, from that letter on
+        ball = build_ball(Alphabet(27), 2)
+        labels = ball.labels()
+        assert labels == [format_word(v) for v in ball.vertices]
+        assert {labels[ball.index(w)] for w in [(1, 27), (27, 1), (-27, -27), (26, 2)]} == {
+            "1 27", "27 1", "-27 -27", "zb"}
+
+    def test_membership_of_colliding_words(self):
+        # hash(-1) == hash(-2), so a set of words cannot tell these apart
+        ball = build_ball(ALPH2, 4)
+        for k in range(1, 7):
+            assert ((-1,) * k in ball) == ((-2,) * k in ball) == (k <= 4)
+            if k <= 4:
+                assert ball.vertices[ball.index((-1,) * k)] == (-1,) * k
+                assert ball.vertices[ball.index((-2,) * k)] == (-2,) * k
+        assert (-1, -2, -1, -2) in ball and (-2, -1, -2, -1) in ball
+        for word in [(-1, 1), (-2, 2), (-1, -2, 2), (0,), (3,), ("a",), (-1,) * 5]:
+            assert word not in ball and ball.index(word) is None
+        line = build_ball(ALPH1, 4)
+        assert (-1,) * 4 in line and (-2,) not in line and (-2,) * 3 not in line
+
     def test_edge_label(self):
         assert edge_label((), (1,)) == 1
         assert edge_label((1,), ()) == -1
@@ -190,7 +322,7 @@ class TestEnumerateAxes:
         assert [a.trace for a in axes] == [trace for _, trace in reference]
         traces = [trace for _, trace in reference]
         assert edge_counts(axes) == reference_edge_counts(traces)
-        assert _direction_pairs(axes) == reference_direction_pairs(traces)
+        assert direction_pairs(ball, axes) == reference_direction_pairs(traces)
         for axis in axes:
             for distance in range(ball.radius + 1):
                 assert axis.vertices_at(distance) == tuple(
@@ -488,6 +620,40 @@ class TestClassCountProfile:
     def test_requires_positive_radius(self):
         with pytest.raises(InvalidInputError):
             class_count_profile(ALPH2, fam("a"), 0)
+
+
+class TestReferenceRoute:
+    """The id route against the word-keyed star loop and profile it replaced."""
+
+    @staticmethod
+    def agree(alphabet, radius, family):
+        ball = build_ball(alphabet, radius)
+        axes = enumerate_axes(family, ball)
+        traces = [a.trace for a in axes]
+        cert = lemma33_certificate(ball, axes)
+        assert cert == reference_lemma33_certificate(ball, traces)
+        counts = reference_edge_counts(traces)
+        assert edge_counts(axes) == counts
+        for edge in list(ball.edges())[:5]:
+            assert edge_arc_count(edge, axes) == counts.get(frozenset(edge), 0)
+        assert class_count_profile(alphabet, family, radius) == \
+            reference_class_count_profile(alphabet, family, radius)
+        return cert.certified
+
+    @settings(max_examples=40, deadline=None)
+    @given(route_corpus())
+    def test_matches_references(self, corpus):
+        self.agree(*corpus)
+
+    def test_certified_and_not(self):
+        for rank, families in FILLING.items():
+            for texts in families:
+                family = fam(*texts, rank=rank)
+                assert self.agree(Alphabet(rank), 4, family)
+                assert self.agree(Alphabet(rank), 3, family + (CyclicWord(family[0].letters * 2),))
+        assert not self.agree(ALPH2, 4, fam("a"))
+        assert not self.agree(Alphabet(3), 3, fam("abcABC", rank=3))
+        assert not self.agree(ALPH2, 3, fam("abab", "a"))
 
 
 class TestDecisionCoherence:
