@@ -14,13 +14,14 @@ in the ball; conversely a vertex u and a period p, read forward as p^oo
 and backward as (p^-1)^oo, span a line based at u exactly when neither
 direction cancels against the last letter of u.  An axis keeps its
 base, its base's vertex id and its period; its trace and its vertices
-at a given distance are read off those letters when asked for.
+at a given distance are read off the ball by id when asked for.
 
 The per-edge counts, the star certificate and the class profile run on
 vertex ids (see ``tree``): each period's rays are turned once into id
 steps, so walking a line from its base is integer arithmetic, counts and
-stars are flat lists indexed by id, a star is an adjacency bitmask over
-the 2n letters, and the profile is a union-find over ids.  Words appear
+stars are flat lists indexed by id, a star is an int with one bit per
+letter pair, tested on adjacency bitmasks over the 2n letters, and the
+profile is a union-find over ids.  Words appear
 only in what these functions return.
 
 The subtree analysis computes, for a finite subtree S, the intervals
@@ -97,36 +98,33 @@ class Axis:
         """Steps from the base to the ball boundary in either direction."""
         return self.rays.ball.radius - len(self.base)
 
-    def _ray_letters(self, reach: int) -> tuple[Word, Word]:
-        """The first ``reach`` letters of period^oo and of (period^-1)^oo."""
-        repeats = reach // len(self.period) + 1
-        return ((self.period * repeats)[:reach],
-                (invert_word(self.period) * repeats)[:reach])
-
     @property
     def trace(self) -> tuple[Word, ...]:
         """The line's vertices in the ball, from the far end against the period."""
-        u, reach = self.base, self.reach
-        forward, backward = self._ray_letters(reach)
-        return (tuple(u + backward[:k] for k in range(reach, 0, -1)) + (u,)
-                + tuple(u + forward[:k] for k in range(1, reach + 1)))
+        if not self.reach:
+            return (self.base,)
+        vertices = self.rays.ball.vertices
+        forward, backward = _ray_ids(self, self.reach)
+        return (tuple(vertices[v] for v in reversed(backward)) + (self.base,)
+                + tuple(vertices[v] for v in forward))
 
     def vertices_at(self, distance: int) -> tuple[Word, ...]:
         """The (up to two) line vertices at the given distance from the origin.
 
-        Read from the base outward, so it works at any distance, not
-        just within the ball.
+        The distance must be at most the ball's radius.
         """
         steps = distance - len(self.base)
+        if steps > self.reach:
+            raise InvalidInputError(f"distance {distance} is past the ball's radius")
         if steps < 0:
             return ()
         if steps == 0:
             return (self.base,)
-        return tuple(self.base + ray for ray in self._ray_letters(steps))
+        return tuple(self.rays.ball.vertices[ids[-1]] for ids in _ray_ids(self, steps))
 
 
 def _ray_ids(axis: Axis, steps: int) -> list[list[int]]:
-    """Ids of the vertices 1 .. steps away from the base, forward and backward."""
+    """Ids of the vertices 1 .. steps (at least 1) from the base, forward and backward."""
     rays = axis.rays
     branch = rays.ball.branch
     last = letter_index(axis.base[-1]) if axis.base else -1
@@ -270,29 +268,38 @@ class StarCertificate:
         return self.certified
 
 
+def _adjacency(star: int, m: int) -> list[int]:
+    """Adjacency bitmasks over m letters of the pairs whose codes are set in ``star``."""
+    rows = [0] * m
+    while star:
+        low = star & -star
+        a, b = divmod(low.bit_length() - 1, m)
+        rows[a] |= 1 << b
+        rows[b] |= 1 << a
+        star ^= low
+    return rows
+
+
 def lemma33_certificate(ball: TreeBall, axes) -> StarCertificate:
     """Check 2-vertex connectivity of the star graph at every interior vertex.
 
-    Each interior star is one int per vertex id: the simple graph on the
-    2n letters as an adjacency bit matrix, bit a * 2n + b for the edge
-    a -- b.  Connectivity ignores multiplicities, and the verdict depends
-    on that mask alone, so each distinct mask is tested once.
+    Each interior star is one int per vertex id, with bit a * 2n + b set
+    for each of its pairs (a, b) (see ``_star_pairs``).  Connectivity
+    ignores multiplicities, and the verdict depends on that mask alone, so
+    each distinct mask is tested once, on the adjacency bitmasks it gives.
     """
     if ball.radius < 2:
         raise InvalidInputError("certificate needs radius >= 2")
     m = 2 * ball.alphabet.rank
-    bits = [1 << code | 1 << (code % m * m + code // m) for code in range(m * m)]
     stars = [0] * ball.offsets[ball.radius]
     for ids, codes in _star_pairs(axes):
         for v, code in zip(ids, codes):
-            stars[v] |= bits[code]
-    full = (1 << m) - 1
+            stars[v] |= 1 << code
     verdicts = {}
     for v, star in enumerate(stars):
         ok = verdicts.get(star)
         if ok is None:
-            ok = verdicts[star] = bitmask_two_connected(
-                [star >> (a * m) & full for a in range(m)])
+            ok = verdicts[star] = bitmask_two_connected(_adjacency(star, m))
         if not ok:
             return StarCertificate(False, ball.vertices[v])
     return StarCertificate(True, None)

@@ -123,13 +123,11 @@ class TreeBall:
         return out
 
     def sphere(self, distance: int) -> tuple[Word, ...]:
-        if not 0 <= distance <= self.radius:
-            return ()
-        return self.vertices[self.offsets[distance]:self.offsets[distance + 1]]
+        return tuple(v for v in self.vertices if len(v) == distance)
 
     def interior_vertices(self) -> tuple[Word, ...]:
         """Vertices whose whole star lies inside the ball."""
-        return self.vertices[:self.offsets[self.radius]]
+        return tuple(v for v in self.vertices if len(v) <= self.radius - 1)
 
     def interior_edges(self):
         """Edges with both endpoints at distance <= radius - 1."""

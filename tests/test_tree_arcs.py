@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -272,16 +273,6 @@ class TestBall:
                     if v:
                         assert ball.vertices[parents[position]] == v[:-1]
 
-    def test_spheres_are_id_ranges(self):
-        for rank in (1, 2, 3):
-            for radius in range(0, 5):
-                ball = build_ball(Alphabet(rank), radius)
-                for distance in range(-1, radius + 3):
-                    assert ball.sphere(distance) == tuple(
-                        v for v in ball.vertices if len(v) == distance)
-                assert ball.interior_vertices() == tuple(
-                    v for v in ball.vertices if len(v) <= radius - 1)
-
     def test_labels_past_the_letter_form(self):
         # a letter past z makes the whole word numeric, from that letter on
         ball = build_ball(Alphabet(27), 2)
@@ -328,6 +319,8 @@ class TestEnumerateAxes:
                 assert axis.vertices_at(distance) == tuple(
                     v for v in reversed(axis.trace) if len(v) == distance
                 )
+            with pytest.raises(InvalidInputError):
+                axis.vertices_at(ball.radius + 1)
 
     def test_powers_and_inverses(self):
         # abab keeps its own period beside ab; BA shares ab's lines
@@ -654,6 +647,26 @@ class TestReferenceRoute:
         assert not self.agree(ALPH2, 4, fam("a"))
         assert not self.agree(Alphabet(3), 3, fam("abcABC", rank=3))
         assert not self.agree(ALPH2, 3, fam("abab", "a"))
+
+    def test_letters_past_64_bits(self):
+        # at rank 8 the pair codes run to 255, past one machine word
+        assert self.agree(Alphabet(8), 2, fam("abABcdCDefEFghGH", rank=8))
+        assert not self.agree(Alphabet(8), 2, fam("abABcdCDefEFgh", rank=8))
+
+    def test_certificate_memory_at_high_rank(self):
+        # rank 150, radius 2: 90,001 vertices; the stars use the top letters
+        rank = 150
+        ball = build_ball(Alphabet(rank), 2)
+        family = (CyclicWord((rank, 1 - rank, 1)), CyclicWord((2, rank)))
+        axes = enumerate_axes(family, ball)
+        tracemalloc.start()
+        try:
+            cert = lemma33_certificate(ball, axes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cert == StarCertificate(False, ())
+        assert peak < 20_000_000
 
 
 class TestDecisionCoherence:
