@@ -7,9 +7,13 @@ exponent, and to an opaque vertex by an uninterpreted tag.
 
 The fundamental group is one-ended exactly when no vertex group splits
 over a finite subgroup relative to its incident edge groups; for free
-vertex groups that is the indecomposability decision on the incident
-attachment words, for cyclic and opaque vertices it holds automatically
-once they carry an edge (a lone cyclic vertex is Z, which has two ends).
+vertex groups that is the indecomposability of the incident attachment
+words, for cyclic and opaque vertices it holds automatically once they
+carry an edge (a lone cyclic vertex is Z, which has two ends).  By
+Whitehead's cut-vertex lemma (Stallings 1999; Heusener and Weidmann
+2019) a family whose Whitehead graph is already 2-vertex connected is
+indecomposable, so only the free vertices that fail that test get the
+full decision.
 The double construction attaches two copies of a free group along one
 edge per conjugacy class of a word family and is one-ended precisely
 when the family is indecomposable.
@@ -22,8 +26,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 
 from .errors import InvalidInputError, ParseError, UnsupportedExportError
-from .graphs import Multigraph
-from .whitehead import DECOMPOSABLE, IndecomposabilityVerdict, decide_indecomposable
+from .whitehead import IndecomposabilityVerdict, decide_indecomposable, whitehead_two_connected
 from .words import (
     Alphabet,
     CyclicWord,
@@ -133,13 +136,18 @@ def validate(g: GraphOfGroups) -> list[str]:
     ids = Counter(e.id for e in g.edges)
     for dup in sorted(i for i, n in ids.items() if n > 1):
         errors.append(f"duplicate edge id {dup}")
-    links = Multigraph(sorted(g.vertices))
+    neighbours = defaultdict(set)
     for e in g.edges:
         if all(v in g.vertices for v in e.endpoints):
-            links.add_edge(*e.endpoints)
+            u, v = e.endpoints
+            neighbours[u].add(v)
+            neighbours[v].add(u)
             for slot in (0, 1):
                 errors.extend(_attachment_errors(g, e, slot))
-    reached = links.components()[0]
+    reached, frontier = set(), {min(g.vertices)}
+    while frontier:
+        reached |= frontier
+        frontier = set().union(*(neighbours[u] for u in frontier)) - reached
     if len(reached) != len(g.vertices):
         missing = ", ".join(sorted(set(g.vertices) - reached))
         errors.append(f"graph is not connected (unreached: {missing})")
@@ -187,8 +195,11 @@ def one_ended(g: GraphOfGroups) -> OneEndednessVerdict:
     """Decide one-endedness of the fundamental group.
 
     Precondition: the graph validates and has no trivial vertices.  Each
-    free vertex is checked by deciding indecomposability of its incident
-    attachment words (a loop contributes both of its words).  A free or
+    free vertex is checked for indecomposability of its incident
+    attachment words (a loop contributes both of its words).  By
+    Whitehead's cut-vertex lemma a 2-vertex connected Whitehead graph of
+    those words already proves it, so ``decide_indecomposable`` runs only
+    on the vertices whose graph fails that test.  A free or
     cyclic vertex without incident edges is the whole graph, and its
     group (free, or Z) splits freely.  Otherwise cyclic and opaque
     vertices never split over a finite subgroup relative to their edge
@@ -216,8 +227,11 @@ def one_ended(g: GraphOfGroups) -> OneEndednessVerdict:
         if isinstance(group, CyclicVertex):
             continue
         words = [e.attachments[slot] for e, slot in incident[vid]]
-        verdict = decide_indecomposable(Alphabet(group.rank), words)
-        if verdict.decision == DECOMPOSABLE:
+        alphabet = Alphabet(group.rank)
+        if whitehead_two_connected(alphabet, words):
+            continue
+        verdict = decide_indecomposable(alphabet, words)
+        if not verdict.is_indecomposable:
             return OneEndednessVerdict(
                 NOT_ONE_ENDED,
                 witness_vertex=vid,

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InternalConsistencyError, InvalidInputError
-from .graphs import Multigraph
+from .graphs import Multigraph, bitmask_two_connected
 from .words import (
     Alphabet,
     CyclicWord,
@@ -39,6 +39,32 @@ def build_whitehead_graph(alphabet: Alphabet, family) -> Multigraph:
         for x, y in word.cyclic_pairs():
             graph.add_edge(x, -y)
     return graph
+
+
+def whitehead_two_connected(alphabet: Alphabet, family) -> bool:
+    """Whether the Whitehead graph of a family is 2-vertex connected.
+
+    By Whitehead's cut-vertex lemma (Stallings 1999; Heusener and
+    Weidmann 2019) a decomposable family's graph has a cut vertex or is
+    disconnected in every basis, so True proves it indecomposable.  The
+    graph is 2n adjacency bitmasks, letter x at index 2(|x|-1) + (x<0).
+    An unused generator leaves isolated letters: False before any row.
+    """
+    words = [w.letters for w in family]
+    support = {abs(x) for letters in words for x in letters}
+    if len(support) != alphabet.rank or max(support) != alphabet.rank:
+        return False
+    rows = [0] * (2 * alphabet.rank)
+    for letters in words:
+        x = letters[-1]
+        for y in letters:
+            # the cyclic pair (x, y) joins x to y^-1
+            i = 2 * x - 2 if x > 0 else -2 * x - 1
+            j = 2 * y - 1 if y > 0 else -2 * y - 2
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
+            x = y
+    return bitmask_two_connected(rows)
 
 
 def whitehead_moves(alphabet: Alphabet):

@@ -13,7 +13,9 @@ import random
 
 from freesplit.graphs import Multigraph
 from freesplit.words import (
+    Alphabet,
     CyclicWord,
+    MultiplierAutomorphism,
     conjugacy_class_rep,
     cyclic_reduce,
     free_reduce,
@@ -56,6 +58,14 @@ def random_family(
         budget -= length
         family.append(random_cyclic_word(rng, rank, length))
     return tuple(family)
+
+
+def random_move(rng: random.Random, rank: int) -> MultiplierAutomorphism:
+    """A random multiplier-type Whitehead automorphism."""
+    letters = Alphabet(rank).letters()
+    x = rng.choice(letters)
+    side = {x} | {y for y in letters if y not in (x, -x) and rng.random() < 0.5}
+    return MultiplierAutomorphism(rank, x, frozenset(side))
 
 
 def random_clean_family(

@@ -12,7 +12,9 @@ from freesplit.gog import (
     NOT_ONE_ENDED,
     ONE_ENDED,
     OpaqueVertex,
+    OneEndednessVerdict,
     double,
+    incidence,
     one_ended,
     parse_gog,
     presentation,
@@ -20,8 +22,8 @@ from freesplit.gog import (
     trivial_vertices,
     validate,
 )
-from freesplit.whitehead import decide_indecomposable, family_from_texts
-from freesplit.words import Alphabet, CyclicWord
+from freesplit.whitehead import DECOMPOSABLE, decide_indecomposable, family_from_texts
+from freesplit.words import Alphabet, CyclicWord, MultiplierAutomorphism, apply_automorphism
 
 import helpers
 
@@ -76,6 +78,14 @@ class TestValidate:
         errors = validate(g)
         assert any("unknown vertex vX" in e for e in errors)
         assert any("duplicate edge id" in e for e in errors)
+
+    def test_unreached_vertices_listed(self):
+        w = fam("ab")[0]
+        g = GraphOfGroups(
+            {"v3": FreeVertex(2), "v1": FreeVertex(2), "v2": FreeVertex(2), "v4": CyclicVertex()},
+            [EdgeSpec("e1", ("v2", "v3"), (w, w)), EdgeSpec("e2", ("v1", "v1"), (w, w))],
+        )
+        assert validate(g) == ["graph is not connected (unreached: v2, v3, v4)"]
 
     def test_zero_exponent(self):
         g = GraphOfGroups(
@@ -227,8 +237,6 @@ class TestOneEnded:
     def test_invariant_under_remarking_one_vertex(self):
         # applying an automorphism to the attachments at a single vertex
         # changes the marking, not the fundamental group's end count
-        from freesplit.words import MultiplierAutomorphism, apply_automorphism
-
         rng = random.Random(157)
         letters = [s * i for i in range(1, 3) for s in (1, -1)]
         for _ in range(15):
@@ -249,6 +257,110 @@ class TestOneEnded:
                 ],
             )
             assert one_ended(g).decision == one_ended(remarked).decision
+
+
+def reference_one_ended(g):
+    """One-endedness by running the full decision at every free vertex."""
+    errors = validate(g)
+    if errors:
+        raise InvalidInputError("; ".join(errors))
+    trivial = trivial_vertices(g)
+    if trivial:
+        raise InvalidInputError(f"graph has trivial vertices: {', '.join(trivial)}")
+    incident = incidence(g)
+    for vid in sorted(g.vertices):
+        group = g.vertices[vid]
+        if isinstance(group, OpaqueVertex):
+            continue
+        if not g.edges:
+            kind = "free" if isinstance(group, FreeVertex) else "cyclic"
+            return OneEndednessVerdict(
+                NOT_ONE_ENDED,
+                witness_vertex=vid,
+                reason=f"{kind} vertex {vid} has no incident edges and splits freely",
+            )
+        if isinstance(group, CyclicVertex):
+            continue
+        words = [e.attachments[slot] for e, slot in incident[vid]]
+        verdict = decide_indecomposable(Alphabet(group.rank), words)
+        if verdict.decision == DECOMPOSABLE:
+            return OneEndednessVerdict(
+                NOT_ONE_ENDED,
+                witness_vertex=vid,
+                witness=verdict,
+                reason=f"incident family of {vid} is decomposable",
+            )
+    return OneEndednessVerdict(ONE_ENDED)
+
+
+@st.composite
+def mixed_graphs(draw):
+    """Connected graphs of free (rank 1-3), cyclic and opaque vertices, with
+    shuffled ids, loops and parallel edges."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    names = draw(st.permutations([f"v{i}" for i in range(n)]))
+    kinds = draw(st.lists(
+        st.sampled_from(["free1", "free2", "free2", "free3", "cyclic", "opaque"]),
+        min_size=n, max_size=n,
+    ))
+    groups = [
+        FreeVertex(int(k[-1])) if k.startswith("free")
+        else CyclicVertex() if k == "cyclic" else OpaqueVertex()
+        for k in kinds
+    ]
+    vertex = st.integers(min_value=0, max_value=n - 1)
+    pairs = [(draw(st.integers(min_value=0, max_value=v - 1)), v) for v in range(1, n)]
+    pairs += draw(st.lists(st.tuples(vertex, vertex), max_size=6))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+
+    def attachment(group):
+        if isinstance(group, FreeVertex):
+            return helpers.random_cyclic_word(rng, group.rank, rng.randint(1, 8))
+        if isinstance(group, CyclicVertex):
+            return rng.choice([-3, -2, -1, 1, 2, 3])
+        return None
+
+    attachments = [[attachment(groups[u]), attachment(groups[v])] for u, v in pairs]
+    for vertex_index, group in enumerate(groups):
+        if not isinstance(group, FreeVertex) or rng.random() < 0.5:
+            continue
+        # Remarking a vertex keeps its verdict but often gives its family a
+        # cut vertex, so that only a descent decides it.
+        for _ in range(2):
+            move = helpers.random_move(rng, group.rank)
+            for pair, atts in zip(pairs, attachments):
+                for slot in (0, 1):
+                    if pair[slot] == vertex_index:
+                        atts[slot] = apply_automorphism(move, atts[slot])
+    edges = [
+        EdgeSpec(f"e{k}", (names[u], names[v]), tuple(atts))
+        for k, ((u, v), atts) in enumerate(zip(pairs, attachments))
+    ]
+    return GraphOfGroups(dict(zip(names, groups)), edges)
+
+
+def verdict_key(verdict):
+    witness = verdict.witness
+    return (
+        verdict.decision,
+        verdict.witness_vertex,
+        verdict.reason,
+        None if witness is None else (witness.bipartition, witness.minimized),
+    )
+
+
+class TestOneEndedAgainstReference:
+    @settings(max_examples=300, deadline=None)
+    @given(mixed_graphs())
+    def test_matches_deciding_every_free_vertex(self, g):
+        try:
+            expected = verdict_key(reference_one_ended(g))
+        except InvalidInputError as exc:
+            with pytest.raises(InvalidInputError) as info:
+                one_ended(g)
+            assert str(info.value) == str(exc)
+            return
+        assert verdict_key(one_ended(g)) == expected
 
 
 class TestDouble:

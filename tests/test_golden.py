@@ -93,6 +93,11 @@ ARGVS = [
     (["tree", "axes", "--rank", "27", "--radius", "1", "--format", "json", "27"], None),
     (["tree", "profile", "--rank", "2", "--max-radius", "3", "a", "b"], None),
     (["tree", "certificate", "--rank", "2", "--radius", "3", "--format", "json", "a"], None),
+    # free vertices: 2-connected input graphs, a rank-1 power, one that needs
+    # a descent, and a lowest failing vertex whose family skips a generator
+    (["one-ended", "lemma.gog"], None),
+    (["one-ended", "--format", "json", "lemma.gog"], None),
+    (["present", "lemma.gog"], None),
 ]
 
 

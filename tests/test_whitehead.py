@@ -1,5 +1,6 @@
 import random
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,6 +14,7 @@ from freesplit.whitehead import (
     minimize,
     recognize_basis,
     whitehead_moves,
+    whitehead_two_connected,
 )
 from freesplit.words import (
     Alphabet,
@@ -67,13 +69,6 @@ def reference_minimize(alphabet, family):
         length = best_length
 
 
-def random_move(rng, rank):
-    letters = Alphabet(rank).letters()
-    x = rng.choice(letters)
-    side = {x} | {y for y in letters if y not in (x, -x) and rng.random() < 0.5}
-    return MultiplierAutomorphism(rank, x, frozenset(side))
-
-
 @st.composite
 def descent_corpus(draw):
     """A family of rank 1-4, often pushed off minimality by random moves."""
@@ -85,11 +80,86 @@ def descent_corpus(draw):
         family = (CyclicWord((rank,)),)
     rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
     for _ in range(draw(st.integers(min_value=0, max_value=3))):
-        moved = tuple(apply_automorphism(random_move(rng, rank), w) for w in family)
+        moved = tuple(apply_automorphism(helpers.random_move(rng, rank), w) for w in family)
         if total_cyclic_length(moved) > 30:
             break
         family = moved
     return Alphabet(rank), family
+
+
+@st.composite
+def lemma_corpus(draw):
+    """A family of rank 1-4 with some proper powers and some generators unused,
+    sometimes moved by random Whitehead moves."""
+    rank = draw(st.integers(min_value=1, max_value=4))
+    used = sorted(draw(st.sets(st.integers(min_value=1, max_value=rank), min_size=1)))
+    letters = [s * i for i in used for s in (1, -1)]
+    drawn = draw(st.lists(
+        st.tuples(st.lists(st.sampled_from(letters), max_size=6), st.integers(1, 3)),
+        min_size=1, max_size=4,
+    ))
+    family = []
+    for word, power in drawn:
+        core, _ = cyclic_reduce(word)
+        if core is not None:
+            family.append(CyclicWord(core.letters * power))
+    if not family:
+        family = [CyclicWord((used[0],))]
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        moved = [apply_automorphism(helpers.random_move(rng, rank), w) for w in family]
+        if total_cyclic_length(moved) > 30:
+            break
+        family = moved
+    return Alphabet(rank), tuple(family)
+
+
+class TestCutVertexLemma:
+    """The bitmask 2-connectivity test of the input Whitehead graph."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(lemma_corpus())
+    def test_agrees_with_multigraph_and_networkx(self, case):
+        alphabet, family = case
+        fast = whitehead_two_connected(alphabet, family)
+        graph = build_whitehead_graph(alphabet, family)
+        assert fast == graph.is_two_vertex_connected()[0]
+        shadow = nx.Graph()
+        shadow.add_nodes_from(alphabet.letters())
+        shadow.add_edges_from((u, v) for u, v, _ in graph.edges())
+        # the two-vertex convention: a single edge counts, a lone vertex does not
+        expected = (
+            len(shadow) >= 2 and nx.is_connected(shadow)
+            and not list(nx.articulation_points(shadow))
+        )
+        assert fast == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(lemma_corpus())
+    def test_two_connected_input_is_indecomposable(self, case):
+        alphabet, family = case
+        fast = whitehead_two_connected(alphabet, family)
+        verdict = decide_indecomposable(alphabet, family)
+        if fast:
+            assert verdict.decision == INDECOMPOSABLE
+        if verdict.decision == DECOMPOSABLE:
+            assert not fast
+            assert not build_whitehead_graph(alphabet, family).is_two_vertex_connected()[0]
+
+    def test_small_cases(self):
+        assert whitehead_two_connected(ALPH2, fam("abAB"))
+        assert whitehead_two_connected(Alphabet(1), fam("aa", rank=1))
+        assert whitehead_two_connected(Alphabet(1), fam("a", rank=1))
+        # the path a - B - b - A has cut vertices
+        assert not whitehead_two_connected(ALPH2, fam("ab", "b"))
+        # a cut vertex here, yet one descent step shows it indecomposable
+        assert not whitehead_two_connected(ALPH2, fam("aaabab"))
+        assert decide_indecomposable(ALPH2, fam("aaabab")).decision == INDECOMPOSABLE
+        assert not whitehead_two_connected(Alphabet(3), fam("abAB", "ab", rank=3))
+
+    def test_unused_generator_answers_before_allocating(self):
+        # rows for 2 * 10**9 letters would never fit; the support check comes first
+        assert not whitehead_two_connected(Alphabet(10**9), fam("ab", rank=10**9))
 
 
 class TestBuildGraph:
