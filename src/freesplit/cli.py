@@ -22,7 +22,7 @@ from .graphs import Multigraph
 from .words import (
     Alphabet,
     CyclicWord,
-    cyclic_reduce,
+    _cyclic_core,
     format_letter,
     format_word,
     is_cyclically_reduced,
@@ -36,7 +36,7 @@ def _read_family(args) -> tuple[CyclicWord, ...]:
     family = []
     for text in args.words:
         raw = parse_word(text, alphabet)
-        core, _ = cyclic_reduce(raw)
+        core = _cyclic_core(raw)[0]
         if core is None:
             raise ParseError(f"word {text!r} reduces to the trivial word")
         if not is_cyclically_reduced(raw):

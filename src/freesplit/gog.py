@@ -30,8 +30,9 @@ from .whitehead import IndecomposabilityVerdict, decide_indecomposable, whitehea
 from .words import (
     Alphabet,
     CyclicWord,
+    _cyclic_core,
+    _within_rank,
     conjugacy_class_rep,
-    cyclic_reduce,
     format_word,
     parse_word,
 )
@@ -93,63 +94,56 @@ def incidence(g: GraphOfGroups) -> defaultdict[str, list[tuple[EdgeSpec, int]]]:
     return out
 
 
-def _attachment_errors(g: GraphOfGroups, edge: EdgeSpec, slot: int) -> list[str]:
-    vid = edge.endpoints[slot]
-    group = g.vertices.get(vid)
-    att = edge.attachments[slot]
-    errors = []
+def _attachment_error(vid: str, group: VertexGroup, att) -> str | None:
     if isinstance(group, FreeVertex):
         if not isinstance(att, CyclicWord):
-            errors.append(
-                f"edge {edge.id}: trivial edge group at free vertex {vid}"
+            return (
+                f"trivial edge group at free vertex {vid}"
                 " (attachment must be a nontrivial word)"
             )
-        else:
-            try:
-                Alphabet(group.rank).validate_letters(att.letters)
-            except InvalidInputError:
-                errors.append(
-                    f"edge {edge.id}: attachment {format_word(att.letters)} uses letters"
-                    f" outside rank-{group.rank} vertex {vid}"
-                )
+        if not _within_rank(att.letters, group.rank):
+            return (
+                f"attachment {format_word(att.letters)} uses letters"
+                f" outside rank-{group.rank} vertex {vid}"
+            )
     elif isinstance(group, CyclicVertex):
         if not isinstance(att, int) or att == 0:
-            errors.append(
-                f"edge {edge.id}: attachment at cyclic vertex {vid} must be a nonzero integer"
-            )
+            return f"attachment at cyclic vertex {vid} must be a nonzero integer"
     elif isinstance(group, OpaqueVertex):
         if att is not None and not isinstance(att, str):
-            errors.append(f"edge {edge.id}: attachment at opaque vertex {vid} must be a tag")
-    return errors
+            return f"attachment at opaque vertex {vid} must be a tag"
+    return None
 
 
 def validate(g: GraphOfGroups) -> list[str]:
     """All well-formedness violations, each tagged with the vertex/edge id."""
-    errors = []
-    if not g.vertices:
-        errors.append("graph has no vertices")
-        return errors
-    for e in g.edges:
-        for vid in e.endpoints:
-            if vid not in g.vertices:
-                errors.append(f"edge {e.id}: unknown vertex {vid}")
-    ids = Counter(e.id for e in g.edges)
-    for dup in sorted(i for i, n in ids.items() if n > 1):
-        errors.append(f"duplicate edge id {dup}")
+    vertices = g.vertices
+    if not vertices:
+        return ["graph has no vertices"]
+    unknown, attachment = [], []
     neighbours = defaultdict(set)
     for e in g.edges:
-        if all(v in g.vertices for v in e.endpoints):
-            u, v = e.endpoints
-            neighbours[u].add(v)
-            neighbours[v].add(u)
-            for slot in (0, 1):
-                errors.extend(_attachment_errors(g, e, slot))
-    reached, frontier = set(), {min(g.vertices)}
+        u, v = e.endpoints
+        if u not in vertices or v not in vertices:
+            unknown += [
+                f"edge {e.id}: unknown vertex {x}" for x in e.endpoints if x not in vertices
+            ]
+            continue
+        neighbours[u].add(v)
+        neighbours[v].add(u)
+        for vid, att in zip(e.endpoints, e.attachments):
+            error = _attachment_error(vid, vertices[vid], att)
+            if error:
+                attachment.append(f"edge {e.id}: {error}")
+    ids = Counter(e.id for e in g.edges)
+    repeated = sorted(i for i, n in ids.items() if n > 1)
+    errors = unknown + [f"duplicate edge id {i}" for i in repeated] + attachment
+    reached, frontier = set(), {min(vertices)}
     while frontier:
         reached |= frontier
         frontier = set().union(*(neighbours[u] for u in frontier)) - reached
-    if len(reached) != len(g.vertices):
-        missing = ", ".join(sorted(set(g.vertices) - reached))
+    if len(reached) != len(vertices):
+        missing = ", ".join(sorted(set(vertices) - reached))
         errors.append(f"graph is not connected (unreached: {missing})")
     return errors
 
@@ -160,7 +154,10 @@ def trivial_vertices(g: GraphOfGroups) -> list[str]:
     A cyclic vertex with attachment exponent +-1, or a rank-1 free
     vertex whose attachment word is a single letter.
     """
-    incident = incidence(g)
+    return _trivial_vertices(g, incidence(g))
+
+
+def _trivial_vertices(g: GraphOfGroups, incident) -> list[str]:
     out = []
     for vid in sorted(g.vertices):
         if len(incident[vid]) != 1:
@@ -208,10 +205,10 @@ def one_ended(g: GraphOfGroups) -> OneEndednessVerdict:
     errors = validate(g)
     if errors:
         raise InvalidInputError("; ".join(errors))
-    trivial = trivial_vertices(g)
+    incident = incidence(g)
+    trivial = _trivial_vertices(g, incident)
     if trivial:
         raise InvalidInputError(f"graph has trivial vertices: {', '.join(trivial)}")
-    incident = incidence(g)
     for vid in sorted(g.vertices):
         group = g.vertices[vid]
         if isinstance(group, OpaqueVertex):
@@ -298,40 +295,37 @@ def presentation(g: GraphOfGroups) -> str:
     }
     total = sum(counts.values())
     use_letters = total <= len(_VERTEX_LETTER_POOL)
-    names: dict[str, list[str]] = {}
-    next_index = 0
+    separator = "" if use_letters else " "
+    # Each vertex's symbol for every letter of its group, built once.
+    symbols: dict[str, dict[int, str]] = {}
+    generators = []
     for vid in sorted(g.vertices):
-        allocated = []
-        for _ in range(counts[vid]):
-            if use_letters:
-                allocated.append(_VERTEX_LETTER_POOL[next_index])
-            else:
-                allocated.append(f"x{next_index + 1}")
-            next_index += 1
-        names[vid] = allocated
+        table = symbols[vid] = {}
+        for i in range(1, counts[vid] + 1):
+            n = len(generators)
+            name = _VERTEX_LETTER_POOL[n] if use_letters else f"x{n + 1}"
+            generators.append(name)
+            table[i] = name
+            table[-i] = name.upper() if use_letters else f"{name}^-1"
 
     def render(vid: str, attachment) -> str:
-        gens = names[vid]
+        table = symbols[vid]
         if isinstance(attachment, int):
-            letter = gens[0]
-            symbol = letter if attachment > 0 else _inverse_name(letter, use_letters)
-            return _join_symbols([symbol] * abs(attachment), use_letters)
-        symbols = [
-            gens[abs(x) - 1] if x > 0 else _inverse_name(gens[abs(x) - 1], use_letters)
-            for x in attachment.letters
-        ]
-        return _join_symbols(symbols, use_letters)
+            return separator.join([table[1 if attachment > 0 else -1]] * abs(attachment))
+        return separator.join(map(table.__getitem__, attachment.letters))
 
     # Replay the sweeps as (sweep, id position) events: once a tree edge
     # at position i reaches a vertex, each edge j at that vertex comes up
     # later in the same sweep if j > i, else in the next one.  An edge
     # that comes up with both ends reached (a loop, too) never joins.
     sorted_edges = sorted(g.edges, key=lambda e: e.id)
-    position = {e.id: i for i, e in enumerate(sorted_edges)}
-    incident = incidence(g)
+    at = defaultdict(list)  # each vertex's incident edge positions
+    for i, e in enumerate(sorted_edges):
+        for vid in e.endpoints:
+            at[vid].append(i)
     root = min(g.vertices)
     reached = {root}
-    events = [(0, position[e.id]) for e, _ in incident[root]]
+    events = [(0, i) for i in at[root]]
     heapq.heapify(events)
     tree = []
     while events:
@@ -342,8 +336,7 @@ def presentation(g: GraphOfGroups) -> str:
         new = v if u in reached else u
         reached.add(new)
         tree.append(i)
-        for e, _ in incident[new]:
-            j = position[e.id]
+        for j in at[new]:
             heapq.heappush(events, (sweep if j > i else sweep + 1, j))
     tree_edges = [sorted_edges[i] for i in tree]
     in_tree = set(tree)
@@ -364,23 +357,10 @@ def presentation(g: GraphOfGroups) -> str:
         right = render(e.endpoints[1], e.attachments[1])
         relations.append(f"{t} {left} {t}^-1 = {right}")
 
-    generators = [name for vid in sorted(g.vertices) for name in names[vid]]
     generators += [stable_names[e.id] for e in non_tree]
     if relations:
         return f"< {', '.join(generators)} | {', '.join(relations)} >"
     return f"< {', '.join(generators)} | >"
-
-
-def _inverse_name(symbol: str, use_letters: bool) -> str:
-    if use_letters and len(symbol) == 1:
-        return symbol.upper()
-    return f"{symbol}^-1"
-
-
-def _join_symbols(symbols, use_letters: bool) -> str:
-    if use_letters:
-        return "".join(symbols)
-    return " ".join(symbols)
 
 
 # ---------------------------------------------------------------------------
@@ -391,11 +371,14 @@ def parse_gog(text: str) -> GraphOfGroups:
     """Parse the graph-of-groups file format; errors carry line numbers."""
     vertices: dict[str, VertexGroup] = {}
     edges: list[EdgeSpec] = []
+    # Per rank, its vertex group, Alphabet and the attachment words parsed
+    # so far; vertices of one rank share one group, as cyclic vertices do.
+    ranks: dict[int, tuple[FreeVertex, Alphabet, dict[str, CyclicWord]]] = {}
+    cyclic = CyclicVertex()
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        tokens = raw.partition("#")[0].split()
+        if not tokens:
             continue
-        tokens = line.split()
         kind = tokens[0]
         if kind == "vertex":
             if len(tokens) < 3:
@@ -404,13 +387,19 @@ def parse_gog(text: str) -> GraphOfGroups:
             if vid in vertices:
                 raise ParseError(f"duplicate vertex id {vid}", lineno)
             if vkind == "free":
-                if len(tokens) != 4 or not tokens[3].isdigit() or int(tokens[3]) < 1:
+                try:
+                    rank = int(tokens[3]) if len(tokens) == 4 and tokens[3].isdigit() else 0
+                except ValueError:  # digits int() refuses: superscripts, or too many
+                    rank = 0
+                if rank < 1:
                     raise ParseError("free vertex needs a positive rank", lineno)
-                vertices[vid] = FreeVertex(int(tokens[3]))
+                if rank not in ranks:
+                    ranks[rank] = (FreeVertex(rank), Alphabet(rank), {})
+                vertices[vid] = ranks[rank][0]
             elif vkind == "cyclic":
                 if len(tokens) != 3:
                     raise ParseError("cyclic vertex takes no extra fields", lineno)
-                vertices[vid] = CyclicVertex()
+                vertices[vid] = cyclic
             elif vkind == "opaque":
                 if len(tokens) > 4:
                     raise ParseError("opaque vertex takes at most a label", lineno)
@@ -427,8 +416,8 @@ def parse_gog(text: str) -> GraphOfGroups:
                 if vid not in vertices:
                     raise ParseError(f"unknown vertex {vid} (declare vertices first)", lineno)
             attachments = (
-                _parse_attachment(a1, vertices[v1], lineno),
-                _parse_attachment(a2, vertices[v2], lineno),
+                _parse_attachment(a1, vertices[v1], ranks, lineno),
+                _parse_attachment(a2, vertices[v2], ranks, lineno),
             )
             edges.append(EdgeSpec(eid, (v1, v2), attachments))
         else:
@@ -438,9 +427,22 @@ def parse_gog(text: str) -> GraphOfGroups:
     return GraphOfGroups(vertices, edges)
 
 
-def _parse_attachment(token: str, group: VertexGroup, lineno: int):
-    if isinstance(group, OpaqueVertex):
-        return None if token == "-" else token
+def _parse_attachment(token: str, group: VertexGroup, ranks, lineno: int):
+    if isinstance(group, FreeVertex):
+        _, alphabet, known = ranks[group.rank]
+        core = known.get(token)
+        if core is None:
+            try:
+                word = parse_word(token.replace(",", " "), alphabet)
+            except InvalidInputError as exc:
+                raise ParseError(f"bad attachment word {token!r}: {exc}", lineno)
+            core = _cyclic_core(word)[0]
+            if core is None:
+                raise ParseError(
+                    f"trivial edge group: attachment {token!r} reduces to identity", lineno
+                )
+            known[token] = core
+        return core
     if isinstance(group, CyclicVertex):
         try:
             value = int(token)
@@ -449,15 +451,7 @@ def _parse_attachment(token: str, group: VertexGroup, lineno: int):
         if value == 0:
             raise ParseError("trivial edge group: cyclic attachment is 0", lineno)
         return value
-    alphabet = Alphabet(group.rank)
-    try:
-        word = parse_word(token.replace(",", " "), alphabet)
-    except InvalidInputError as exc:
-        raise ParseError(f"bad attachment word {token!r}: {exc}", lineno)
-    core, _ = cyclic_reduce(word)
-    if core is None:
-        raise ParseError(f"trivial edge group: attachment {token!r} reduces to identity", lineno)
-    return core
+    return None if token == "-" else token
 
 
 def serialize_gog(g: GraphOfGroups) -> str:

@@ -253,11 +253,11 @@ def recognize_basis(alphabet: Alphabet, words) -> tuple[bool, FreeGroupMap | Non
 
 def family_from_texts(alphabet: Alphabet, texts) -> tuple[CyclicWord, ...]:
     """Parse, freely reduce, and cyclically reduce a family given as text."""
-    from .words import cyclic_reduce, parse_word
+    from .words import _cyclic_core, parse_word
 
     out = []
     for text in texts:
-        core, _ = cyclic_reduce(parse_word(text, alphabet))
+        core = _cyclic_core(parse_word(text, alphabet))[0]
         if core is None:
             raise InvalidInputError(f"word {text!r} is trivial")
         out.append(core)

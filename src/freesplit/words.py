@@ -179,6 +179,23 @@ def conjugacy_class_rep(word: CyclicWord) -> CyclicWord:
     return word if word < inv or word == inv else inv
 
 
+def _cyclic_core(word) -> tuple[CyclicWord | None, Word, Word]:
+    """``(c, prefix, head)``: the ``cyclic_reduce`` core ``c`` and its
+    conjugator ``g = free_reduce(prefix + head)``, left for callers to reduce."""
+    w = free_reduce(word)
+    i, j = 0, len(w)
+    while j - i >= 2 and w[i] == -w[j - 1]:
+        i += 1
+        j -= 1
+    core = w[i:j]
+    if not core:
+        return None, w[:i], ()
+    # rotating the core to canonical form shifts the conjugator:
+    # core = core[:k] . canonical . core[:k]^-1
+    k = _least_rotation(core)
+    return CyclicWord._from_canonical(core[k:] + core[:k]), w[:i], core[:k]
+
+
 def cyclic_reduce(word) -> tuple[CyclicWord | None, Word]:
     """Split a word as g c g^-1 with c cyclically reduced.
 
@@ -187,19 +204,8 @@ def cyclic_reduce(word) -> tuple[CyclicWord | None, Word]:
     >>> cyclic_reduce((2, 1, -2))
     (CyclicWord('a'), (2,))
     """
-    w = free_reduce(word)
-    i, j = 0, len(w)
-    while j - i >= 2 and w[i] == -w[j - 1]:
-        i += 1
-        j -= 1
-    core = w[i:j]
-    prefix = w[:i]
-    if not core:
-        return None, prefix
-    # rotating the core to canonical form shifts the conjugator:
-    # core = core[:k] . canonical . core[:k]^-1
-    k = _least_rotation(core)
-    return CyclicWord._from_canonical(core[k:] + core[:k]), free_reduce(prefix + core[:k])
+    core, prefix, head = _cyclic_core(word)
+    return core, free_reduce(prefix + head) if head else prefix
 
 
 def total_cyclic_length(family) -> int:
@@ -356,6 +362,9 @@ def apply_automorphism(phi, word: CyclicWord) -> CyclicWord:
 # Text syntax
 
 _LOWER = "abcdefghijklmnopqrstuvwxyz"
+# Letter-form characters: a-z are the generators 1..26, A-Z their inverses.
+_LETTER_OF = {c: i for i, c in enumerate(_LOWER, 1)}
+_LETTER_OF |= {c.upper(): -i for c, i in _LETTER_OF.items()}
 
 
 def parse_word(text: str, alphabet: Alphabet) -> Word:
@@ -369,31 +378,33 @@ def parse_word(text: str, alphabet: Alphabet) -> Word:
     tokens = text.split()
     if not tokens:
         return ()
-    numeric = all(_is_int_token(t) for t in tokens)
-    alphabetic = all(t.isalpha() and t.isascii() for t in tokens)
-    if numeric:
-        letters = [int(t) for t in tokens]
-    elif alphabetic:
-        letters = [_parse_letter_char(c) for c in "".join(tokens)]
-    else:
-        raise ParseError(f"mixed or malformed word syntax: {text!r}")
+    try:
+        if all(map(_is_int_token, tokens)):
+            letters = tuple(map(int, tokens))
+        else:
+            letters = tuple(map(_LETTER_OF.__getitem__, "".join(tokens)))
+    except (KeyError, ValueError):  # not a letter, or digits int() refuses
+        raise ParseError(f"mixed or malformed word syntax: {text!r}") from None
+    rank = alphabet.rank
     for x in letters:
         if x == 0:
             raise ParseError("0 is not a letter")
-        if not alphabet.contains(x):
-            raise ParseError(f"letter {format_letter(x)!r} outside alphabet of rank {alphabet.rank}")
-    return tuple(letters)
+        if not -rank <= x <= rank:
+            raise ParseError(f"letter {format_letter(x)!r} outside alphabet of rank {rank}")
+    return letters
+
+
+def _within_rank(letters, rank: int) -> bool:
+    """``Alphabet(rank).validate_letters(letters)`` as a test, without the Alphabet."""
+    for x in letters:
+        if not isinstance(x, int) or x == 0 or not -rank <= x <= rank:
+            return False
+    return True
 
 
 def _is_int_token(token: str) -> bool:
     body = token[1:] if token[0] in "+-" else token
     return body.isdigit()
-
-
-def _parse_letter_char(c: str) -> int:
-    if c.islower():
-        return _LOWER.index(c) + 1
-    return -(_LOWER.index(c.lower()) + 1)
 
 
 def format_letter(x: int) -> str:

@@ -1,6 +1,9 @@
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from freesplit.cli import main
 
@@ -173,6 +176,11 @@ class TestWordHygiene:
         code, _, err = run(capsys, "indecomposable", "--rank", "2", "abBA")
         assert code == 1 and "trivial" in err
 
+    def test_unicode_digit_word(self, capsys):
+        code, out, err = run(capsys, "indecomposable", "--rank", "2", "1 ²")
+        assert (code, out) == (1, "")
+        assert err == "error: mixed or malformed word syntax: '1 ²'\n"
+
     def test_bad_syntax_rejected(self, capsys):
         code, _, err = run(capsys, "indecomposable", "--rank", "2", "a1b")
         assert code == 1
@@ -224,6 +232,23 @@ class TestGraphOfGroupsCommands:
             " and splits freely)\n"
         )
 
+    def test_unicode_digit_rank(self, capsys, tmp_path):
+        # "²" passes str.isdigit, but int() refuses it
+        path = tmp_path / "u.gog"
+        path.write_text("vertex v free ²\n", encoding="utf-8")
+        code, out, err = run(capsys, "one-ended", str(path))
+        assert (code, out) == (1, "")
+        assert err == "error: line 1: free vertex needs a positive rank\n"
+
+    def test_unicode_digit_attachment(self, capsys, tmp_path):
+        path = tmp_path / "u.gog"
+        path.write_text("vertex v free 2\nvertex w cyclic\nedge e v w 1,² 2\n", encoding="utf-8")
+        code, out, err = run(capsys, "one-ended", str(path))
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: line 3: bad attachment word '1,²': mixed or malformed word syntax: '1 ²'\n"
+        )
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "one-ended", "/nonexistent/file.gog")
         assert code == 1
@@ -245,3 +270,64 @@ class TestDeterminism:
         code2, out2, _ = run(capsys, *argv)
         assert code1 == code2 == 0
         assert out1 == out2
+
+
+def run_quietly(argv):
+    """Exit code, stdout and stderr of one in-process run."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=60)
+# Fragments of the graph-file and word syntax, so that fuzzed input gets
+# past the first check often enough to reach the later ones.
+_FRAGMENTS = st.sampled_from([
+    "vertex", "edge", "free", "cyclic", "opaque", "v", "w", "e", "1", "2", "-1", "0", "²",
+    "ab", "aA", "AbaB", "1,2", "1,-1", "-", "t", "#", "\n", " ", "\t", "\r", "\x85",
+])
+_SOUP = st.lists(st.one_of(_FRAGMENTS, _TEXT), max_size=25).map("".join)
+
+
+class TestFrontEndFuzz:
+    """Any text in a graph file or a word argument gives a verdict (exit 0)
+    or one error line (exit 1), never a traceback, and the same output twice."""
+
+    @pytest.fixture(scope="class")
+    def gog_path(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("fuzz") / "g.gog"
+
+    @settings(max_examples=150, deadline=None)
+    @given(text=st.one_of(_TEXT, _SOUP), command=st.sampled_from(["one-ended", "present"]),
+           form=st.sampled_from(["text", "json"]))
+    def test_graph_file_text(self, gog_path, text, command, form):
+        gog_path.write_text(text, encoding="utf-8")
+        argv = [command, "--format", form, str(gog_path)]
+        first = run_quietly(argv)
+        code, out, err = first
+        assert code in (0, 1)
+        if code == 0:
+            assert err == ""
+        else:
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+            assert err.endswith("\n") and "Traceback" not in err
+        assert run_quietly(argv) == first
+
+    @settings(max_examples=150, deadline=None)
+    @given(text=st.one_of(_TEXT, _SOUP),
+           command=st.sampled_from(["indecomposable", "minimize", "basis", "graph"]),
+           rank=st.integers(1, 3))
+    def test_word_text(self, text, command, rank):
+        argv = [command, "--rank", str(rank), "--", text]
+        first = run_quietly(argv)
+        code, out, err = first
+        assert code in (0, 1)
+        lines = err.splitlines()
+        assert all(line.startswith("warning: ") for line in lines[:-1])
+        if code == 0:
+            assert not lines or lines[-1].startswith("warning: ")
+        else:
+            assert out == "" and lines[-1].startswith("error: ")
+        assert "Traceback" not in err
+        assert run_quietly(argv) == first

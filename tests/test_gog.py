@@ -23,7 +23,15 @@ from freesplit.gog import (
     validate,
 )
 from freesplit.whitehead import DECOMPOSABLE, decide_indecomposable, family_from_texts
-from freesplit.words import Alphabet, CyclicWord, MultiplierAutomorphism, apply_automorphism
+from freesplit.words import (
+    Alphabet,
+    CyclicWord,
+    MultiplierAutomorphism,
+    apply_automorphism,
+    cyclic_reduce,
+    format_letter,
+    format_word,
+)
 
 import helpers
 
@@ -556,3 +564,277 @@ class TestFileFormat:
         text = "vertex v1 free 2\nvertex v2 free 2\nedge e1 v1 v2 baB abAB\n"
         g = parse_gog(text)
         assert g.edges[0].attachments[0] == fam("a")[0]
+
+
+# ---------------------------------------------------------------------------
+# Plain references for the parser and validate: a letter search per
+# character, a fresh Alphabet per attachment word, cyclic_reduce with its
+# conjugator, and validate_letters.  The library must agree with them on
+# every result and on every error message, line number and order.
+
+_REFERENCE_LOWER = "abcdefghijklmnopqrstuvwxyz"
+
+
+def reference_parse_word(text, alphabet):
+    tokens = text.split()
+    if not tokens:
+        return ()
+
+    def is_int(token):
+        return (token[1:] if token[0] in "+-" else token).isdigit()
+
+    if all(is_int(t) for t in tokens):
+        letters = [int(t) for t in tokens]
+    elif all(t.isalpha() and t.isascii() for t in tokens):
+        letters = [
+            _REFERENCE_LOWER.index(c) + 1 if c.islower()
+            else -(_REFERENCE_LOWER.index(c.lower()) + 1)
+            for c in "".join(tokens)
+        ]
+    else:
+        raise ParseError(f"mixed or malformed word syntax: {text!r}")
+    for x in letters:
+        if x == 0:
+            raise ParseError("0 is not a letter")
+        if not alphabet.contains(x):
+            raise ParseError(
+                f"letter {format_letter(x)!r} outside alphabet of rank {alphabet.rank}"
+            )
+    return tuple(letters)
+
+
+def reference_attachment(token, group, lineno):
+    if isinstance(group, OpaqueVertex):
+        return None if token == "-" else token
+    if isinstance(group, CyclicVertex):
+        try:
+            value = int(token)
+        except ValueError:
+            raise ParseError(f"cyclic attachment must be an integer, got {token!r}", lineno)
+        if value == 0:
+            raise ParseError("trivial edge group: cyclic attachment is 0", lineno)
+        return value
+    try:
+        word = reference_parse_word(token.replace(",", " "), Alphabet(group.rank))
+    except InvalidInputError as exc:
+        raise ParseError(f"bad attachment word {token!r}: {exc}", lineno)
+    core, _ = cyclic_reduce(word)
+    if core is None:
+        raise ParseError(f"trivial edge group: attachment {token!r} reduces to identity", lineno)
+    return core
+
+
+def reference_parse_gog(text):
+    vertices, edges = {}, []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        tokens = line.split()
+        kind = tokens[0]
+        if kind == "vertex":
+            if len(tokens) < 3:
+                raise ParseError("vertex line needs: vertex <id> <kind> [...]", lineno)
+            vid, vkind = tokens[1], tokens[2]
+            if vid in vertices:
+                raise ParseError(f"duplicate vertex id {vid}", lineno)
+            if vkind == "free":
+                if len(tokens) != 4 or not tokens[3].isdigit() or int(tokens[3]) < 1:
+                    raise ParseError("free vertex needs a positive rank", lineno)
+                vertices[vid] = FreeVertex(int(tokens[3]))
+            elif vkind == "cyclic":
+                if len(tokens) != 3:
+                    raise ParseError("cyclic vertex takes no extra fields", lineno)
+                vertices[vid] = CyclicVertex()
+            elif vkind == "opaque":
+                if len(tokens) > 4:
+                    raise ParseError("opaque vertex takes at most a label", lineno)
+                vertices[vid] = OpaqueVertex(tokens[3] if len(tokens) == 4 else "")
+            else:
+                raise ParseError(f"unknown vertex kind {vkind!r}", lineno)
+        elif kind == "edge":
+            if len(tokens) != 6:
+                raise ParseError(
+                    "edge line needs: edge <id> <v1> <v2> <attach1> <attach2>", lineno
+                )
+            eid, v1, v2, a1, a2 = tokens[1:]
+            for vid in (v1, v2):
+                if vid not in vertices:
+                    raise ParseError(f"unknown vertex {vid} (declare vertices first)", lineno)
+            attachments = (
+                reference_attachment(a1, vertices[v1], lineno),
+                reference_attachment(a2, vertices[v2], lineno),
+            )
+            edges.append(EdgeSpec(eid, (v1, v2), attachments))
+        else:
+            raise ParseError(f"unknown directive {kind!r}", lineno)
+    if not vertices:
+        raise ParseError("no vertices declared", None)
+    return GraphOfGroups(vertices, edges)
+
+
+def reference_validate(g):
+    errors = []
+    if not g.vertices:
+        return ["graph has no vertices"]
+    for e in g.edges:
+        for vid in e.endpoints:
+            if vid not in g.vertices:
+                errors.append(f"edge {e.id}: unknown vertex {vid}")
+    ids = [e.id for e in g.edges]
+    errors += [f"duplicate edge id {i}" for i in sorted(set(ids)) if ids.count(i) > 1]
+    neighbours = {v: set() for v in g.vertices}
+    for e in g.edges:
+        if not all(v in g.vertices for v in e.endpoints):
+            continue
+        u, v = e.endpoints
+        neighbours[u].add(v)
+        neighbours[v].add(u)
+        for vid, att in zip(e.endpoints, e.attachments):
+            group = g.vertices[vid]
+            if isinstance(group, FreeVertex):
+                if not isinstance(att, CyclicWord):
+                    errors.append(
+                        f"edge {e.id}: trivial edge group at free vertex {vid}"
+                        " (attachment must be a nontrivial word)"
+                    )
+                    continue
+                try:
+                    Alphabet(group.rank).validate_letters(att.letters)
+                except InvalidInputError:
+                    errors.append(
+                        f"edge {e.id}: attachment {format_word(att.letters)} uses letters"
+                        f" outside rank-{group.rank} vertex {vid}"
+                    )
+            elif isinstance(group, CyclicVertex):
+                if not isinstance(att, int) or att == 0:
+                    errors.append(
+                        f"edge {e.id}: attachment at cyclic vertex {vid} must be a nonzero integer"
+                    )
+            elif att is not None and not isinstance(att, str):
+                errors.append(f"edge {e.id}: attachment at opaque vertex {vid} must be a tag")
+    reached, stack = set(), [min(g.vertices)]
+    while stack:
+        u = stack.pop()
+        if u not in reached:
+            reached.add(u)
+            stack.extend(neighbours[u])
+    if len(reached) != len(g.vertices):
+        missing = ", ".join(sorted(set(g.vertices) - reached))
+        errors.append(f"graph is not connected (unreached: {missing})")
+    return errors
+
+
+def outcome(fn, *args):
+    """A call's result, or the type and message of the exception it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # compared, not handled
+        return type(exc), str(exc), getattr(exc, "line", None)
+
+
+_VERTEX_IDS = ["v0", "v1", "v2", "v3"]
+def _word_tokens(rank):
+    """Attachment words at a free vertex: mostly within its rank, often
+    reducible, sometimes trivial, out of rank or malformed."""
+    within = "abc"[:rank] + "ABC"[:rank]
+    letter_form = st.text(within, min_size=1, max_size=8)
+    return st.one_of(
+        letter_form, letter_form, letter_form, letter_form,
+        st.lists(st.integers(-rank, rank).filter(bool), min_size=1, max_size=5).map(
+            lambda xs: ",".join(map(str, xs))
+        ),
+        st.text("abcdABCD", min_size=1, max_size=4),
+        st.lists(st.integers(-4, 4), min_size=1, max_size=4).map(
+            lambda xs: ",".join(map(str, xs))
+        ),
+        st.sampled_from(["aA", "abBA", "z", "Ab,c", "a,b", "1,,2", ",1", "1b", "a-", "+2"]),
+    )
+
+
+_ATTACHMENT_TOKENS = {
+    "free1": _word_tokens(1),
+    "free2": _word_tokens(2),
+    "free3": _word_tokens(3),
+    "cyclic": st.sampled_from(
+        ["1", "-1", "2", "-3", "+2", "3", "-2", "2", "1", "-1", "0", "-0", "x", "1.5", "--1"]
+    ),
+    "opaque": st.sampled_from(["-", "-", "t", "tag"]),
+}
+_JUNK_LINES = ["", "# note", "widget v0", "vertex v0", "vertex v9 hub", "vertex v9 free 0",
+               "vertex v9 free x", "vertex v9 free 1 2", "vertex v9 cyclic extra",
+               "vertex v9 opaque a b", "edge e9 v0 v1 a", "edge e9 vX v0 a a", "vertex v0 cyclic"]
+
+
+@st.composite
+def graph_files(draw):
+    """Graph-of-groups file text: well formed vertices and edges, with
+    attachments that are often reducible, trivial or out of rank, and now
+    and then a malformed line, comment or blank."""
+    kinds = {
+        vid: draw(st.sampled_from(["free1", "free2", "free2", "free3", "cyclic", "opaque"]))
+        for vid in draw(st.lists(st.sampled_from(_VERTEX_IDS), min_size=1, max_size=4, unique=True))
+    }
+    lines = [
+        f"vertex {vid} free {kind[-1]}" if kind.startswith("free") else f"vertex {vid} {kind}"
+        for vid, kind in kinds.items()
+    ]
+    for k in range(draw(st.integers(0, 6))):
+        ends = draw(st.lists(st.sampled_from(list(kinds)), min_size=2, max_size=2))
+        atts = [draw(_ATTACHMENT_TOKENS[kinds[v]]) for v in ends]
+        lines.append(" ".join(["edge", draw(st.sampled_from([f"e{k}", "e0"])), *ends, *atts]))
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(_JUNK_LINES)))
+    lines = [line + draw(st.sampled_from(["", "", "  # comment", "\t", "#"])) for line in lines]
+    return "\n".join(lines)
+
+
+def _programmatic_letter():
+    return st.one_of(
+        st.integers(-4, 4), st.sampled_from([True, False, 1.0, 2.5, "x", None])
+    )
+
+
+@st.composite
+def programmatic_graphs(draw):
+    """Graphs built in code, with attachments the parser never makes."""
+    names = draw(st.lists(st.sampled_from(_VERTEX_IDS), unique=True, max_size=4))
+    groups = st.sampled_from([FreeVertex(1), FreeVertex(2), CyclicVertex(), OpaqueVertex()])
+    vertices = {name: draw(groups) for name in names}
+    attachment = st.one_of(
+        st.lists(_programmatic_letter(), min_size=1, max_size=4).map(
+            lambda xs: CyclicWord._from_canonical(tuple(xs))
+        ),
+        st.sampled_from([None, "t", 0, 2, -1, True, 1.5]),
+    )
+    edges = [
+        EdgeSpec(
+            draw(st.sampled_from(["e1", "e2", "e3"])),
+            tuple(draw(st.lists(st.sampled_from(_VERTEX_IDS + ["vX"]), min_size=2, max_size=2))),
+            (draw(attachment), draw(attachment)),
+        )
+        for _ in range(draw(st.integers(0, 5)))
+    ]
+    return GraphOfGroups(vertices, edges)
+
+
+class TestParserAgainstReference:
+    @settings(max_examples=300, deadline=None)
+    @given(graph_files())
+    def test_parse_matches_reference(self, text):
+        expected = outcome(reference_parse_gog, text)
+        got = outcome(parse_gog, text)
+        assert got == expected
+        if isinstance(got, GraphOfGroups):
+            assert validate(got) == reference_validate(got)
+            assert parse_gog(serialize_gog(got)) == got
+
+    @settings(max_examples=200, deadline=None)
+    @given(programmatic_graphs())
+    def test_validate_matches_reference(self, g):
+        assert outcome(validate, g) == outcome(reference_validate, g)
+
+    @settings(max_examples=100, deadline=None)
+    @given(mixed_graphs())
+    def test_round_trip(self, g):
+        assert parse_gog(serialize_gog(g)) == g
