@@ -13,9 +13,6 @@ from .words import (
     CyclicWord,
     FreeGroupMap,
     MultiplierAutomorphism,
-    PermutationAutomorphism,
-    WhiteheadAutomorphism,
-    apply_automorphism,
     cyclic_reduce,
     conjugacy_class_rep,
     format_word,

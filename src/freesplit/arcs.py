@@ -37,8 +37,8 @@ from dataclasses import dataclass, field
 
 from .errors import InvalidInputError
 from .graphs import Multigraph, bitmask_two_connected
-from .tree import TreeBall, build_ball, child_step, letter_index, DEFAULT_VERTEX_CAP
-from .words import Alphabet, CyclicWord, Word, invert_word, word_key
+from .tree import TreeBall, build_ball, child_step, DEFAULT_VERTEX_CAP
+from .words import Alphabet, CyclicWord, Word, invert_word, letter_index, word_key
 
 
 class _Rays:
@@ -88,10 +88,6 @@ class Axis:
 
     def sort_key(self):
         return (len(self.base), word_key(self.base), word_key(self.period))
-
-    @property
-    def radius(self) -> int:
-        return self.rays.ball.radius
 
     @property
     def reach(self) -> int:
@@ -337,9 +333,6 @@ class SubtreeAnalysis:
     intervals: tuple[Interval, ...]
     gs_graph: Multigraph
     classes: tuple[frozenset[Word], ...]
-
-    def class_count(self) -> int:
-        return len(self.classes)
 
 
 def analyze_subtree(ball: TreeBall, subtree_vertices, axes) -> SubtreeAnalysis:

@@ -22,10 +22,6 @@ class Multigraph:
         self._adj: dict[object, set] = {v: set() for v in self._order}
         self._allow_loops = allow_loops
 
-    def _edge_key(self, u, v):
-        iu, iv = self._index[u], self._index[v]
-        return (u, v) if iu <= iv else (v, u)
-
     def add_edge(self, u, v, count: int = 1) -> None:
         if u not in self._index or v not in self._index:
             raise InvalidInputError(f"edge endpoint not a vertex: {u!r} -- {v!r}")
@@ -33,7 +29,7 @@ class Multigraph:
             raise InvalidInputError(f"loop at {u!r} not allowed")
         if count < 1:
             raise InvalidInputError("edge count must be positive")
-        key = self._edge_key(u, v)
+        key = (u, v) if self._index[u] <= self._index[v] else (v, u)
         self._mult[key] = self._mult.get(key, 0) + count
         if u != v:
             self._adj[u].add(v)
@@ -50,11 +46,6 @@ class Multigraph:
             key=lambda e: (self._index[e[0]], self._index[e[1]]),
         )
 
-    def multiplicity(self, u, v) -> int:
-        if u not in self._index or v not in self._index:
-            return 0
-        return self._mult.get(self._edge_key(u, v), 0)
-
     def total_edges(self) -> int:
         return sum(self._mult.values())
 
@@ -68,10 +59,6 @@ class Multigraph:
             out[a] += m
             out[b] += m
         return out
-
-    def degree(self, v) -> int:
-        """Edge-end count at v."""
-        return self.degrees().get(v, 0)
 
     def min_cut(self, s, t) -> tuple[int, frozenset]:
         """Minimum s-t edge cut with multiplicities as capacities.

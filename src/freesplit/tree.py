@@ -19,7 +19,7 @@ digit d is (2n-1)·v + 2 + d.  The ids do not depend on the radius.
 from __future__ import annotations
 
 from .errors import InvalidInputError, ResourceCapError
-from .words import Alphabet, Word, format_letter, format_word
+from .words import Alphabet, Word, format_letter, format_word, letter_index
 
 DEFAULT_VERTEX_CAP = 2_000_000
 
@@ -31,11 +31,6 @@ def predicted_vertex_count(rank: int, radius: int) -> int:
         return 2 * radius + 1
     d = 2 * rank
     return 1 + d * ((d - 1) ** radius - 1) // (d - 2)
-
-
-def letter_index(x: int) -> int:
-    """Position of a letter in canonical order: a is 0, a^-1 is 1, b is 2, ..."""
-    return 2 * x - 2 if x > 0 else -2 * x - 1
 
 
 def child_step(last: int, x: int) -> int:
@@ -122,13 +117,6 @@ class TreeBall:
         out[0] = format_word(())
         return out
 
-    def sphere(self, distance: int) -> tuple[Word, ...]:
-        return tuple(v for v in self.vertices if len(v) == distance)
-
-    def interior_vertices(self) -> tuple[Word, ...]:
-        """Vertices whose whole star lies inside the ball."""
-        return tuple(v for v in self.vertices if len(v) <= self.radius - 1)
-
     def interior_edges(self):
         """Edges with both endpoints at distance <= radius - 1."""
         for u, v in self.edges():
@@ -178,12 +166,3 @@ def build_ball(alphabet: Alphabet, radius: int, cap: int = DEFAULT_VERTEX_CAP) -
         vertices.extend(nxt)
         frontier = nxt
     return TreeBall(alphabet, radius, vertices)
-
-
-def edge_label(frm: Word, to: Word) -> int:
-    """The letter labelling the tree edge from ``frm`` to ``to``."""
-    if len(to) == len(frm) + 1 and to[: len(frm)] == frm:
-        return to[-1]
-    if len(frm) == len(to) + 1 and frm[: len(to)] == to:
-        return -frm[-1]
-    raise InvalidInputError(f"not a tree edge: {frm} -- {to}")

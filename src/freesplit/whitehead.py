@@ -16,6 +16,7 @@ factorisation) or 2-vertex connected (the family is indecomposable).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import InternalConsistencyError, InvalidInputError
 from .graphs import Multigraph, bitmask_two_connected
@@ -24,6 +25,7 @@ from .words import (
     CyclicWord,
     FreeGroupMap,
     MultiplierAutomorphism,
+    letter_index,
     total_cyclic_length,
 )
 
@@ -47,7 +49,7 @@ def whitehead_two_connected(alphabet: Alphabet, family) -> bool:
     By Whitehead's cut-vertex lemma (Stallings 1999; Heusener and
     Weidmann 2019) a decomposable family's graph has a cut vertex or is
     disconnected in every basis, so True proves it indecomposable.  The
-    graph is 2n adjacency bitmasks, letter x at index 2(|x|-1) + (x<0).
+    graph is 2n adjacency bitmasks, letter x at ``letter_index(x)``.
     An unused generator leaves isolated letters: False before any row.
     """
     words = [w.letters for w in family]
@@ -59,8 +61,7 @@ def whitehead_two_connected(alphabet: Alphabet, family) -> bool:
         x = letters[-1]
         for y in letters:
             # the cyclic pair (x, y) joins x to y^-1
-            i = 2 * x - 2 if x > 0 else -2 * x - 1
-            j = 2 * y - 1 if y > 0 else -2 * y - 2
+            i, j = letter_index(x), letter_index(-y)
             rows[i] |= 1 << j
             rows[j] |= 1 << i
             x = y
@@ -91,10 +92,22 @@ class TraceStep:
 
 @dataclass(frozen=True)
 class MinimizationTrace:
-    """Record of a greedy descent: the steps taken and their composition."""
+    """Record of a greedy descent: the steps taken, in order.
 
+    The composite automorphism is only a certificate, and its images can
+    grow far longer than the family, so it is composed on first read.
+    """
+
+    rank: int
     steps: tuple[TraceStep, ...]
-    composite: FreeGroupMap
+
+    @cached_property
+    def composite(self) -> FreeGroupMap:
+        """The composition of the steps, the first step applied first."""
+        composite = FreeGroupMap.identity(self.rank)
+        for step in self.steps:
+            composite = composite.then(step.automorphism.to_map())
+        return composite
 
 
 def minimize(alphabet: Alphabet, family) -> tuple[tuple[CyclicWord, ...], MinimizationTrace]:
@@ -123,7 +136,6 @@ def _descend(alphabet: Alphabet, family):
     takes it from here instead of building it again.
     """
     current = tuple(family)
-    composite = FreeGroupMap.identity(alphabet.rank)
     steps = []
     length = total_cyclic_length(current)
     while True:
@@ -138,7 +150,7 @@ def _descend(alphabet: Alphabet, family):
                 best = MultiplierAutomorphism(alphabet.rank, x, side)
                 best_change = change
         if best is None:
-            return current, MinimizationTrace(tuple(steps), composite), graph
+            return current, MinimizationTrace(alphabet.rank, tuple(steps)), graph
         mapping = best.to_map()
         current = tuple(mapping.apply_cyclic(w) for w in current)
         new_length = total_cyclic_length(current)
@@ -148,7 +160,6 @@ def _descend(alphabet: Alphabet, family):
                 f"but its cut predicts {length + best_change}"
             )
         steps.append(TraceStep(best, length, new_length))
-        composite = composite.then(mapping)
         length = new_length
 
 
@@ -166,9 +177,13 @@ class IndecomposabilityVerdict:
     decision: str
     minimized: tuple[CyclicWord, ...]
     graph: Multigraph
-    automorphism: FreeGroupMap
     trace: MinimizationTrace
     bipartition: tuple[frozenset[int], frozenset[int]] | None
+
+    @property
+    def automorphism(self) -> FreeGroupMap:
+        """The minimizing automorphism, composed on first read."""
+        return self.trace.composite
 
     @property
     def is_indecomposable(self) -> bool:
@@ -214,9 +229,7 @@ def decide_indecomposable(alphabet: Alphabet, family) -> IndecomposabilityVerdic
             raise InternalConsistencyError(
                 f"minimal Whitehead graph is connected but has cut vertices {cuts}"
             )
-        return IndecomposabilityVerdict(
-            INDECOMPOSABLE, minimized, graph, trace.composite, trace, None
-        )
+        return IndecomposabilityVerdict(INDECOMPOSABLE, minimized, graph, trace, None)
     groups = _generator_groups(alphabet, graph)
     used = set().union(*(w.generator_support() for w in minimized))
     essential = [g for g in groups if g & used]
@@ -227,9 +240,7 @@ def decide_indecomposable(alphabet: Alphabet, family) -> IndecomposabilityVerdic
     rest = frozenset(range(1, alphabet.rank + 1)) - first
     if not rest:
         raise InternalConsistencyError("disconnected graph produced a trivial bipartition")
-    return IndecomposabilityVerdict(
-        DECOMPOSABLE, minimized, graph, trace.composite, trace, (first, rest)
-    )
+    return IndecomposabilityVerdict(DECOMPOSABLE, minimized, graph, trace, (first, rest))
 
 
 def recognize_basis(alphabet: Alphabet, words) -> tuple[bool, FreeGroupMap | None]:

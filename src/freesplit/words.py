@@ -25,6 +25,14 @@ def word_key(word) -> tuple[int, ...]:
     return tuple(2 * x - 1 if x > 0 else -2 * x for x in word)
 
 
+def letter_index(x: int) -> int:
+    """Position of a letter in canonical order: a is 0, a^-1 is 1, b is 2, ...
+
+    The index of x^-1 is that of x with its last bit flipped.
+    """
+    return 2 * x - 2 if x > 0 else -2 * x - 1
+
+
 def invert_word(word) -> Word:
     """Group inverse: reverse the word and invert each letter."""
     return tuple(-x for x in reversed(word))
@@ -53,19 +61,16 @@ class Alphabet:
                 raise InvalidInputError(f"letter {x!r} outside alphabet of rank {self.rank}")
 
 
-def free_reduce(letters, alphabet: Alphabet | None = None) -> Word:
+def free_reduce(letters) -> Word:
     """Freely reduce a letter sequence by cancelling adjacent x, x^-1 pairs.
 
-    Idempotent and length-nonincreasing.  If ``alphabet`` is given, letters
-    are range-checked first.
+    Idempotent and length-nonincreasing.
 
     >>> free_reduce((1, 2, -2, -1))
     ()
     >>> free_reduce((1, -1, 2))
     (2,)
     """
-    if alphabet is not None:
-        alphabet.validate_letters(letters)
     out: list[int] = []
     for x in letters:
         if out and out[-1] == -x:
@@ -255,9 +260,6 @@ class FreeGroupMap:
         """The composition applying self first, then ``after``."""
         return FreeGroupMap(self.rank, [after.apply(img) for img in self.images])
 
-    def is_identity(self) -> bool:
-        return all(img == (i + 1,) for i, img in enumerate(self.images))
-
     def __eq__(self, other):
         return (
             isinstance(other, FreeGroupMap)
@@ -271,38 +273,6 @@ class FreeGroupMap:
     def __repr__(self):
         imgs = ", ".join(format_word(img) for img in self.images)
         return f"FreeGroupMap({self.rank}, [{imgs}])"
-
-
-@dataclass(frozen=True)
-class PermutationAutomorphism:
-    """Type I Whitehead automorphism: a_i -> a_{perm[i]}^{signs[i]}."""
-
-    rank: int
-    perm: tuple[int, ...]
-    signs: tuple[int, ...]
-
-    def __post_init__(self):
-        if sorted(self.perm) != list(range(1, self.rank + 1)):
-            raise InvalidInputError(f"not a permutation of 1..{self.rank}: {self.perm}")
-        if len(self.signs) != self.rank or any(s not in (1, -1) for s in self.signs):
-            raise InvalidInputError(f"signs must be +-1 per generator: {self.signs}")
-
-    @classmethod
-    def identity(cls, rank: int) -> "PermutationAutomorphism":
-        return cls(rank, tuple(range(1, rank + 1)), (1,) * rank)
-
-    def to_map(self) -> FreeGroupMap:
-        return FreeGroupMap(
-            self.rank, [(self.signs[i] * self.perm[i],) for i in range(self.rank)]
-        )
-
-    def inverse(self) -> "PermutationAutomorphism":
-        inv_perm = [0] * self.rank
-        inv_signs = [1] * self.rank
-        for i in range(self.rank):
-            inv_perm[self.perm[i] - 1] = i + 1
-            inv_signs[self.perm[i] - 1] = self.signs[i]
-        return PermutationAutomorphism(self.rank, tuple(inv_perm), tuple(inv_signs))
 
 
 @dataclass(frozen=True)
@@ -343,19 +313,6 @@ class MultiplierAutomorphism:
                 img.append(x)
             images.append(tuple(img))
         return FreeGroupMap(self.rank, images)
-
-    def inverse(self) -> "MultiplierAutomorphism":
-        flipped = frozenset(self.side - {self.multiplier}) | {-self.multiplier}
-        return MultiplierAutomorphism(self.rank, -self.multiplier, flipped)
-
-
-WhiteheadAutomorphism = PermutationAutomorphism | MultiplierAutomorphism
-
-
-def apply_automorphism(phi, word: CyclicWord) -> CyclicWord:
-    """Image of a conjugacy class under an automorphism, canonicalised."""
-    mapping = phi if isinstance(phi, FreeGroupMap) else phi.to_map()
-    return mapping.apply_cyclic(word)
 
 
 # ---------------------------------------------------------------------------

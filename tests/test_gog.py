@@ -27,7 +27,6 @@ from freesplit.words import (
     Alphabet,
     CyclicWord,
     MultiplierAutomorphism,
-    apply_automorphism,
     cyclic_reduce,
     format_letter,
     format_word,
@@ -252,14 +251,14 @@ class TestOneEnded:
             g = double(ALPH2, family)
             x = rng.choice(letters)
             side = {x} | {y for y in letters if y not in (x, -x) and rng.random() < 0.5}
-            phi = MultiplierAutomorphism(2, x, frozenset(side))
+            phi = MultiplierAutomorphism(2, x, frozenset(side)).to_map()
             remarked = GraphOfGroups(
                 dict(g.vertices),
                 [
                     EdgeSpec(
                         e.id,
                         e.endpoints,
-                        (apply_automorphism(phi, e.attachments[0]), e.attachments[1]),
+                        (phi.apply_cyclic(e.attachments[0]), e.attachments[1]),
                     )
                     for e in g.edges
                 ],
@@ -335,11 +334,11 @@ def mixed_graphs(draw):
         # Remarking a vertex keeps its verdict but often gives its family a
         # cut vertex, so that only a descent decides it.
         for _ in range(2):
-            move = helpers.random_move(rng, group.rank)
+            move = helpers.random_move(rng, group.rank).to_map()
             for pair, atts in zip(pairs, attachments):
                 for slot in (0, 1):
                     if pair[slot] == vertex_index:
-                        atts[slot] = apply_automorphism(move, atts[slot])
+                        atts[slot] = move.apply_cyclic(atts[slot])
     edges = [
         EdgeSpec(f"e{k}", (names[u], names[v]), tuple(atts))
         for k, ((u, v), atts) in enumerate(zip(pairs, attachments))

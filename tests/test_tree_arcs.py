@@ -17,7 +17,7 @@ from freesplit.arcs import (
 )
 from freesplit.errors import InvalidInputError, ResourceCapError
 from freesplit.graphs import Multigraph
-from freesplit.tree import build_ball, edge_label, predicted_vertex_count
+from freesplit.tree import build_ball, predicted_vertex_count
 from freesplit.whitehead import (
     build_whitehead_graph,
     decide_indecomposable,
@@ -28,6 +28,7 @@ from freesplit.words import (
     CyclicWord,
     cyclic_reduce,
     format_word,
+    free_reduce,
     invert_word,
     total_cyclic_length,
     word_key,
@@ -122,11 +123,14 @@ def direction_pairs(ball, axes):
 
 
 def reference_direction_pairs(traces):
+    """Per trace vertex v between u and w, the letters of the edges u -> v and w -> v."""
     pairs = {}
     for t in traces:
-        for i in range(1, len(t) - 1):
-            pair = (edge_label(t[i - 1], t[i]), edge_label(t[i + 1], t[i]))
-            pairs.setdefault(t[i], []).append(pair)
+        for u, v, w in zip(t, t[1:], t[2:]):
+            # the letter of the tree edge u -> v is u^-1 v, a single letter
+            (d_in,) = free_reduce(invert_word(u) + v)
+            (d_out,) = free_reduce(invert_word(w) + v)
+            pairs.setdefault(v, []).append((d_in, d_out))
     return pairs
 
 
@@ -295,12 +299,6 @@ class TestBall:
         line = build_ball(ALPH1, 4)
         assert (-1,) * 4 in line and (-2,) not in line and (-2,) * 3 not in line
 
-    def test_edge_label(self):
-        assert edge_label((), (1,)) == 1
-        assert edge_label((1,), ()) == -1
-        with pytest.raises(InvalidInputError):
-            edge_label((1,), (2,))
-
 
 class TestEnumerateAxes:
     @settings(max_examples=60, deadline=None)
@@ -365,7 +363,7 @@ class TestEnumerateAxes:
                 assert lengths.count(len(axis.base)) == 1
                 # trace is a path of tree edges inside the ball
                 for u, v in zip(axis.trace, axis.trace[1:]):
-                    edge_label(u, v)
+                    assert len(free_reduce(invert_word(u) + v)) == 1
                     assert u in ball and v in ball
                 # period is a rotation of a family word or of its inverse
                 rotations = set()

@@ -4,10 +4,13 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from freesplit.cli import main
 from freesplit.errors import InvalidInputError
+from freesplit.gog import NOT_ONE_ENDED, double, one_ended
 from freesplit.whitehead import (
     DECOMPOSABLE,
     INDECOMPOSABLE,
+    MinimizationTrace,
     build_whitehead_graph,
     decide_indecomposable,
     family_from_texts,
@@ -21,7 +24,6 @@ from freesplit.words import (
     CyclicWord,
     FreeGroupMap,
     MultiplierAutomorphism,
-    apply_automorphism,
     cyclic_reduce,
     free_reduce,
     parse_word,
@@ -80,7 +82,8 @@ def descent_corpus(draw):
         family = (CyclicWord((rank,)),)
     rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
     for _ in range(draw(st.integers(min_value=0, max_value=3))):
-        moved = tuple(apply_automorphism(helpers.random_move(rng, rank), w) for w in family)
+        move = helpers.random_move(rng, rank).to_map()
+        moved = tuple(move.apply_cyclic(w) for w in family)
         if total_cyclic_length(moved) > 30:
             break
         family = moved
@@ -107,7 +110,8 @@ def lemma_corpus(draw):
         family = [CyclicWord((used[0],))]
     rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
     for _ in range(draw(st.integers(min_value=0, max_value=2))):
-        moved = [apply_automorphism(helpers.random_move(rng, rank), w) for w in family]
+        move = helpers.random_move(rng, rank).to_map()
+        moved = [move.apply_cyclic(w) for w in family]
         if total_cyclic_length(moved) > 30:
             break
         family = moved
@@ -232,12 +236,14 @@ class TestMinimize:
             alphabet = Alphabet(rank)
             family = helpers.random_family(rng, rank, 3, 12)
             graph = build_whitehead_graph(alphabet, family)
+            degrees = graph.degrees()
             for move in whitehead_moves(alphabet):
                 side = move.side
                 cap = sum(m for u, v, m in graph.edges() if (u in side) != (v in side))
-                moved = tuple(apply_automorphism(move, w) for w in family)
+                mapping = move.to_map()
+                moved = tuple(mapping.apply_cyclic(w) for w in family)
                 change = total_cyclic_length(moved) - total_cyclic_length(family)
-                assert change == cap - graph.degree(move.multiplier)
+                assert change == cap - degrees[move.multiplier]
 
     def test_reducible_pair(self):
         minimized, trace = minimize(ALPH2, fam("ab", "b"))
@@ -249,7 +255,7 @@ class TestMinimize:
         minimized, trace = minimize(ALPH2, fam("abAB"))
         assert minimized == fam("abAB")
         assert trace.steps == ()
-        assert trace.composite.is_identity()
+        assert trace.composite == FreeGroupMap.identity(2)
 
     def test_single_letter_minimal(self):
         minimized, trace = minimize(ALPH2, fam("a"))
@@ -348,17 +354,48 @@ class TestDecide:
             family = helpers.random_family(rng, 2, 2, 6)
             x = rng.choice(letters)
             side = {x} | {y for y in letters if y not in (x, -x) and rng.random() < 0.5}
-            phi = MultiplierAutomorphism(2, x, frozenset(side))
-            moved = tuple(apply_automorphism(phi, w) for w in family)
+            phi = MultiplierAutomorphism(2, x, frozenset(side)).to_map()
+            moved = tuple(phi.apply_cyclic(w) for w in family)
             d1 = decide_indecomposable(ALPH2, family).decision
             d2 = decide_indecomposable(ALPH2, moved).decision
             assert d1 == d2, (family, phi)
 
 
+class TestLazyComposite:
+    """The trace keeps its steps; the composite is built on first read."""
+
+    def test_composed_on_first_read(self):
+        alphabet = Alphabet(3)
+        family = fam("aab", "abcb", rank=3)
+        _, trace = minimize(alphabet, family)
+        verdict = decide_indecomposable(alphabet, family)
+        assert len(trace.steps) == 3
+        assert "composite" not in vars(trace)
+        assert "composite" not in vars(verdict.trace)
+        folded = FreeGroupMap.identity(3)
+        for step in trace.steps:
+            folded = folded.then(step.automorphism.to_map())
+        assert trace.composite == folded
+        assert "composite" in vars(trace)
+        assert verdict.automorphism is verdict.trace.composite
+        assert verdict.automorphism == folded
+
+    def test_text_paths_never_compose(self, capsys, monkeypatch):
+        def unread(trace):
+            raise AssertionError("a text path composed the trace")
+
+        monkeypatch.setattr(MinimizationTrace, "composite", property(unread))
+        for command in ("minimize", "indecomposable"):
+            assert main([command, "--rank", "3", "aab", "abcb"]) == 0
+        # the free vertices of this double fail the cut-vertex test and descend
+        assert one_ended(double(ALPH2, fam("ab", "b"))).decision == NOT_ONE_ENDED
+        capsys.readouterr()
+
+
 class TestRecognizeBasis:
     def test_standard_basis(self):
         ok, witness = recognize_basis(ALPH2, fam("a", "b"))
-        assert ok and witness.is_identity()
+        assert ok and witness == FreeGroupMap.identity(2)
 
     def test_nielsen_pair(self):
         ok, witness = recognize_basis(ALPH2, fam("ab", "b"))
@@ -398,8 +435,8 @@ class TestRecognizeBasis:
                 side = {x} | {
                     y for y in letters if y not in (x, -x) and rng.random() < 0.5
                 }
-                phi = MultiplierAutomorphism(2, x, frozenset(side))
-                family = [apply_automorphism(phi, w) for w in family]
+                phi = MultiplierAutomorphism(2, x, frozenset(side)).to_map()
+                family = [phi.apply_cyclic(w) for w in family]
             ok, _ = recognize_basis(ALPH2, family)
             assert ok, family
 
