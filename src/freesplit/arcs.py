@@ -352,23 +352,17 @@ def analyze_subtree(ball: TreeBall, subtree_vertices, axes) -> SubtreeAnalysis:
             raise InvalidInputError(
                 f"vertex {v} too close to the ball boundary for a safe analysis"
             )
-    root = min(subtree, key=lambda v: (len(v), word_key(v)))
-    seen = {root}
-    stack = [root]
-    while stack:
-        u = stack.pop()
-        for w in ball.neighbors(u):
-            if w in subtree and w not in seen:
-                seen.add(w)
-                stack.append(w)
-    if seen != subtree:
+    ordered = sorted(subtree, key=lambda v: (len(v), word_key(v)))
+    tree_edges = Multigraph(ordered, allow_loops=False)
+    for v in ordered:
+        if v and v[:-1] in subtree:
+            tree_edges.add_edge(v[:-1], v)
+    if len(tree_edges.components()) != 1:
         raise InvalidInputError("subtree vertex set is not connected")
-
-    degree_full = 2 * ball.alphabet.rank
-    carriers = frozenset(
-        v for v in subtree
-        if sum(1 for w in ball.neighbors(v) if w in subtree) < degree_full
-    )
+    # every vertex of S is interior, so degree 2n means no tree edge leaves S
+    degrees = tree_edges.degrees()
+    ordered_carriers = [v for v in ordered if degrees[v] < 2 * ball.alphabet.rank]
+    carriers = frozenset(ordered_carriers)
 
     intervals = []
     for axis in axes:
@@ -388,7 +382,6 @@ def analyze_subtree(ball: TreeBall, subtree_vertices, axes) -> SubtreeAnalysis:
     for iv in intervals:
         gs_graph.add_edge(*iv.endpoints)
 
-    ordered_carriers = sorted(carriers, key=lambda v: (len(v), word_key(v)))
     class_graph = Multigraph(ordered_carriers, allow_loops=True)
     for iv in intervals:
         p, q = iv.endpoints

@@ -2,9 +2,10 @@
 
 Vertices are arbitrary hashables supplied in a fixed order, which makes
 every derived output (components, articulation points, DOT text)
-deterministic.  Connectivity and articulation points are computed on the
-simple-graph shadow: multiplicities and loops have no effect on either.
-Minimum cuts take multiplicities as capacities.
+deterministic.  All state and every search are kept on vertex positions
+in that order; vertices come back only in returned values.  Connectivity
+and cut vertices ignore multiplicities and loops; minimum cuts take
+multiplicities as capacities.
 """
 
 from __future__ import annotations
@@ -16,49 +17,48 @@ class Multigraph:
     """Undirected multigraph: vertex list plus edge multiplicities."""
 
     def __init__(self, vertices, allow_loops: bool = True):
-        self._order = list(dict.fromkeys(vertices))
+        self._order = tuple(dict.fromkeys(vertices))
         self._index = {v: i for i, v in enumerate(self._order)}
-        self._mult: dict[tuple, int] = {}
-        self._adj: dict[object, set] = {v: set() for v in self._order}
+        self._mult: dict[tuple[int, int], int] = {}
+        self._adj: list[set[int]] = [set() for _ in self._order]
         self._allow_loops = allow_loops
 
     def add_edge(self, u, v, count: int = 1) -> None:
-        if u not in self._index or v not in self._index:
+        i, j = self._index.get(u), self._index.get(v)
+        if i is None or j is None:
             raise InvalidInputError(f"edge endpoint not a vertex: {u!r} -- {v!r}")
-        if u == v and not self._allow_loops:
+        if i == j and not self._allow_loops:
             raise InvalidInputError(f"loop at {u!r} not allowed")
         if count < 1:
             raise InvalidInputError("edge count must be positive")
-        key = (u, v) if self._index[u] <= self._index[v] else (v, u)
+        key = (i, j) if i <= j else (j, i)
         self._mult[key] = self._mult.get(key, 0) + count
-        if u != v:
-            self._adj[u].add(v)
-            self._adj[v].add(u)
+        if i != j:
+            self._adj[i].add(j)
+            self._adj[j].add(i)
 
     @property
     def vertices(self) -> tuple:
-        return tuple(self._order)
+        return self._order
 
     def edges(self):
         """Edges as (u, v, multiplicity), in vertex order."""
-        return sorted(
-            ((u, v, m) for (u, v), m in self._mult.items()),
-            key=lambda e: (self._index[e[0]], self._index[e[1]]),
-        )
+        order = self._order
+        return [(order[i], order[j], m) for (i, j), m in sorted(self._mult.items())]
 
     def total_edges(self) -> int:
         return sum(self._mult.values())
 
     def neighbors(self, v) -> set:
-        return set(self._adj[v])
+        return {self._order[j] for j in self._adj[self._index[v]]}
 
     def degrees(self) -> dict:
         """Edge-end count at every vertex, multiplicities included, loops twice."""
-        out = dict.fromkeys(self._order, 0)
-        for (a, b), m in self._mult.items():
-            out[a] += m
-            out[b] += m
-        return out
+        out = [0] * len(self._order)
+        for (i, j), m in self._mult.items():
+            out[i] += m
+            out[j] += m
+        return dict(zip(self._order, out))
 
     def min_cut(self, s, t) -> tuple[int, frozenset]:
         """Minimum s-t edge cut with multiplicities as capacities.
@@ -69,7 +69,8 @@ class Multigraph:
         is contained in the source side of every minimum cut.  Loops
         never cross a cut and are ignored.
         """
-        if s not in self._index or t not in self._index or s == t:
+        source, sink = self._index.get(s), self._index.get(t)
+        if source is None or sink is None or source == sink:
             raise InvalidInputError(f"min cut needs two distinct vertices: {s!r}, {t!r}")
         residual = {}
         for (u, v), m in self._mult.items():
@@ -77,20 +78,20 @@ class Multigraph:
                 residual[u, v] = residual[v, u] = m
         value = 0
         while True:
-            parent = {s: None}
-            queue = [s]
+            parent = {source: None}
+            queue = [source]
             for u in queue:
                 for w in self._adj[u]:
                     if w not in parent and residual[u, w]:
                         parent[w] = u
                         queue.append(w)
-                if t in parent:
+                if sink in parent:
                     break
-            if t not in parent:
-                return value, frozenset(parent)
+            if sink not in parent:
+                return value, frozenset(self._order[u] for u in queue)
             path = []
-            w = t
-            while w != s:
+            w = sink
+            while w != source:
                 path.append((parent[w], w))
                 w = parent[w]
             push = min(residual[e] for e in path)
@@ -99,65 +100,49 @@ class Multigraph:
                 residual[w, u] += push
             value += push
 
-    def components(self) -> tuple[frozenset, ...]:
-        """Connected components, isolated vertices as singletons."""
-        seen = set()
-        out = []
-        for start in self._order:
-            if start in seen:
+    def _search(self) -> tuple[tuple[frozenset, ...], tuple]:
+        """Components in order of their first vertex and cut vertices in
+        vertex order, from one iterative Hopcroft-Tarjan pass."""
+        order, adj = self._order, self._adj
+        disc, low = [-1] * len(order), [0] * len(order)
+        found, components, cuts = [], [], set()
+        for root in range(len(order)):
+            if disc[root] >= 0:
                 continue
-            comp = {start}
-            stack = [start]
+            first, root_children = len(found), 0
+            disc[root] = low[root] = first
+            found.append(root)
+            stack = [(root, -1, iter(adj[root]))]
             while stack:
-                u = stack.pop()
-                for w in self._adj[u]:
-                    if w not in comp:
-                        comp.add(w)
-                        stack.append(w)
-            seen |= comp
-            out.append(frozenset(comp))
-        return tuple(out)
-
-    def articulation_points(self) -> tuple:
-        """Cut vertices of each component (Hopcroft-Tarjan, iterative)."""
-        disc: dict[object, int] = {}
-        low: dict[object, int] = {}
-        parent: dict[object, object] = {}
-        cuts = set()
-        timer = 0
-        for root in self._order:
-            if root in disc:
-                continue
-            parent[root] = None
-            root_children = 0
-            stack = [(root, iter(sorted(self._adj[root], key=self._index.__getitem__)))]
-            disc[root] = low[root] = timer
-            timer += 1
-            while stack:
-                u, it = stack[-1]
-                advanced = False
-                for w in it:
-                    if w not in disc:
-                        parent[w] = u
-                        if u == root:
-                            root_children += 1
-                        disc[w] = low[w] = timer
-                        timer += 1
-                        stack.append((w, iter(sorted(self._adj[w], key=self._index.__getitem__))))
-                        advanced = True
+                u, parent, neighbours = stack[-1]
+                for w in neighbours:
+                    if disc[w] < 0:
+                        disc[w] = low[w] = len(found)
+                        found.append(w)
+                        stack.append((w, u, iter(adj[w])))
                         break
-                    elif w != parent[u]:
+                    if w != parent:
                         low[u] = min(low[u], disc[w])
-                if not advanced:
+                else:
                     stack.pop()
-                    if stack:
-                        p = stack[-1][0]
-                        low[p] = min(low[p], low[u])
-                        if p != root and low[u] >= disc[p]:
-                            cuts.add(p)
+                    if parent == root:
+                        root_children += 1
+                    elif parent >= 0:
+                        low[parent] = min(low[parent], low[u])
+                        if low[u] >= disc[parent]:
+                            cuts.add(parent)
             if root_children > 1:
                 cuts.add(root)
-        return tuple(sorted(cuts, key=self._index.__getitem__))
+            components.append(frozenset(order[i] for i in found[first:]))
+        return tuple(components), tuple(order[i] for i in sorted(cuts))
+
+    def components(self) -> tuple[frozenset, ...]:
+        """Connected components in order of their first vertex, isolated vertices as singletons."""
+        return self._search()[0]
+
+    def articulation_points(self) -> tuple:
+        """Cut vertices of each component, in vertex order."""
+        return self._search()[1]
 
     def is_two_vertex_connected(self) -> tuple[bool, tuple]:
         """Decide 2-vertex connectivity; also report all cut vertices.
@@ -167,12 +152,8 @@ class Multigraph:
         single (possibly multiple) edge on two vertices qualifies, while
         a lone vertex does not.
         """
-        cuts = self.articulation_points()
-        if len(self._order) < 2:
-            return False, cuts
-        if len(self.components()) != 1:
-            return False, cuts
-        return (len(cuts) == 0), cuts
+        components, cuts = self._search()
+        return len(self._order) >= 2 and len(components) == 1 and not cuts, cuts
 
     def to_dot(self, name: str = "G", label=None) -> str:
         """DOT text; parallel edges are emitted individually."""

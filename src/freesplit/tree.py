@@ -144,13 +144,36 @@ class TreeBall:
         return "\n".join(lines) + "\n"
 
 
+def _bounded_vertex_count(rank: int, radius: int, bound: int) -> int | None:
+    """``predicted_vertex_count``, or None once the count is known to pass ``bound``.
+
+    Sums the spheres outward and stops at the first sum past the bound, so
+    at rank >= 2 it takes at most about log(bound) steps at any radius.
+    """
+    if rank == 1 or radius < 0:
+        count = predicted_vertex_count(rank, radius)
+        return count if count <= bound else None
+    count, sphere = 1, 2 * rank
+    for _ in range(radius):
+        count += sphere
+        if count > bound:
+            return None
+        sphere *= 2 * rank - 1
+    return count
+
+
 def build_ball(alphabet: Alphabet, radius: int, cap: int = DEFAULT_VERTEX_CAP) -> TreeBall:
-    """Materialise the ball, refusing if the predicted size exceeds ``cap``."""
-    predicted = predicted_vertex_count(alphabet.rank, radius)
-    if predicted > cap:
+    """Materialise the ball, refusing if the predicted size exceeds ``cap``.
+
+    A size past ``max(cap, 10**18)`` is never computed in full: the
+    refusal reports it as more than that bound, with ``predicted=None``.
+    """
+    bound = max(cap, 10**18)
+    predicted = _bounded_vertex_count(alphabet.rank, radius, bound)
+    if predicted is None or predicted > cap:
+        size = f"more than {bound}" if predicted is None else predicted
         raise ResourceCapError(
-            f"ball of rank {alphabet.rank}, radius {radius} has {predicted} vertices"
-            f" (cap {cap})",
+            f"ball of rank {alphabet.rank}, radius {radius} has {size} vertices (cap {cap})",
             predicted=predicted,
             cap=cap,
         )

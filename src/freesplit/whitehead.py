@@ -18,8 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import InternalConsistencyError, InvalidInputError
+from .errors import InternalConsistencyError, InvalidInputError, ResourceCapError
 from .graphs import Multigraph, bitmask_two_connected
+from .tree import DEFAULT_VERTEX_CAP
 from .words import (
     Alphabet,
     CyclicWord,
@@ -34,7 +35,15 @@ DECOMPOSABLE = "decomposable"
 
 
 def build_whitehead_graph(alphabet: Alphabet, family) -> Multigraph:
-    """Whitehead graph of a family (multiset) of cyclic words, on the 2n letters."""
+    """Whitehead graph of a family (multiset) of cyclic words, on the 2n letters.
+
+    Refuses with ResourceCapError, before any letter is listed, when the
+    2n vertices exceed the ball's default vertex budget.
+    """
+    if 2 * alphabet.rank > DEFAULT_VERTEX_CAP:
+        raise ResourceCapError(f"Whitehead graph of rank {alphabet.rank} has {2 * alphabet.rank}"
+                               f" vertices (cap {DEFAULT_VERTEX_CAP})",
+                               predicted=2 * alphabet.rank, cap=DEFAULT_VERTEX_CAP)
     graph = Multigraph(alphabet.letters(), allow_loops=False)
     for word in family:
         alphabet.validate_letters(word.letters)
@@ -190,21 +199,23 @@ class IndecomposabilityVerdict:
         return self.decision == INDECOMPOSABLE
 
 
-def _generator_groups(alphabet: Alphabet, graph: Multigraph) -> tuple[frozenset[int], ...]:
-    """Partition generator indices by letter components, merging i with -i.
+def _generator_groups(components) -> tuple[frozenset[int], ...]:
+    """The generator indices of each letter component, in component order.
 
-    On a minimal Whitehead graph a used generator always has both its
-    letters in one component (otherwise cutting that component off would
-    strictly reduce length), so the merge only ever glues the two
-    singleton letters of an unused generator.  Groups come in order of
-    their smallest generator.
+    On a minimal Whitehead graph a used generator has both its letters in
+    one component (otherwise cutting that component off would strictly
+    reduce length), so groups overlap only where the two singleton
+    letters of an unused generator follow each other; they make one
+    group.  Any other overlap raises InternalConsistencyError.
     """
-    generators = Multigraph(range(1, alphabet.rank + 1))
-    for comp in graph.components():
-        first, *rest = sorted({abs(x) for x in comp})
-        for gen in rest:
-            generators.add_edge(first, gen)
-    return generators.components()
+    groups = []
+    for comp in components:
+        group = frozenset(abs(x) for x in comp)
+        if not groups or group != groups[-1]:
+            groups.append(group)
+    if sum(map(len, groups)) != len(frozenset().union(*groups)):
+        raise InternalConsistencyError(f"generator groups overlap in components {components}")
+    return tuple(groups)
 
 
 def decide_indecomposable(alphabet: Alphabet, family) -> IndecomposabilityVerdict:
@@ -223,20 +234,17 @@ def decide_indecomposable(alphabet: Alphabet, family) -> IndecomposabilityVerdic
         if not isinstance(w, CyclicWord):
             raise InvalidInputError(f"family members must be CyclicWord, got {w!r}")
     minimized, trace, graph = _descend(alphabet, family)
-    if len(graph.components()) == 1:
-        cuts = graph.articulation_points()
-        if cuts:
-            raise InternalConsistencyError(
-                f"minimal Whitehead graph is connected but has cut vertices {cuts}"
-            )
+    two_connected, cuts = graph.is_two_vertex_connected()
+    if two_connected:
         return IndecomposabilityVerdict(INDECOMPOSABLE, minimized, graph, trace, None)
-    groups = _generator_groups(alphabet, graph)
+    components = graph.components()
+    if len(components) == 1:
+        raise InternalConsistencyError(
+            f"minimal Whitehead graph is connected but has cut vertices {cuts}"
+        )
+    groups = _generator_groups(components)
     used = set().union(*(w.generator_support() for w in minimized))
-    essential = [g for g in groups if g & used]
-    if essential:
-        first = essential[0]
-    else:
-        first = groups[0]
+    first = next((g for g in groups if g & used), groups[0])
     rest = frozenset(range(1, alphabet.rank + 1)) - first
     if not rest:
         raise InternalConsistencyError("disconnected graph produced a trivial bipartition")

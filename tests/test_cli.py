@@ -1,6 +1,12 @@
 import io
 import json
+import os
+import resource
+import subprocess
+import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -118,6 +124,58 @@ class TestTreeCommands:
     def test_words_before_flags_also_accepted(self, capsys):
         code, out, _ = run(capsys, "tree", "certificate", "abAB", "--rank", "2", "--radius", "3")
         assert code == 0 and out == "CERTIFIED\n"
+
+
+def run_limited(*argv):
+    """``python -m freesplit`` in a child process limited to 1 GB of address
+    space and 20 s, so an unbounded refusal fails instead of exhausting memory."""
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (10**9, 10**9))
+
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    done = subprocess.run([sys.executable, "-m", "freesplit", *argv], capture_output=True,
+                          text=True, timeout=20, preexec_fn=limit,
+                          env={**os.environ, "PYTHONPATH": src})
+    return done.returncode, done.stdout, done.stderr
+
+
+class TestBoundedRefusals:
+    """Refusals exit 2 with one short stderr line, in bounded time and memory."""
+
+    BIG_RANK_GOG = "vertex v free 400000000\nvertex w cyclic\nedge e v w ab 2\n"
+
+    @pytest.mark.parametrize("radius", ["9000", "10000", "100000000"])
+    def test_huge_ball_refused_quickly(self, capsys, radius):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "tree", "ball", "--rank", "2", "--radius", radius)
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out == ""
+        assert err == (f"error: ball of rank 2, radius {radius} has more than"
+                       " 1000000000000000000 vertices (cap 2000000)\n")
+
+    def test_huge_rank_1_ball_refused(self, capsys):
+        code, _, err = run(capsys, "tree", "ball", "--rank", "1", "--radius", str(10**30))
+        assert code == 2 and "has more than 1000000000000000000 vertices" in err
+
+    def test_whitehead_graph_rank_refused(self, capsys):
+        code, out, err = run(capsys, "graph", "--rank", "1000001", "ab")
+        assert code == 2 and out == ""
+        assert err == "error: Whitehead graph of rank 1000001 has 2000002 vertices (cap 2000000)\n"
+
+    @pytest.mark.parametrize("argv", [
+        ("tree", "ball", "--rank", "2", "--radius", "10000"),
+        ("tree", "ball", "--rank", "2", "--radius", "100000000"),
+        ("indecomposable", "--rank", "400000000", "ab"),
+        ("one-ended", None),
+    ])
+    def test_refusal_in_bounded_memory(self, tmp_path, argv):
+        if argv[-1] is None:
+            path = tmp_path / "big_rank.gog"
+            path.write_text(self.BIG_RANK_GOG)
+            argv = argv[:-1] + (str(path),)
+        code, out, err = run_limited(*argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 class TestUsageErrors:

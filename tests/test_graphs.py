@@ -100,6 +100,33 @@ class TestNetworkxOracle:
             assert set(g.articulation_points()) == set(nx.articulation_points(h))
             assert set(g.components()) == {frozenset(c) for c in nx.connected_components(h)}
 
+    def test_position_mapping(self):
+        # vertices out of sorted order, with -1 and -2, which hash alike
+        rng = random.Random(405)
+        for _ in range(300):
+            n = rng.randint(2, 12)
+            vertices = [-1, -2] + rng.sample([*range(-12, -2), *range(12)], n - 2)
+            rng.shuffle(vertices)
+            g, h = Multigraph(vertices), nx.MultiGraph()
+            h.add_nodes_from(vertices)
+            for _ in range(rng.randint(0, 2 * n)):
+                u, v, m = rng.choice(vertices), rng.choice(vertices), rng.randint(1, 2)
+                g.add_edge(u, v, m)
+                h.add_edges_from([(u, v)] * m)
+            position = {v: i for i, v in enumerate(vertices)}
+            expected = sorted((frozenset(c) for c in nx.connected_components(h)),
+                              key=lambda c: min(map(position.get, c)))
+            assert g.components() == tuple(expected)
+            cuts = sorted(nx.articulation_points(h), key=position.get)
+            assert g.articulation_points() == tuple(cuts)
+            two_connected = n >= 2 and nx.is_connected(h) and not cuts
+            assert g.is_two_vertex_connected() == (two_connected, tuple(cuts))
+            assert g.degrees() == dict(h.degree())
+            assert list(g.degrees()) == vertices
+            ends = sorted({tuple(sorted((u, v), key=position.get)) for u, v in h.edges()},
+                          key=lambda e: (position[e[0]], position[e[1]]))
+            assert g.edges() == [(u, v, h.number_of_edges(u, v)) for u, v in ends]
+
 
 class TestBitmaskTwoConnected:
     """The bitmask test behind the star certificate, against networkx."""
