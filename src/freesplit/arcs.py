@@ -13,8 +13,8 @@ The base of such a line is its nearest vertex to the origin, so it lies
 in the ball; conversely a vertex u and a period p, read forward as p^oo
 and backward as (p^-1)^oo, span a line based at u exactly when neither
 direction cancels against the last letter of u.  An axis keeps its
-base, its base's vertex id and its period; its trace and its vertices
-at a given distance are read off the ball by id when asked for.
+base, its base's vertex id and its period; its trace is read off the
+ball by id when asked for.
 
 The per-edge counts, the star certificate and the class profile run on
 vertex ids (see ``tree``): each period's rays are turned once into id
@@ -33,12 +33,10 @@ leaving S) stand in for the ends of the tree that project onto them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import InvalidInputError
 from .graphs import Multigraph, bitmask_two_connected
 from .tree import TreeBall, build_ball, child_step, DEFAULT_VERTEX_CAP
-from .words import Alphabet, CyclicWord, Word, invert_word, letter_index, word_key
+from .words import Alphabet, CyclicWord, Word, _Record, invert_word, letter_index, word_key
 
 
 class _Rays:
@@ -69,7 +67,6 @@ class _Rays:
         self.origin = (backward[0] ^ 1) * m + (forward[0] ^ 1)
 
 
-@dataclass(slots=True, unsafe_hash=True)
 class Axis:
     """A line in the Cayley tree, keyed by (base, period), traced in a ball.
 
@@ -77,46 +74,32 @@ class Axis:
     the ball and the id steps along the line.
     """
 
-    base: Word
-    period: Word
-    base_id: int = field(compare=False, repr=False)
-    rays: _Rays = field(compare=False, repr=False)
+    __slots__ = ("base", "period", "base_id", "rays")
 
-    @property
-    def key(self):
-        return (self.base, self.period)
+    def __init__(self, base: Word, period: Word, base_id: int, rays: _Rays):
+        self.base = base
+        self.period = period
+        self.base_id = base_id
+        self.rays = rays
 
-    def sort_key(self):
-        return (len(self.base), word_key(self.base), word_key(self.period))
+    def __eq__(self, other):
+        if type(other) is not Axis:
+            return NotImplemented
+        return self.base == other.base and self.period == other.period
 
-    @property
-    def reach(self) -> int:
-        """Steps from the base to the ball boundary in either direction."""
-        return self.rays.ball.radius - len(self.base)
+    def __hash__(self):
+        return hash((self.base, self.period))
 
     @property
     def trace(self) -> tuple[Word, ...]:
         """The line's vertices in the ball, from the far end against the period."""
-        if not self.reach:
+        reach = self.rays.ball.radius - len(self.base)
+        if not reach:
             return (self.base,)
         vertices = self.rays.ball.vertices
-        forward, backward = _ray_ids(self, self.reach)
+        forward, backward = _ray_ids(self, reach)
         return (tuple(vertices[v] for v in reversed(backward)) + (self.base,)
                 + tuple(vertices[v] for v in forward))
-
-    def vertices_at(self, distance: int) -> tuple[Word, ...]:
-        """The (up to two) line vertices at the given distance from the origin.
-
-        The distance must be at most the ball's radius.
-        """
-        steps = distance - len(self.base)
-        if steps > self.reach:
-            raise InvalidInputError(f"distance {distance} is past the ball's radius")
-        if steps < 0:
-            return ()
-        if steps == 0:
-            return (self.base,)
-        return tuple(self.rays.ball.vertices[ids[-1]] for ids in _ray_ids(self, steps))
 
 
 def _ray_ids(axis: Axis, steps: int) -> list[list[int]]:
@@ -146,7 +129,8 @@ def enumerate_axes(family, ball: TreeBall) -> tuple[Axis, ...]:
     the same periods, so their lines are generated once; a proper power
     keeps its own, longer periods.  The ball lists its vertices in id
     order, which is (length, ``word_key``) order, and the periods are
-    sorted once, so the axes come out in ``Axis.sort_key`` order.
+    sorted once, so the axes come out in order of base length, base
+    ``word_key`` and period ``word_key``.
     """
     family = tuple(family)
     for w in family:
@@ -248,8 +232,7 @@ def star_graph(ball: TreeBall, axes, center: Word) -> Multigraph:
     return graph
 
 
-@dataclass(frozen=True)
-class StarCertificate:
+class StarCertificate(_Record):
     """Outcome of the all-stars 2-vertex-connectivity check.
 
     ``certified`` means every interior star graph is 2-vertex connected,
@@ -257,8 +240,10 @@ class StarCertificate:
     names the first failing vertex but proves nothing by itself.
     """
 
-    certified: bool
-    witness: Word | None = None
+    __slots__ = ("certified", "witness")
+
+    def __init__(self, certified: bool, witness: Word | None = None):
+        super().__init__(certified, witness)
 
     def __bool__(self):
         return self.certified
@@ -305,20 +290,17 @@ def lemma33_certificate(ball: TreeBall, axes) -> StarCertificate:
 # General subtree analysis
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(_Record):
     """A nontrivial intersection of an axis with a subtree: a vertex path."""
 
-    axis: Axis
-    path: tuple[Word, ...]
+    __slots__ = ("axis", "path")
 
     @property
     def endpoints(self) -> tuple[Word, Word]:
         return self.path[0], self.path[-1]
 
 
-@dataclass(frozen=True)
-class SubtreeAnalysis:
+class SubtreeAnalysis(_Record):
     """The projection data of a finite subtree S.
 
     ``intervals`` holds, for each axis meeting S in at least one edge,
@@ -328,11 +310,7 @@ class SubtreeAnalysis:
     interval endpoints; carriers met by no interval stay singletons.
     """
 
-    subtree: frozenset[Word]
-    carriers: frozenset[Word]
-    intervals: tuple[Interval, ...]
-    gs_graph: Multigraph
-    classes: tuple[frozenset[Word], ...]
+    __slots__ = ("subtree", "carriers", "intervals", "gs_graph", "classes")
 
 
 def analyze_subtree(ball: TreeBall, subtree_vertices, axes) -> SubtreeAnalysis:

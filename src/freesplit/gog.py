@@ -23,13 +23,14 @@ from __future__ import annotations
 
 import heapq
 from collections import Counter, defaultdict
-from dataclasses import dataclass
 
-from .errors import InvalidInputError, ParseError, UnsupportedExportError
+from .errors import InvalidInputError, ParseError, ResourceCapError, UnsupportedExportError
+from .tree import DEFAULT_VERTEX_CAP
 from .whitehead import IndecomposabilityVerdict, decide_indecomposable, whitehead_two_connected
 from .words import (
     Alphabet,
     CyclicWord,
+    _Record,
     _cyclic_core,
     _within_rank,
     conjugacy_class_rep,
@@ -38,47 +39,54 @@ from .words import (
 )
 
 
-@dataclass(frozen=True)
-class FreeVertex:
-    rank: int
+class FreeVertex(_Record):
+    __slots__ = ("rank",)
 
-    def __post_init__(self):
-        if self.rank < 1:
-            raise InvalidInputError(f"free vertex rank must be >= 1, got {self.rank}")
-
-
-@dataclass(frozen=True)
-class CyclicVertex:
-    pass
+    def __init__(self, rank: int):
+        if rank < 1:
+            raise InvalidInputError(f"free vertex rank must be >= 1, got {rank}")
+        super().__init__(rank)
 
 
-@dataclass(frozen=True)
-class OpaqueVertex:
+class CyclicVertex(_Record):
+    __slots__ = ()
+
+
+class OpaqueVertex(_Record):
     """A declared one-ended vertex group with no further structure."""
 
-    label: str = ""
+    __slots__ = ("label",)
+
+    def __init__(self, label: str = ""):
+        super().__init__(label)
 
 
 VertexGroup = FreeVertex | CyclicVertex | OpaqueVertex
 
 
-@dataclass(frozen=True)
-class EdgeSpec:
+class EdgeSpec(_Record):
     """An edge with its two endpoint vertex ids and attachments.
 
     Equal endpoint ids make a loop (HNN edge); a loop's two attachments
     both count toward the incident family of its single endpoint.
     """
 
-    id: str
-    endpoints: tuple[str, str]
-    attachments: tuple[object, object]
+    __slots__ = ("id", "endpoints", "attachments")
 
 
-@dataclass
 class GraphOfGroups:
-    vertices: dict[str, VertexGroup]
-    edges: list[EdgeSpec]
+    """Vertex groups by vertex id, and the edges; both may be edited in place."""
+
+    __slots__ = ("vertices", "edges")
+
+    def __init__(self, vertices: dict[str, VertexGroup], edges: list[EdgeSpec]):
+        self.vertices = vertices
+        self.edges = edges
+
+    def __eq__(self, other):
+        if type(other) is not GraphOfGroups:
+            return NotImplemented
+        return self.vertices == other.vertices and self.edges == other.edges
 
 
 def incidence(g: GraphOfGroups) -> defaultdict[str, list[tuple[EdgeSpec, int]]]:
@@ -172,12 +180,12 @@ def _trivial_vertices(g: GraphOfGroups, incident) -> list[str]:
     return out
 
 
-@dataclass(frozen=True)
-class OneEndednessVerdict:
-    decision: str  # "one-ended" | "not-one-ended"
-    witness_vertex: str | None = None
-    witness: IndecomposabilityVerdict | None = None
-    reason: str | None = None
+class OneEndednessVerdict(_Record):
+    __slots__ = ("decision", "witness_vertex", "witness", "reason")
+
+    def __init__(self, decision: str, witness_vertex: str | None = None,
+                 witness: IndecomposabilityVerdict | None = None, reason: str | None = None):
+        super().__init__(decision, witness_vertex, witness, reason)
 
     @property
     def is_one_ended(self) -> bool:
@@ -280,7 +288,8 @@ def presentation(g: GraphOfGroups) -> str:
     finds exactly one of its ends reached.  Relations: ``u = v`` for
     tree edges, in the order they join the tree, then ``t u t^-1 = v``
     for non-tree edges, in edge id order.  Opaque vertices have no
-    presentation and are rejected.
+    presentation and are rejected, and more generators than
+    ``DEFAULT_VERTEX_CAP`` raise ResourceCapError before any is named.
     """
     errors = validate(g)
     if errors:
@@ -294,6 +303,11 @@ def presentation(g: GraphOfGroups) -> str:
         for vid, grp in g.vertices.items()
     }
     total = sum(counts.values())
+    # a valid graph is connected, so all but |V| - 1 edges get a stable letter
+    n = total + len(g.edges) - len(g.vertices) + 1
+    if n > DEFAULT_VERTEX_CAP:
+        raise ResourceCapError(f"presentation has {n} generators (cap {DEFAULT_VERTEX_CAP})",
+                               predicted=n, cap=DEFAULT_VERTEX_CAP)
     use_letters = total <= len(_VERTEX_LETTER_POOL)
     separator = "" if use_letters else " "
     # Each vertex's symbol for every letter of its group, built once.
@@ -455,22 +469,36 @@ def _parse_attachment(token: str, group: VertexGroup, ranks, lineno: int):
 
 
 def serialize_gog(g: GraphOfGroups) -> str:
-    """Emit the file format; output re-parses to an equivalent graph."""
+    """Emit the file format; output re-parses to an equivalent graph.
+
+    A vertex id, edge id, label or tag that the format cannot carry is
+    refused with UnsupportedExportError: one that is empty or holds
+    whitespace or ``#``, and the tag ``-``, which reads back as no tag.
+    """
     lines = []
     for vid in sorted(g.vertices):
         grp = g.vertices[vid]
+        vid = _token("vertex id", vid)
         if isinstance(grp, FreeVertex):
             lines.append(f"vertex {vid} free {grp.rank}")
         elif isinstance(grp, CyclicVertex):
             lines.append(f"vertex {vid} cyclic")
         else:
-            label = f" {grp.label}" if grp.label else ""
+            label = f" {_token('label', grp.label)}" if grp.label else ""
             lines.append(f"vertex {vid} opaque{label}")
     for e in g.edges:
         a1 = _format_attachment(e.attachments[0])
         a2 = _format_attachment(e.attachments[1])
-        lines.append(f"edge {e.id} {e.endpoints[0]} {e.endpoints[1]} {a1} {a2}")
+        eid = _token("edge id", e.id)
+        lines.append(f"edge {eid} {e.endpoints[0]} {e.endpoints[1]} {a1} {a2}")
     return "\n".join(lines) + "\n"
+
+
+def _token(kind: str, text: str, *reserved: str) -> str:
+    """``text``, if the file format reads it back as this one token."""
+    if text.split() != [text] or "#" in text or text in reserved:
+        raise UnsupportedExportError(f"{kind} {text!r} cannot be written to the file format")
+    return text
 
 
 def _format_attachment(att) -> str:
@@ -479,7 +507,7 @@ def _format_attachment(att) -> str:
     if isinstance(att, int):
         return str(att)
     if isinstance(att, str):
-        return att
+        return _token("tag", att, "-")
     if all(1 <= abs(x) <= 26 for x in att.letters):
         return format_word(att.letters)
     return ",".join(str(x) for x in att.letters)

@@ -123,17 +123,6 @@ class TreeBall:
             if len(v) <= self.radius - 1:
                 yield u, v
 
-    def neighbors(self, vertex: Word) -> tuple[Word, ...]:
-        """Ball neighbours of a vertex, parent first."""
-        out = []
-        if vertex:
-            out.append(vertex[:-1])
-        if len(vertex) < self.radius:
-            for x in self.alphabet.letters():
-                if not vertex or x != -vertex[-1]:
-                    out.append(vertex + (x,))
-        return tuple(out)
-
     def to_dot(self, name: str = "ball") -> str:
         labels = self.labels()
         lines = [f"graph {name} {{"]

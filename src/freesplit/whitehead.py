@@ -15,9 +15,6 @@ factorisation) or 2-vertex connected (the family is indecomposable).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
-
 from .errors import InternalConsistencyError, InvalidInputError, ResourceCapError
 from .graphs import Multigraph, bitmask_two_connected
 from .tree import DEFAULT_VERTEX_CAP
@@ -26,6 +23,7 @@ from .words import (
     CyclicWord,
     FreeGroupMap,
     MultiplierAutomorphism,
+    _Record,
     letter_index,
     total_cyclic_length,
 )
@@ -92,31 +90,37 @@ def whitehead_moves(alphabet: Alphabet):
             yield MultiplierAutomorphism(alphabet.rank, x, side)
 
 
-@dataclass(frozen=True)
-class TraceStep:
-    automorphism: MultiplierAutomorphism
-    length_before: int
-    length_after: int
+class TraceStep(_Record):
+    """One descent step: the move and the total length before and after it."""
+
+    __slots__ = ("automorphism", "length_before", "length_after")
 
 
-@dataclass(frozen=True)
-class MinimizationTrace:
+class MinimizationTrace(_Record):
     """Record of a greedy descent: the steps taken, in order.
 
     The composite automorphism is only a certificate, and its images can
-    grow far longer than the family, so it is composed on first read.
+    grow far longer than the family, so it is composed on first read and
+    kept in a slot that equality and hashing ignore.
     """
 
-    rank: int
-    steps: tuple[TraceStep, ...]
+    __slots__ = ("rank", "steps", "_composite")
 
-    @cached_property
+    def __init__(self, rank: int, steps: tuple[TraceStep, ...]):
+        super().__init__(rank, steps, None)
+
+    def _key(self) -> tuple:
+        return self.rank, self.steps
+
+    @property
     def composite(self) -> FreeGroupMap:
         """The composition of the steps, the first step applied first."""
-        composite = FreeGroupMap.identity(self.rank)
-        for step in self.steps:
-            composite = composite.then(step.automorphism.to_map())
-        return composite
+        if self._composite is None:
+            composite = FreeGroupMap.identity(self.rank)
+            for step in self.steps:
+                composite = composite.then(step.automorphism.to_map())
+            object.__setattr__(self, "_composite", composite)
+        return self._composite
 
 
 def minimize(alphabet: Alphabet, family) -> tuple[tuple[CyclicWord, ...], MinimizationTrace]:
@@ -165,15 +169,14 @@ def _descend(alphabet: Alphabet, family):
         new_length = total_cyclic_length(current)
         if new_length != length + best_change:
             raise InternalConsistencyError(
-                f"move {best} changed length {length} -> {new_length}, "
-                f"but its cut predicts {length + best_change}"
+                f"move (multiplier {best.multiplier}, side {sorted(best.side)}) changed length"
+                f" {length} -> {new_length}, but its cut predicts {length + best_change}"
             )
         steps.append(TraceStep(best, length, new_length))
         length = new_length
 
 
-@dataclass(frozen=True)
-class IndecomposabilityVerdict:
+class IndecomposabilityVerdict(_Record):
     """Decision plus certificate.
 
     For an indecomposable family the certificate is the minimized family
@@ -183,11 +186,7 @@ class IndecomposabilityVerdict:
     generators from only one side.
     """
 
-    decision: str
-    minimized: tuple[CyclicWord, ...]
-    graph: Multigraph
-    trace: MinimizationTrace
-    bipartition: tuple[frozenset[int], frozenset[int]] | None
+    __slots__ = ("decision", "minimized", "graph", "trace", "bipartition")
 
     @property
     def automorphism(self) -> FreeGroupMap:

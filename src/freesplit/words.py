@@ -13,7 +13,6 @@ generator index ascending with the positive letter first.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .errors import InvalidInputError, ParseError
 
@@ -38,15 +37,43 @@ def invert_word(word) -> Word:
     return tuple(-x for x in reversed(word))
 
 
-@dataclass(frozen=True)
-class Alphabet:
+class _Record:
+    """A value: fields in ``__slots__``, set once, in order, by ``__init__``.
+
+    Records of one class compare and hash by ``_key``, all their fields
+    unless a class says otherwise, and refuse attribute assignment.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        if len(values) != len(self.__slots__):
+            raise TypeError(f"{type(self).__name__} takes {len(self.__slots__)} fields")
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _key(self) -> tuple:
+        return tuple(map(self.__getattribute__, self.__slots__))
+
+    def __eq__(self, other):
+        return self._key() == other._key() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+
+class Alphabet(_Record):
     """The ranked generating set a_1, ..., a_n of a free group."""
 
-    rank: int
+    __slots__ = ("rank",)
 
-    def __post_init__(self):
-        if self.rank < 1:
-            raise InvalidInputError(f"alphabet rank must be >= 1, got {self.rank}")
+    def __init__(self, rank: int):
+        if rank < 1:
+            raise InvalidInputError(f"alphabet rank must be >= 1, got {rank}")
+        super().__init__(rank)
 
     def letters(self) -> tuple[int, ...]:
         """All 2n letters in canonical order: 1, -1, 2, -2, ..."""
@@ -104,7 +131,7 @@ def canonical_rotation(word: Word) -> Word:
     return word[k:] + word[:k]
 
 
-class CyclicWord:
+class CyclicWord(_Record):
     """A cyclically reduced word stored in canonical rotation.
 
     Represents the conjugacy class of a nontrivial element.  Two
@@ -120,7 +147,7 @@ class CyclicWord:
             raise InvalidInputError("cyclic word must be nonempty")
         if not is_cyclically_reduced(letters):
             raise InvalidInputError(f"not cyclically reduced: {letters}")
-        object.__setattr__(self, "letters", canonical_rotation(letters))
+        super().__init__(canonical_rotation(letters))
 
     @classmethod
     def _from_canonical(cls, letters: Word) -> "CyclicWord":
@@ -129,17 +156,11 @@ class CyclicWord:
         object.__setattr__(word, "letters", letters)
         return word
 
-    def __setattr__(self, name, value):
-        raise AttributeError("CyclicWord is immutable")
-
     def __len__(self):
         return len(self.letters)
 
     def __iter__(self):
         return iter(self.letters)
-
-    def __eq__(self, other):
-        return isinstance(other, CyclicWord) and self.letters == other.letters
 
     def __hash__(self):
         return hash(("CyclicWord", self.letters))
@@ -171,11 +192,6 @@ class CyclicWord:
 
     def generator_support(self) -> frozenset[int]:
         return frozenset(abs(x) for x in self.letters)
-
-    def is_proper_power(self) -> bool:
-        """True iff the word equals some nontrivial rotation of itself."""
-        w = self.letters
-        return any(w == w[i:] + w[:i] for i in range(1, len(w)))
 
 
 def conjugacy_class_rep(word: CyclicWord) -> CyclicWord:
@@ -222,7 +238,7 @@ def total_cyclic_length(family) -> int:
 # Automorphisms
 
 
-class FreeGroupMap:
+class FreeGroupMap(_Record):
     """An endomorphism of the free group, given by generator images.
 
     All maps produced by this package are automorphisms (compositions of
@@ -235,8 +251,7 @@ class FreeGroupMap:
         images = tuple(tuple(img) for img in images)
         if len(images) != rank:
             raise InvalidInputError(f"need {rank} generator images, got {len(images)}")
-        self.rank = rank
-        self.images = tuple(free_reduce(img) for img in images)
+        super().__init__(rank, tuple(free_reduce(img) for img in images))
 
     @classmethod
     def identity(cls, rank: int) -> "FreeGroupMap":
@@ -260,23 +275,12 @@ class FreeGroupMap:
         """The composition applying self first, then ``after``."""
         return FreeGroupMap(self.rank, [after.apply(img) for img in self.images])
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, FreeGroupMap)
-            and self.rank == other.rank
-            and self.images == other.images
-        )
-
-    def __hash__(self):
-        return hash((self.rank, self.images))
-
     def __repr__(self):
         imgs = ", ".join(format_word(img) for img in self.images)
         return f"FreeGroupMap({self.rank}, [{imgs}])"
 
 
-@dataclass(frozen=True)
-class MultiplierAutomorphism:
+class MultiplierAutomorphism(_Record):
     """Type II Whitehead automorphism with multiplier x and side set A.
 
     Requires x in A and x^-1 not in A.  Fixes x, and sends every other
@@ -285,18 +289,17 @@ class MultiplierAutomorphism:
     prepends x^-1.)
     """
 
-    rank: int
-    multiplier: int
-    side: frozenset[int]
+    __slots__ = ("rank", "multiplier", "side")
 
-    def __post_init__(self):
-        alphabet = Alphabet(self.rank)
-        alphabet.validate_letters([self.multiplier])
-        alphabet.validate_letters(self.side)
-        if self.multiplier not in self.side:
+    def __init__(self, rank: int, multiplier: int, side: frozenset[int]):
+        alphabet = Alphabet(rank)
+        alphabet.validate_letters([multiplier])
+        alphabet.validate_letters(side)
+        if multiplier not in side:
             raise InvalidInputError("multiplier must belong to the side set")
-        if -self.multiplier in self.side:
+        if -multiplier in side:
             raise InvalidInputError("side set must not contain the multiplier inverse")
+        super().__init__(rank, multiplier, side)
 
     def to_map(self) -> FreeGroupMap:
         x = self.multiplier

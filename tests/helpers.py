@@ -68,6 +68,12 @@ def random_move(rng: random.Random, rank: int) -> MultiplierAutomorphism:
     return MultiplierAutomorphism(rank, x, frozenset(side))
 
 
+def is_proper_power(word: CyclicWord) -> bool:
+    """True iff the word equals some nontrivial rotation of itself."""
+    w = word.letters
+    return any(w == w[i:] + w[:i] for i in range(1, len(w)))
+
+
 def random_clean_family(
     rng: random.Random, rank: int, max_words: int, max_total_length: int
 ) -> tuple[CyclicWord, ...]:
@@ -80,7 +86,7 @@ def random_clean_family(
     """
     while True:
         family = random_family(rng, rank, max_words, max_total_length)
-        if any(w.is_proper_power() for w in family):
+        if any(map(is_proper_power, family)):
             continue
         reps = {conjugacy_class_rep(w) for w in family}
         if len(reps) == len(family):

@@ -162,11 +162,20 @@ class TestBoundedRefusals:
         assert code == 2 and out == ""
         assert err == "error: Whitehead graph of rank 1000001 has 2000002 vertices (cap 2000000)\n"
 
+    def test_presentation_generators_refused(self, capsys, tmp_path):
+        # rank 2,000,000 plus the cyclic vertex's generator is one past the cap
+        path = tmp_path / "over_cap.gog"
+        path.write_text(self.BIG_RANK_GOG.replace("400000000", "2000000"))
+        code, out, err = run(capsys, "present", str(path))
+        assert code == 2 and out == ""
+        assert err == "error: presentation has 2000001 generators (cap 2000000)\n"
+
     @pytest.mark.parametrize("argv", [
         ("tree", "ball", "--rank", "2", "--radius", "10000"),
         ("tree", "ball", "--rank", "2", "--radius", "100000000"),
         ("indecomposable", "--rank", "400000000", "ab"),
         ("one-ended", None),
+        ("present", None),
     ])
     def test_refusal_in_bounded_memory(self, tmp_path, argv):
         if argv[-1] is None:

@@ -511,6 +511,29 @@ class TestFileFormat:
         assert serialize_gog(back) == text
         assert one_ended(back).decision == one_ended(g).decision
 
+    @staticmethod
+    def opaque_edge(vid="v", eid="e", label="", tag="t"):
+        """A valid graph: an opaque vertex joined to a cyclic one."""
+        return GraphOfGroups({vid: OpaqueVertex(label), "w": CyclicVertex()},
+                             [EdgeSpec(eid, (vid, "w"), (tag, 1))])
+
+    @pytest.mark.parametrize("field, value", [
+        ("vid", ""), ("vid", "v 1"), ("vid", "v#1"),
+        ("eid", ""), ("eid", "e\t1"), ("eid", "#e"),
+        ("label", "a b"), ("label", "#c"), ("label", "x\u2028y"),
+        ("tag", ""), ("tag", "a#b"), ("tag", "a b"), ("tag", "-"),
+    ])
+    def test_unwritable_tokens_refused(self, field, value):
+        g = self.opaque_edge(**{field: value})
+        assert validate(g) == []
+        with pytest.raises(UnsupportedExportError):
+            serialize_gog(g)
+
+    @pytest.mark.parametrize("label, tag", [("", "t"), ("-", "t"), ("x", None), ("a-b", "t-")])
+    def test_writable_tokens_round_trip(self, label, tag):
+        g = self.opaque_edge(label=label, tag=tag)
+        assert parse_gog(serialize_gog(g)) == g
+
     def test_comments_and_blank_lines(self):
         text = """
         # a surface group double

@@ -2,6 +2,8 @@
 
 The README ``## Library`` block is run statement by statement, and each
 statement with a trailing ``# <value>`` comment must evaluate to that value.
+Every record value refuses attribute assignment, as README says, while a
+graph of groups stays editable.
 ``bench/worker.py`` wraps the functions named in its ``TARGETS`` list; the
 list is read with ``ast`` (the worker is not imported) and every name must
 resolve in freesplit.
@@ -11,6 +13,15 @@ import ast
 import importlib
 import re
 from pathlib import Path
+
+import pytest
+
+from freesplit import (
+    Alphabet, CyclicVertex, EdgeSpec, FreeGroupMap, FreeVertex, OpaqueVertex, analyze_subtree,
+    build_ball, decide_indecomposable, double, enumerate_axes, family_from_texts,
+    lemma33_certificate, minimize, one_ended, parse_gog,
+)
+from freesplit.words import _Record
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -53,3 +64,55 @@ def test_benchmark_targets_resolve():
             assert hasattr(owner, part), f"freesplit.{module_name}.{attribute}"
             owner = getattr(owner, part)
         assert callable(owner), f"freesplit.{module_name}.{attribute}"
+
+
+def record_samples() -> dict:
+    """One value of every record class, by class name, built through the library."""
+    alphabet = Alphabet(2)
+    family = family_from_texts(alphabet, ["abAB"])
+    _, trace = minimize(alphabet, family_from_texts(alphabet, ["aab"]))
+    ball = build_ball(alphabet, 3)
+    axes = enumerate_axes(family, ball)
+    analysis = analyze_subtree(ball, [(), (1,)], axes)
+    graph = double(alphabet, family)
+    shared = parse_gog("vertex u free 2\nvertex v free 2\nedge e u v ab ab\n")
+    assert shared.vertices["u"] is shared.vertices["v"]
+    return {
+        "Alphabet": alphabet,
+        "CyclicWord": family[0],
+        "FreeGroupMap": FreeGroupMap.identity(2),
+        "MultiplierAutomorphism": trace.steps[0].automorphism,
+        "TraceStep": trace.steps[0],
+        "MinimizationTrace": trace,
+        "IndecomposabilityVerdict": decide_indecomposable(alphabet, family),
+        "StarCertificate": lemma33_certificate(ball, axes),
+        "Interval": analysis.intervals[0],
+        "SubtreeAnalysis": analysis,
+        "FreeVertex": FreeVertex(2),
+        "CyclicVertex": CyclicVertex(),
+        "OpaqueVertex": OpaqueVertex("x"),
+        "EdgeSpec": graph.edges[0],
+        "OneEndednessVerdict": one_ended(graph),
+        "shared FreeVertex": shared.vertices["u"],
+        "GraphOfGroups": graph,
+    }
+
+
+RECORD_CLASSES = sorted(cls.__name__ for cls in _Record.__subclasses__())
+
+
+@pytest.mark.parametrize("name", [*RECORD_CLASSES, "shared FreeVertex", "GraphOfGroups"])
+def test_records_refuse_assignment_and_graphs_stay_editable(name):
+    value = record_samples()[name]
+    assert type(value).__name__ == name.removeprefix("shared ")
+    if name == "GraphOfGroups":
+        value.vertices["w"] = CyclicVertex()
+        value.edges.append(EdgeSpec("e9", ("v1", "w"), (value.edges[0].attachments[0], 1)))
+        value.edges = value.edges[1:]
+        assert "w" in value.vertices and value.edges[-1].id == "e9"
+        return
+    before = {field: getattr(value, field) for field in type(value).__slots__}
+    for field in [*before, "extra"]:
+        with pytest.raises(AttributeError):
+            setattr(value, field, None)
+    assert {field: getattr(value, field) for field in before} == before

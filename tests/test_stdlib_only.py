@@ -9,13 +9,14 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 # Imports every freesplit module except __main__ (which runs the CLI) and
-# prints the top-level names of all loaded modules.
+# prints the top-level names of all loaded modules.  The modules are listed
+# with os, not pkgutil, whose module listing imports inspect itself.
 PROBE = """
-import json, pkgutil, sys
+import json, os, sys
 import freesplit
-for info in pkgutil.iter_modules(freesplit.__path__):
-    if info.name != "__main__":
-        __import__("freesplit." + info.name)
+for name in os.listdir(freesplit.__path__[0]):
+    if name.endswith(".py") and name not in ("__init__.py", "__main__.py"):
+        __import__("freesplit." + name[:-3])
 print(json.dumps(sorted({name.split(".")[0] for name in sys.modules})))
 """
 
@@ -34,3 +35,5 @@ def test_runtime_loads_only_stdlib_modules():
         if name not in sys.stdlib_module_names and name not in ("freesplit", "__main__")
     ]
     assert foreign == []
+    # dataclasses alone pulls in inspect, ast, dis and tokenize at every start
+    assert "dataclasses" not in loaded and "inspect" not in loaded

@@ -370,13 +370,13 @@ class TestLazyComposite:
         _, trace = minimize(alphabet, family)
         verdict = decide_indecomposable(alphabet, family)
         assert len(trace.steps) == 3
-        assert "composite" not in vars(trace)
-        assert "composite" not in vars(verdict.trace)
+        assert trace._composite is None
+        assert verdict.trace._composite is None
         folded = FreeGroupMap.identity(3)
         for step in trace.steps:
             folded = folded.then(step.automorphism.to_map())
         assert trace.composite == folded
-        assert "composite" in vars(trace)
+        assert trace._composite is trace.composite
         assert verdict.automorphism is verdict.trace.composite
         assert verdict.automorphism == folded
 

@@ -174,10 +174,10 @@ class TestCyclicWord:
         assert conjugacy_class_rep(CW("A")) == CW("a")
 
     def test_proper_power_detection(self):
-        assert CW("abab").is_proper_power()
-        assert CW("aa").is_proper_power()
-        assert not CW("ab").is_proper_power()
-        assert not CW("abAB").is_proper_power()
+        assert helpers.is_proper_power(CW("abab"))
+        assert helpers.is_proper_power(CW("aa"))
+        assert not helpers.is_proper_power(CW("ab"))
+        assert not helpers.is_proper_power(CW("abAB"))
 
 
 class TestTotalCyclicLength:
