@@ -64,7 +64,8 @@ class Multigraph:
         """Minimum s-t edge cut with multiplicities as capacities.
 
         Edmonds-Karp: augment along shortest residual paths until t is
-        unreachable.  Returns the cut value and the source side, the
+        unreachable, on residual capacities kept as one dict row per
+        vertex position.  Returns the cut value and the source side, the
         vertices reachable from s in the final residual graph.  That side
         is contained in the source side of every minimum cut.  Loops
         never cross a cut and are ignored.
@@ -72,17 +73,17 @@ class Multigraph:
         source, sink = self._index.get(s), self._index.get(t)
         if source is None or sink is None or source == sink:
             raise InvalidInputError(f"min cut needs two distinct vertices: {s!r}, {t!r}")
-        residual = {}
+        residual = [{} for _ in self._order]
         for (u, v), m in self._mult.items():
             if u != v:
-                residual[u, v] = residual[v, u] = m
+                residual[u][v] = residual[v][u] = m
         value = 0
         while True:
             parent = {source: None}
             queue = [source]
             for u in queue:
-                for w in self._adj[u]:
-                    if w not in parent and residual[u, w]:
+                for w, capacity in residual[u].items():
+                    if capacity and w not in parent:
                         parent[w] = u
                         queue.append(w)
                 if sink in parent:
@@ -94,10 +95,10 @@ class Multigraph:
             while w != source:
                 path.append((parent[w], w))
                 w = parent[w]
-            push = min(residual[e] for e in path)
+            push = min(residual[u][w] for u, w in path)
             for u, w in path:
-                residual[u, w] -= push
-                residual[w, u] += push
+                residual[u][w] -= push
+                residual[w][u] += push
             value += push
 
     def _search(self) -> tuple[tuple[frozenset, ...], tuple]:

@@ -7,13 +7,16 @@ multiplicity therefore equals the total cyclic length of the family.
 
 Minimization greedily applies the multiplier-type Whitehead automorphism
 that most reduces total cyclic length, until none does; the best move for
-each multiplier is a minimum cut in the Whitehead graph.  On a minimal
-family the graph is either disconnected (the family can be conjugated
-into a proper free factor, and the component structure exhibits the
+each multiplier is a minimum cut in the Whitehead graph, one per
+generator, since x and x^-1 change length alike.  On a minimal family
+the graph is either disconnected (the family can be conjugated into a
+proper free factor, and the component structure exhibits the
 factorisation) or 2-vertex connected (the family is indecomposable).
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 from .errors import InternalConsistencyError, InvalidInputError, ResourceCapError
 from .graphs import Multigraph, bitmask_two_connected
@@ -35,6 +38,7 @@ DECOMPOSABLE = "decomposable"
 def build_whitehead_graph(alphabet: Alphabet, family) -> Multigraph:
     """Whitehead graph of a family (multiset) of cyclic words, on the 2n letters.
 
+    Each distinct edge is added once, with its count of cyclic pairs.
     Refuses with ResourceCapError, before any letter is listed, when the
     2n vertices exceed the ball's default vertex budget.
     """
@@ -42,11 +46,15 @@ def build_whitehead_graph(alphabet: Alphabet, family) -> Multigraph:
         raise ResourceCapError(f"Whitehead graph of rank {alphabet.rank} has {2 * alphabet.rank}"
                                f" vertices (cap {DEFAULT_VERTEX_CAP})",
                                predicted=2 * alphabet.rank, cap=DEFAULT_VERTEX_CAP)
-    graph = Multigraph(alphabet.letters(), allow_loops=False)
+    pairs = Counter()
     for word in family:
-        alphabet.validate_letters(word.letters)
-        for x, y in word.cyclic_pairs():
-            graph.add_edge(x, -y)
+        letters = word.letters
+        alphabet.validate_letters(letters)
+        pairs.update(zip(letters, letters[1:] + letters[:1]))
+    graph = Multigraph(alphabet.letters(), allow_loops=False)
+    for (x, y), count in pairs.items():
+        # the cyclic pair (x, y) joins x to y^-1
+        graph.add_edge(x, -y, count)
     return graph
 
 
@@ -129,14 +137,17 @@ def minimize(alphabet: Alphabet, family) -> tuple[tuple[CyclicWord, ...], Minimi
     A multiplier move (x, A) changes total length by cap(A) - deg(x) in
     the Whitehead graph, where cap(A) counts the edges with exactly one
     end in A.  So the best move with multiplier x is a minimum cut
-    between x and x^-1, and each step solves 2n max-flow problems on the
-    Whitehead graph of the current family.  The step applies the best
-    strict reducer: the first multiplier in canonical order on ties, with
-    the inclusion-minimal minimum cut as side set, which is also the
-    first such side in ``whitehead_moves`` order.  Only multiplier moves
-    are searched: permutation-type automorphisms preserve length and
-    cannot help the descent.  The trace length is at most the initial
-    total length.
+    between x and x^-1.  An occurrence of a letter z puts one edge end at
+    z and one at z^-1, so deg(x) = deg(x^-1), and that cut has one value
+    both ways: x^-1 changes length exactly as x does.  So each step
+    solves n max-flow problems, one per generator, on the Whitehead graph
+    of the current family.  The step applies the best strict reducer:
+    the first multiplier in canonical order on ties, never an inverse
+    letter, with the inclusion-minimal minimum cut as side set, which is
+    also the first such side in ``whitehead_moves`` order.  Only
+    multiplier moves are searched: permutation-type automorphisms
+    preserve length and cannot help the descent.  The trace length is at
+    most the initial total length.
     """
     minimized, trace, _ = _descend(alphabet, family)
     return minimized, trace
@@ -156,7 +167,7 @@ def _descend(alphabet: Alphabet, family):
         best = None
         best_change = 0
         degrees = graph.degrees()
-        for x in alphabet.letters():
+        for x in range(1, alphabet.rank + 1):
             cut, side = graph.min_cut(x, -x)
             change = cut - degrees[x]
             if change < best_change:

@@ -83,9 +83,9 @@ class Alphabet(_Record):
         return letter != 0 and abs(letter) <= self.rank
 
     def validate_letters(self, letters) -> None:
-        for x in letters:
-            if not isinstance(x, int) or not self.contains(x):
-                raise InvalidInputError(f"letter {x!r} outside alphabet of rank {self.rank}")
+        if not _within_rank(letters, self.rank):
+            x = next(x for x in letters if not _within_rank((x,), self.rank))
+            raise InvalidInputError(f"letter {x!r} outside alphabet of rank {self.rank}")
 
 
 def free_reduce(letters) -> Word:
@@ -183,12 +183,6 @@ class CyclicWord(_Record):
         """All distinct rotations, as linear words."""
         w = self.letters
         return tuple({w[i:] + w[:i] for i in range(len(w))})
-
-    def cyclic_pairs(self):
-        """Adjacent letter pairs read cyclically, including the wrap pair."""
-        w = self.letters
-        for i in range(len(w)):
-            yield w[i], w[(i + 1) % len(w)]
 
     def generator_support(self) -> frozenset[int]:
         return frozenset(abs(x) for x in self.letters)
@@ -355,7 +349,7 @@ def parse_word(text: str, alphabet: Alphabet) -> Word:
 
 
 def _within_rank(letters, rank: int) -> bool:
-    """``Alphabet(rank).validate_letters(letters)`` as a test, without the Alphabet."""
+    """Whether every letter is a nonzero int of absolute value at most rank."""
     for x in letters:
         if not isinstance(x, int) or x == 0 or not -rank <= x <= rank:
             return False

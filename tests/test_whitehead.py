@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import networkx as nx
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from freesplit.cli import main
 from freesplit.errors import InvalidInputError
+from freesplit.graphs import Multigraph
 from freesplit.gog import NOT_ONE_ENDED, double, one_ended
 from freesplit.whitehead import (
     DECOMPOSABLE,
@@ -25,6 +27,7 @@ from freesplit.words import (
     FreeGroupMap,
     MultiplierAutomorphism,
     cyclic_reduce,
+    format_word,
     free_reduce,
     parse_word,
     total_cyclic_length,
@@ -244,6 +247,59 @@ class TestMinimize:
                 moved = tuple(mapping.apply_cyclic(w) for w in family)
                 change = total_cyclic_length(moved) - total_cyclic_length(family)
                 assert change == cap - degrees[move.multiplier]
+
+    def test_inverse_multiplier_changes_length_alike(self):
+        # deg(x) = deg(x^-1) and one cut value both ways, so the descent
+        # never needs, and never takes, an inverse letter as multiplier
+        rng = random.Random(79)
+        for _ in range(120):
+            rank = rng.randint(1, 6)
+            alphabet = Alphabet(rank)
+            family = helpers.random_family(rng, rank, 4, 4 * rank + 8)
+            graph = build_whitehead_graph(alphabet, family)
+            degrees = graph.degrees()
+            for x in alphabet.letters():
+                assert degrees[x] == degrees[-x]
+                assert graph.min_cut(x, -x)[0] == graph.min_cut(-x, x)[0]
+            for _ in range(3):
+                move = helpers.random_move(rng, rank).to_map()
+                family = tuple(move.apply_cyclic(w) for w in family)
+            _, trace = minimize(alphabet, family)
+            assert all(step.automorphism.multiplier > 0 for step in trace.steps)
+
+    def test_one_flow_per_generator(self, monkeypatch):
+        solved = []
+        min_cut = Multigraph.min_cut
+
+        def counted(graph, s, t):
+            solved.append((s, t))
+            return min_cut(graph, s, t)
+
+        monkeypatch.setattr(Multigraph, "min_cut", counted)
+        _, trace = minimize(Alphabet(3), fam("aab", "abcb", rank=3))
+        assert len(trace.steps) == 3
+        # one flow per generator in each of the k steps and the final check
+        assert solved == [(1, -1), (2, -2), (3, -3)] * 4
+
+    @pytest.mark.parametrize("seed, rank, steps, digest", [
+        (6, 6, 5, "7e038cd6f0cd305a7c72b34a55f31c6bbcd05dc882ecdabcd180356c9762debd"),
+        (8, 8, 10, "f5a4ca24b9bfd10e5550e496666b0994f266e44873eb8a5c8ce1e43db0809495"),
+        (10, 10, 19, "866eca916032d9c61ba0243d6b29893bf829ab18a4391f3debdd4df341bf5660"),
+    ])
+    def test_traces_above_the_oracle_ranks(self, capsys, seed, rank, steps, digest):
+        # the exhaustive scan stops at rank 4; these JSON reports of seeded
+        # multi-step descents at ranks 6-10 are pinned to their sha256
+        rng = random.Random(seed)
+        family = helpers.random_family(rng, rank, 3, 3 * rank)
+        for _ in range(4):
+            move = helpers.random_move(rng, rank).to_map()
+            family = tuple(move.apply_cyclic(w) for w in family)
+        _, trace = minimize(Alphabet(rank), family)
+        assert len(trace.steps) == steps
+        texts = [format_word(w.letters) for w in family]
+        assert main(["minimize", "--rank", str(rank), "--format", "json", *texts]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_reducible_pair(self):
         minimized, trace = minimize(ALPH2, fam("ab", "b"))
