@@ -1,28 +1,25 @@
-"""Axes of conjugates in the Cayley tree and the subtree analyses on them.
+"""Lines of conjugates in the Cayley tree and the subtree analyses on them.
 
-An axis is the invariant line of a conjugate of a family word.  It is
-represented by its nearest vertex to the origin (``base``) together
-with the periodic letter sequence read from the base along the line in
-the lexicographically smaller of the two directions (``period``).  Two
-axis objects are equal exactly when they describe the same line; the
-period is anchored at the base, so it is a specific rotation of the
-generating word or of its inverse, not a rotation class.
+A line is the invariant axis of a conjugate of a family word, keyed by
+its nearest vertex to the origin (its base) and the letters read from
+the base along it in the lexicographically smaller direction (its
+period, a rotation of the word or of its inverse).  A vertex u and a
+period p, read forward as p^oo and backward as (p^-1)^oo, span a line
+based at u exactly when neither direction cancels the last letter of u.
 
-Enumeration generates each line meeting the ball once, from its base.
-The base of such a line is its nearest vertex to the origin, so it lies
-in the ball; conversely a vertex u and a period p, read forward as p^oo
-and backward as (p^-1)^oo, span a line based at u exactly when neither
-direction cancels against the last letter of u.  An axis keeps its
-base, its base's vertex id and its period; its trace is read off the
-ball by id when asked for.
-
-The per-edge counts, the star certificate and the class profile run on
-vertex ids (see ``tree``): each period's rays are turned once into id
-steps, so walking a line from its base is integer arithmetic, counts and
-stars are flat lists indexed by id, a star is an int with one bit per
-letter pair, tested on adjacency bitmasks over the 2n letters, and the
-profile is a union-find over ids.  Words appear
-only in what these functions return.
+The generator ``_lines`` yields each line meeting the ball once, as a
+tuple: base id (see ``tree``), last letter, reach (radius - |base|) and
+the period's ``_Rays``, the rays turned once into id steps and star pair
+codes.  It builds no object per line and skips the bases on the outer
+sphere, most of the ball, whose lines have no edge in it.  The per-edge
+counts, the star graph, the star certificate and the class profile each
+read that stream in one loop: counts and stars are flat lists indexed
+by id, a star is an int with one bit per letter pair, tested on
+adjacency bitmasks over the 2n letters, and the profile is a union-find
+over ids.  Only ``enumerate_axes`` builds ``Axis`` objects, one per
+line, sphere bases included, for ``tree axes`` and the subtree analysis;
+the functions that take axes turn them back into the stream and refuse
+axes traced in a ball of another rank or radius.
 
 The subtree analysis computes, for a finite subtree S, the intervals
 axis-by-axis, the interval-gluing graph on interval endpoints, and the
@@ -45,15 +42,17 @@ class _Rays:
     The forward ray reads period^oo from the base, the backward ray
     (period^-1)^oo.  Per ray, ``first`` is the letter index of its first
     letter, whose id step depends on the base, and ``steps`` are the id
-    steps (``tree.child_step``) of its later letters.  ``pairs`` are the
-    star pair codes, by letter index a * 2n + b, of the ray's vertices
-    1 .. radius - 1 from the base, and ``origin`` is the code at the base.
+    steps (``tree.child_step``) of its later letters.  A line reading u
+    into a vertex and v out of it gives the vertex the star pair {u, v^-1}
+    (the Whitehead-graph rule for ``u v``), coded a * 2n + b by letter
+    index: ``origin`` at the base, ``pairs`` at 1 .. radius - 1 steps out.
     """
 
-    __slots__ = ("ball", "first", "steps", "pairs", "origin")
+    __slots__ = ("ball", "period", "first", "steps", "pairs", "origin")
 
     def __init__(self, period: Word, ball: TreeBall):
         self.ball = ball
+        self.period = period
         m, length = 2 * ball.alphabet.rank, ball.radius + 1
         repeats = length // len(period) + 1
         rays = [[letter_index(x) for x in (word * repeats)[:length]]
@@ -97,19 +96,20 @@ class Axis:
         if not reach:
             return (self.base,)
         vertices = self.rays.ball.vertices
-        forward, backward = _ray_ids(self, reach)
+        last = letter_index(self.base[-1]) if self.base else -1
+        forward, backward = _ray_ids(self.base_id, last, self.rays, reach)
         return (tuple(vertices[v] for v in reversed(backward)) + (self.base,)
                 + tuple(vertices[v] for v in forward))
 
 
-def _ray_ids(axis: Axis, steps: int) -> list[list[int]]:
+def _ray_ids(base_id: int, last: int, rays: _Rays, steps: int) -> list[list[int]]:
     """Ids of the vertices 1 .. steps (at least 1) from the base, forward and backward."""
-    rays = axis.rays
     branch = rays.ball.branch
-    last = letter_index(axis.base[-1]) if axis.base else -1
+    # tree.child_step inlined: 2 + the letter index, less 1 past last's inverse
+    root, inverse = branch * base_id + 2, last ^ 1
     out = []
     for first, later in zip(rays.first, rays.steps):
-        v = branch * axis.base_id + child_step(last, first)
+        v = root + first - (first > inverse)
         ids = [v]
         for step in later[:steps - 1]:
             v = branch * v + step
@@ -118,62 +118,75 @@ def _ray_ids(axis: Axis, steps: int) -> list[list[int]]:
     return out
 
 
-def enumerate_axes(family, ball: TreeBall) -> tuple[Axis, ...]:
-    """All distinct axes of conjugates of family words meeting the ball.
+def _lines(family, ball: TreeBall, sphere: bool = False):
+    """(base id, last, reach, rays) per line of the family's conjugates in the ball.
 
-    Each line is generated once, from its base u: for every canonical
-    period p (a rotation of a family word or of its inverse, whichever
-    is smaller under ``word_key``), (u, p) is a line based at u exactly
-    when p does not start with u's last letter inverted and does not end
-    with u's last letter.  A word, its inverse and its conjugates give
-    the same periods, so their lines are generated once; a proper power
-    keeps its own, longer periods.  The ball lists its vertices in id
-    order, which is (length, ``word_key``) order, and the periods are
-    sorted once, so the axes come out in order of base length, base
-    ``word_key`` and period ``word_key``.
+    ``last`` is the letter index of the base's last letter (-1 at the
+    root) and ``reach`` is radius - |base|, 0 only with ``sphere``.  Each
+    period is a rotation of a family word or of its inverse, whichever is
+    smaller under ``word_key``, so conjugates and inverses share lines and
+    a proper power keeps its own.  Lines come by base id, which is
+    (length, ``word_key``) order, then by period ``word_key``.
     """
     family = tuple(family)
     for w in family:
         if not isinstance(w, CyclicWord):
             raise InvalidInputError(f"family members must be CyclicWord, got {w!r}")
         ball.alphabet.validate_letters(w.letters)
-    periods = sorted(
-        {min(r, invert_word(r), key=word_key) for w in family for r in w.rotations()},
-        key=word_key,
-    )
-    periods = [(p, _Rays(p, ball)) for p in periods]
-    # the periods after each last letter x sit at list index x, the root's at 0
-    rank = ball.alphabet.rank
-    admissible = [[(p, rays) for p, rays in periods if p[0] != -x and p[-1] != x]
-                  for x in [*range(rank + 1), *range(-rank, 0)]]
+    periods = {min(r, invert_word(r), key=word_key) for w in family for r in w.rotations()}
+    rays = [_Rays(p, ball) for p in sorted(periods, key=word_key)]
+    m = 2 * ball.alphabet.rank
+    # rows by the last letter index of the base, the root's last (index -1):
+    # a period extends a base when neither ray's first letter cancels it
+    admissible = [[r for r in rays if x ^ 1 not in r.first] for x in range(m)] + [rays]
+    children = [[x for x in range(m) if x != last ^ 1] for last in range(m)] + [range(m)]
+    # the last letter indices of one sphere's vertices, in id order
+    v, level = 0, [-1]
+    for reach in range(ball.radius, -1 if sphere else 0, -1):
+        if v:
+            level = [x for last in level for x in children[last]]
+        for last in level:
+            for r in admissible[last]:
+                yield v, last, reach, r
+            v += 1
+
+
+def _axis_lines(ball: TreeBall, axes):
+    """The axes with an edge in the ball as ``_lines`` tuples; refuses another ball's axes."""
+    shape = (ball.alphabet.rank, ball.radius)
+    for axis in axes:
+        rays = axis.rays
+        if rays.ball is not ball and (rays.ball.alphabet.rank, rays.ball.radius) != shape:
+            raise InvalidInputError(f"axis not in a ball of rank {shape[0]}, radius {shape[1]}")
+        reach = ball.radius - len(axis.base)
+        if reach > 0:
+            yield axis.base_id, letter_index(axis.base[-1]) if axis.base else -1, reach, rays
+
+
+def enumerate_axes(family, ball: TreeBall) -> tuple[Axis, ...]:
+    """All distinct axes of conjugates of family words meeting the ball, in ``_lines`` order."""
     vertices = ball.vertices
-    return tuple([Axis((), p, 0, rays) for p, rays in admissible[0]]
-                 + [Axis(u, p, i, rays) for i, u in enumerate(vertices[1:], 1)
-                    for p, rays in admissible[u[-1]]])
+    return tuple([Axis(vertices[v], rays.period, v, rays)
+                  for v, _, _, rays in _lines(family, ball, sphere=True)])
+
+
+def _child_counts(ball: TreeBall, lines) -> list[int]:
+    counts = [0] * len(ball.vertices)
+    for base_id, last, reach, rays in lines:
+        for ids in _ray_ids(base_id, last, rays, reach):
+            for v in ids:
+                counts[v] += 1
+    return counts
 
 
 def child_counts(ball: TreeBall, axes) -> list[int]:
     """Axes through each ball edge, by the id of the edge's child vertex (0 at the root)."""
-    counts = [0] * len(ball.vertices)
-    radius = ball.radius
-    for axis in axes:
-        reach = radius - len(axis.base)
-        if reach > 0:
-            for ids in _ray_ids(axis, reach):
-                for v in ids:
-                    counts[v] += 1
-    return counts
+    return _child_counts(ball, _axis_lines(ball, axes))
 
 
 def edge_arc_count(edge, axes) -> int:
     """Number of distinct axes whose ball trace contains the edge."""
-    axes = tuple(axes)
-    words = sorted({tuple(v) for v in edge}, key=len)
-    if not axes or len(words) != 2 or words[1][:-1] != words[0]:
-        return 0
-    ball = axes[0].rays.ball
-    child = ball.index(words[1])
-    return 0 if child is None else child_counts(ball, axes)[child]
+    return edge_counts(axes).get(frozenset(tuple(v) for v in edge), 0)
 
 
 def edge_counts(axes) -> dict[frozenset, int]:
@@ -190,24 +203,25 @@ def edge_counts(axes) -> dict[frozenset, int]:
 # Star graphs and the 2-vertex-connectivity certificate
 
 
-def _star_pairs(axes):
-    """The vertex ids and pair codes of the vertices interior to each axis's trace.
-
-    An axis passing a vertex p reads some letter u into p and some
-    letter v out of it; the recorded pair is {u, v^-1}, matching the
-    Whitehead-graph rule for the cyclic substring ``u v``, and its code
-    is index(u) * 2n + index(v^-1).  The pair is independent of the
-    traversal direction.  Axes come in the order given, and each axis's
-    vertices from the base outward.  Yields them in chunks, as (ids,
-    codes) list pairs.
-    """
-    for axis in axes:
-        rays = axis.rays
-        reach = rays.ball.radius - len(axis.base)
-        if reach > 0:
-            yield [axis.base_id], [rays.origin]
-            if reach > 1:
-                yield from zip(_ray_ids(axis, reach - 1), rays.pairs)
+def _star_graph(ball: TreeBall, lines, center: Word) -> Multigraph:
+    center = tuple(center)
+    target = ball.index(center)
+    if target is None or len(center) > ball.radius - 1:
+        raise InvalidInputError(f"star of {center} does not lie inside the ball")
+    codes = []
+    for base_id, last, reach, rays in lines:
+        # a line meets the center's sphere this many steps out from its base
+        steps = reach - ball.radius + len(center)
+        if base_id == target:
+            codes.append(rays.origin)
+        elif steps > 0:
+            ends = [ids[-1] for ids in _ray_ids(base_id, last, rays, steps)]
+            codes += [pairs[steps - 1] for v, pairs in zip(ends, rays.pairs) if v == target]
+    letters = ball.alphabet.letters()
+    graph = Multigraph(letters, allow_loops=False)
+    for code in codes:
+        graph.add_edge(*(letters[i] for i in divmod(code, len(letters))))
+    return graph
 
 
 def star_graph(ball: TreeBall, axes, center: Word) -> Multigraph:
@@ -219,17 +233,7 @@ def star_graph(ball: TreeBall, axes, center: Word) -> Multigraph:
     is the gluing graph of the star, and it coincides with the
     word-level Whitehead graph of the family.
     """
-    center = tuple(center)
-    if len(center) > ball.radius - 1:
-        raise InvalidInputError(f"star of {center} does not lie inside the ball")
-    target = ball.index(center)
-    letters = ball.alphabet.letters()
-    graph = Multigraph(letters, allow_loops=False)
-    for ids, codes in _star_pairs(axes):
-        for v, code in zip(ids, codes):
-            if v == target:
-                graph.add_edge(*(letters[i] for i in divmod(code, len(letters))))
-    return graph
+    return _star_graph(ball, _axis_lines(ball, axes), center)
 
 
 class StarCertificate(_Record):
@@ -261,21 +265,17 @@ def _adjacency(star: int, m: int) -> list[int]:
     return rows
 
 
-def lemma33_certificate(ball: TreeBall, axes) -> StarCertificate:
-    """Check 2-vertex connectivity of the star graph at every interior vertex.
-
-    Each interior star is one int per vertex id, with bit a * 2n + b set
-    for each of its pairs (a, b) (see ``_star_pairs``).  Connectivity
-    ignores multiplicities, and the verdict depends on that mask alone, so
-    each distinct mask is tested once, on the adjacency bitmasks it gives.
-    """
+def _certificate(ball: TreeBall, lines) -> StarCertificate:
     if ball.radius < 2:
         raise InvalidInputError("certificate needs radius >= 2")
     m = 2 * ball.alphabet.rank
     stars = [0] * ball.offsets[ball.radius]
-    for ids, codes in _star_pairs(axes):
-        for v, code in zip(ids, codes):
-            stars[v] |= 1 << code
+    for base_id, last, reach, rays in lines:
+        stars[base_id] |= 1 << rays.origin
+        if reach > 1:
+            for ids, codes in zip(_ray_ids(base_id, last, rays, reach - 1), rays.pairs):
+                for v, code in zip(ids, codes):
+                    stars[v] |= 1 << code
     verdicts = {}
     for v, star in enumerate(stars):
         ok = verdicts.get(star)
@@ -284,6 +284,17 @@ def lemma33_certificate(ball: TreeBall, axes) -> StarCertificate:
         if not ok:
             return StarCertificate(False, ball.vertices[v])
     return StarCertificate(True, None)
+
+
+def lemma33_certificate(ball: TreeBall, axes) -> StarCertificate:
+    """Check 2-vertex connectivity of the star graph at every interior vertex.
+
+    Each interior star is one int per vertex id, with bit a * 2n + b set
+    for each of its pairs (a, b) (see ``_Rays``).  Connectivity
+    ignores multiplicities, and the verdict depends on that mask alone, so
+    each distinct mask is tested once, on the adjacency bitmasks it gives.
+    """
+    return _certificate(ball, _axis_lines(ball, axes))
 
 
 # ---------------------------------------------------------------------------
@@ -402,13 +413,11 @@ def class_count_profile(
             i = parent[i]
         return i
 
-    for axis in enumerate_axes(family, ball):
-        reach = max_radius - len(axis.base)
-        if reach > 0:
-            for a, b in zip(*_ray_ids(axis, reach)):
-                a, b = find(a), find(b)
-                if a != b:
-                    parent[a] = b
+    for base_id, last, reach, rays in _lines(family, ball):
+        for a, b in zip(*_ray_ids(base_id, last, rays, reach)):
+            a, b = find(a), find(b)
+            if a != b:
+                parent[a] = b
     offsets = ball.offsets
     return tuple(
         (radius, sum(1 for v in range(offsets[radius], offsets[radius + 1]) if parent[v] == v))

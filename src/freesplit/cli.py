@@ -147,11 +147,11 @@ def _cmd_basis(args):
             ["BASIS" if ok else "NOT A BASIS"], None)
 
 
-def _tree_axes(args):
-    """The ball (radius 3 unless given) and the axes meeting it."""
+def _tree_lines(args):
+    """The ball (radius 3 unless given) and the lines based strictly inside it."""
     radius = args.radius if args.radius is not None else 3
     ball = tree.build_ball(Alphabet(args.rank), radius, cap=args.cap)
-    return ball, arcs.enumerate_axes(args.words, ball)
+    return ball, arcs._lines(args.words, ball)
 
 
 def _cmd_tree_ball(args):
@@ -169,7 +169,8 @@ def _cmd_tree_profile(args):
 
 
 def _cmd_tree_axes(args):
-    ball, axes = _tree_axes(args)
+    ball = _tree_lines(args)[0]
+    axes = arcs.enumerate_axes(args.words, ball)
     # labels of the bases by vertex id, and of each period once
     labels = ball.labels()
     periods = {p: format_word(p) for p in {a.period for a in axes}}
@@ -189,8 +190,8 @@ def _cmd_tree_axes(args):
 
 
 def _cmd_tree_counts(args):
-    ball, axes = _tree_axes(args)
-    counts = arcs.child_counts(ball, axes)
+    ball, lines = _tree_lines(args)
+    counts = arcs._child_counts(ball, lines)
     labels = ball.labels()
     rows = sorted((labels[p], labels[v], counts[v]) for v, p in enumerate(ball.parents(), 1))
     return (None, lambda: {"counts": [{"edge": [u, v], "count": c} for u, v, c in rows]},
@@ -198,7 +199,7 @@ def _cmd_tree_counts(args):
 
 
 def _cmd_tree_certificate(args):
-    cert = arcs.lemma33_certificate(*_tree_axes(args))
+    cert = arcs._certificate(*_tree_lines(args))
     witness = None if cert.witness is None else format_word(cert.witness)
     return ("certified" if cert.certified else "not-certified",
             lambda: {"witness": witness},
@@ -207,7 +208,7 @@ def _cmd_tree_certificate(args):
 
 def _cmd_tree_star(args):
     """The interval-gluing graph of the origin star."""
-    graph = arcs.star_graph(*_tree_axes(args), ())
+    graph = arcs._star_graph(*_tree_lines(args), ())
     return (None, lambda: {"graph": _graph_payload(graph)}, _edge_lines(graph),
             lambda: graph.to_dot("star", label=format_letter))
 

@@ -4,10 +4,16 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from freesplit import arcs
 from freesplit.arcs import (
     StarCertificate,
-    _star_pairs,
+    _certificate,
+    _child_counts,
+    _lines,
+    _ray_ids,
+    _star_graph,
     analyze_subtree,
+    child_counts,
     class_count_profile,
     edge_arc_count,
     edge_counts,
@@ -15,6 +21,7 @@ from freesplit.arcs import (
     lemma33_certificate,
     star_graph,
 )
+from freesplit.cli import main
 from freesplit.errors import InvalidInputError, ResourceCapError
 from freesplit.graphs import Multigraph
 from freesplit.tree import build_ball, predicted_vertex_count
@@ -111,14 +118,22 @@ def reference_edge_counts(traces):
     return counts
 
 
-def direction_pairs(ball, axes):
-    """The (letter in, letter out inverted) pairs of ``_star_pairs``, by vertex word."""
+def direction_pairs(ball, family):
+    """The (letter in, letter out inverted) pairs of the lines of ``_lines``, by vertex word.
+
+    Each line gives its base the pair coded ``rays.origin`` and each ray
+    vertex short of the sphere the code of ``rays.pairs`` at its step.
+    """
     letters = ball.alphabet.letters()
     pairs = {}
-    for ids, codes in _star_pairs(axes):
-        for v, code in zip(ids, codes):
-            a, b = divmod(code, len(letters))
-            pairs.setdefault(ball.vertices[v], []).append((letters[a], letters[b]))
+    for base_id, last, reach, rays in _lines(family, ball):
+        chunks = [([base_id], [rays.origin])]
+        if reach > 1:
+            chunks += zip(_ray_ids(base_id, last, rays, reach - 1), rays.pairs)
+        for ids, codes in chunks:
+            for v, code in zip(ids, codes):
+                a, b = divmod(code, len(letters))
+                pairs.setdefault(ball.vertices[v], []).append((letters[a], letters[b]))
     return pairs
 
 
@@ -316,7 +331,7 @@ class TestEnumerateAxes:
         assert [a.trace for a in axes] == [trace for _, trace in reference]
         traces = [trace for _, trace in reference]
         assert edge_counts(axes) == reference_edge_counts(traces)
-        assert direction_pairs(ball, axes) == reference_direction_pairs(traces)
+        assert direction_pairs(ball, family) == reference_direction_pairs(traces)
 
     def test_powers_and_inverses(self):
         # abab keeps its own period beside ab; BA shares ab's lines
@@ -452,11 +467,34 @@ class TestStarGraphs:
             word = build_whitehead_graph(alphabet, family)
             assert star.edges() == word.edges(), family
 
+    def test_every_interior_star_matches_the_traces(self):
+        rng = random.Random(101)
+        for _ in range(12):
+            rank = rng.randint(1, 3)
+            family = helpers.random_family(rng, rank, 3, 6)
+            ball = build_ball(Alphabet(rank), 3)
+            axes = enumerate_axes(family, ball)
+            pairs = reference_direction_pairs([a.trace for a in axes])
+            for center in ball.vertices[:ball.offsets[ball.radius]]:
+                star = Multigraph(ball.alphabet.letters(), allow_loops=False)
+                for d_in, d_out in pairs.get(center, ()):
+                    star.add_edge(d_in, d_out)
+                assert star_graph(ball, axes, center).edges() == star.edges(), (family, center)
+
     def test_star_requires_interior_center(self):
         ball = build_ball(ALPH2, 2)
         axes = enumerate_axes(fam("a"), ball)
         with pytest.raises(InvalidInputError):
             star_graph(ball, axes, (1, 1))
+
+    @pytest.mark.parametrize("center", [(5,), (1, -1), ("x",), (0,)])
+    def test_star_refuses_a_center_that_is_not_a_vertex(self, center):
+        ball = build_ball(ALPH2, 3)
+        axes = enumerate_axes(fam("abAB"), ball)
+        with pytest.raises(InvalidInputError):
+            star_graph(ball, axes, center)
+        with pytest.raises(InvalidInputError):
+            _star_graph(ball, _lines(fam("abAB"), ball), center)
 
 
 class TestCertificate:
@@ -495,6 +533,99 @@ class TestCertificate:
             for u, v in ball.interior_edges():
                 assert counts.get(frozenset((u, v)), 0) >= 2
         assert hits >= 3
+
+
+class TestAxesOfAnotherBall:
+    """Axes carry the ball they were traced in; another ball's ids do not fit."""
+
+    @pytest.mark.parametrize("traced, given_radius, rank", [(5, 3, 2), (3, 5, 2), (3, 3, 3)])
+    def test_refused(self, traced, given_radius, rank):
+        family = fam("abAB")
+        axes = enumerate_axes(family, build_ball(ALPH2, traced))
+        ball = build_ball(Alphabet(rank), given_radius)
+        for call in (lambda: lemma33_certificate(ball, axes),
+                     lambda: child_counts(ball, axes),
+                     lambda: star_graph(ball, axes, ())):
+            with pytest.raises(InvalidInputError):
+                call()
+
+    def test_mixed_axes_refused(self):
+        family = fam("abAB")
+        axes = enumerate_axes(family, build_ball(ALPH2, 3)) + enumerate_axes(
+            family, build_ball(ALPH2, 4))
+        with pytest.raises(InvalidInputError):
+            edge_counts(axes)
+        with pytest.raises(InvalidInputError):
+            edge_arc_count(((), (1,)), axes)
+
+    def test_equal_balls_agree(self):
+        # a second ball of the same rank and radius has the same ids
+        family = fam("abAB")
+        ball, twin = build_ball(ALPH2, 4), build_ball(ALPH2, 4)
+        axes = enumerate_axes(family, twin)
+        assert lemma33_certificate(ball, axes) == lemma33_certificate(twin, axes)
+        assert child_counts(ball, axes) == child_counts(twin, axes)
+
+
+class TestLineStream:
+    """The streamed functions the CLI runs, against the axes and the references."""
+
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_matches_axes_and_references(self, rank):
+        rng = random.Random(139 + rank)
+        alphabet = Alphabet(rank)
+        for radius in range(8):
+            for _ in range(2):
+                family = helpers.random_clean_family(rng, rank, 2, 6)
+                ball = build_ball(alphabet, radius)
+                axes = enumerate_axes(family, ball)
+                # the word-keyed references walk every trace; keep them to small balls
+                traces = [a.trace for a in axes] if ball.vertex_count() <= 5000 else None
+                counts = _child_counts(ball, _lines(family, ball))
+                assert counts == child_counts(ball, axes)
+                if traces is not None:
+                    assert {frozenset((ball.vertices[v][:-1], ball.vertices[v])): n
+                            for v, n in enumerate(counts) if n} == reference_edge_counts(traces)
+                if radius < 2:
+                    with pytest.raises(InvalidInputError):
+                        _certificate(ball, _lines(family, ball))
+                    continue
+                cert = _certificate(ball, _lines(family, ball))
+                assert cert == lemma33_certificate(ball, axes)
+                assert _star_graph(ball, _lines(family, ball), ()).edges() == \
+                    star_graph(ball, axes, ()).edges()
+                if traces is not None:
+                    assert cert == reference_lemma33_certificate(ball, traces)
+                    assert class_count_profile(alphabet, family, radius) == \
+                        reference_class_count_profile(alphabet, family, radius)
+
+    def test_lines_skip_the_sphere(self):
+        ball = build_ball(ALPH2, 4)
+        family = fam("abAB", "aab")
+        inner = [(*line[:3], line[3].period) for line in _lines(family, ball)]
+        every = [(*line[:3], line[3].period) for line in _lines(family, ball, sphere=True)]
+        assert inner == [line for line in every if line[2] > 0]
+        assert len(every) == len(enumerate_axes(family, ball))
+        sphere = [v for v, _, reach, _ in every if not reach]
+        assert set(sphere) == set(range(ball.offsets[ball.radius], ball.vertex_count()))
+
+    def test_cli_builds_no_axis(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("an Axis was built")
+
+        monkeypatch.setattr(arcs.Axis, "__init__", refuse)
+        for argv, out in [
+            (["certificate", "--radius", "5"], "CERTIFIED\n"),
+            (["profile", "--max-radius", "4"], "".join(f"radius {r}: 1\n" for r in range(1, 5))),
+            (["counts", "--radius", "2"], None),
+            (["star", "--radius", "2"], None),
+        ]:
+            code = main(["tree", argv[0], "--rank", "2", "abAB", *argv[1:]])
+            captured = capsys.readouterr()
+            assert code == 0 and captured.err == "", argv
+            assert out is None or captured.out == out
+        with pytest.raises(AssertionError):
+            main(["tree", "axes", "--rank", "2", "abAB"])
 
 
 class TestAnalyzeSubtree:
