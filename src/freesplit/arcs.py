@@ -9,17 +9,17 @@ based at u exactly when neither direction cancels the last letter of u.
 
 The generator ``_lines`` yields each line meeting the ball once, as a
 tuple: base id (see ``tree``), last letter, reach (radius - |base|) and
-the period's ``_Rays``, the rays turned once into id steps and star pair
-codes.  It builds no object per line and skips the bases on the outer
-sphere, most of the ball, whose lines have no edge in it.  The per-edge
-counts, the star graph, the star certificate and the class profile each
-read that stream in one loop: counts and stars are flat lists indexed
-by id, a star is an int with one bit per letter pair, tested on
-adjacency bitmasks over the 2n letters, and the profile is a union-find
-over ids.  Only ``enumerate_axes`` builds ``Axis`` objects, one per
-line, sphere bases included, for ``tree axes`` and the subtree analysis;
-the functions that take axes turn them back into the stream and refuse
-axes traced in a ball of another rank or radius.
+the period's ``_Rays``, which give a line's vertex ids and star bits by
+one multiply-add each.  It builds no object per line and skips the bases
+on the outer sphere, most of the ball, whose lines have no edge in it.
+The per-edge counts, the star graph, the star certificate and the class
+profile each read that stream in one loop: counts and stars are flat
+lists indexed by id, a star is an int with one bit per letter pair,
+tested on adjacency bitmasks over the 2n letters, and the profile is a
+union-find over ids.  Only ``enumerate_axes`` builds ``Axis`` objects,
+one per line, sphere bases included, for JSON ``tree axes`` and the
+subtree analysis; the functions that take axes turn them back into the
+stream and refuse axes traced in a ball of another rank or radius.
 
 The subtree analysis computes, for a finite subtree S, the intervals
 axis-by-axis, the interval-gluing graph on interval endpoints, and the
@@ -30,6 +30,8 @@ leaving S) stand in for the ends of the tree that project onto them.
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 from .errors import InvalidInputError
 from .graphs import Multigraph, bitmask_two_connected
 from .tree import TreeBall, build_ball, child_step, DEFAULT_VERTEX_CAP
@@ -37,49 +39,65 @@ from .words import Alphabet, CyclicWord, Word, _Record, invert_word, letter_inde
 
 
 class _Rays:
-    """A period's two rays in a ball, as letter indices and id steps.
+    """A period's two rays in a ball, as walks of vertex ids and star bits.
 
     The forward ray reads period^oo from the base, the backward ray
-    (period^-1)^oo.  Per ray, ``first`` is the letter index of its first
-    letter, whose id step depends on the base, and ``steps`` are the id
-    steps (``tree.child_step``) of its later letters.  A line reading u
-    into a vertex and v out of it gives the vertex the star pair {u, v^-1}
-    (the Whitehead-graph rule for ``u v``), coded a * 2n + b by letter
-    index: ``origin`` at the base, ``pairs`` at 1 .. radius - 1 steps out.
+    (period^-1)^oo; ``first`` holds their first letters' indices.  A line
+    reading u into a vertex and v out of it gives the vertex the star pair
+    {u, v^-1} (the Whitehead-graph rule for ``u v``), coded a * 2n + b by
+    letter index and kept as the bit ``1 << code``; ``origin`` is the base's.
+    The vertex j steps out from a base u has the id (2n-1)^j · u + c, c fixed
+    by the ray and the base's last letter (``tree.child_step``): ``walks[last][k]``
+    lists ((2n-1)^j, c and bit forward, c and bit backward) for j = 1 .. k.
     """
 
-    __slots__ = ("ball", "period", "first", "steps", "pairs", "origin")
+    __slots__ = ("ball", "period", "first", "origin", "walks")
 
     def __init__(self, period: Word, ball: TreeBall):
         self.ball = ball
         self.period = period
-        m, length = 2 * ball.alphabet.rank, ball.radius + 1
-        repeats = length // len(period) + 1
-        rays = [[letter_index(x) for x in (word * repeats)[:length]]
-                for word in (period, invert_word(period))]
-        forward, backward = rays
-        self.first = [ray[0] for ray in rays]
-        self.steps = [[child_step(a, b) for a, b in zip(ray, ray[1:])] for ray in rays]
+        m, length, branch = 2 * ball.alphabet.rank, ball.radius + 1, ball.branch
         # the letter index of x^-1 is that of x with its last bit flipped
-        self.pairs = [[a * m + (b ^ 1) for a, b in zip(forward, forward[1:])],
-                      [(b ^ 1) * m + a for a, b in zip(backward, backward[1:])]]
-        self.origin = (backward[0] ^ 1) * m + (forward[0] ^ 1)
+        index = [letter_index(x) for x in period]
+        forward, backward = rays = [(word * (length // len(word) + 1))[:length]
+                                    for word in (index, [x ^ 1 for x in reversed(index)])]
+        self.first = [ray[0] for ray in rays]
+        self.origin = 1 << (backward[0] ^ 1) * m + (forward[0] ^ 1)
+        bits = [[1 << a * m + (b ^ 1) for a, b in zip(forward, forward[1:])],
+                [1 << (b ^ 1) * m + a for a, b in zip(backward, backward[1:])]]
+        # ids[ray][passed]: c for j = 1 .. radius, less (2n-1)^(j-1) when the
+        # first letter passes the inverse of the base's last letter
+        powers = [branch ** j for j in range(length)]
+        ids = []
+        for ray in rays:
+            c = [2 + ray[0]]
+            for x, y in zip(ray, ray[1:-1]):
+                c.append(branch * c[-1] + child_step(x, y))
+            ids.append((c, [v - q for v, q in zip(c, powers)]))
+        # by the base's last letter index, the root's (-1) last
+        passed = [(forward[0] > x ^ 1, backward[0] > x ^ 1) for x in [*range(m), -1]]
+        walks = {}
+        for f, b in set(passed):
+            walk = list(zip(powers[1:], ids[0][f], bits[0], ids[1][b], bits[1]))
+            walks[f, b] = [walk[:k] for k in range(length)]
+        self.walks = [walks[key] for key in passed]
 
 
 class Axis:
     """A line in the Cayley tree, keyed by (base, period), traced in a ball.
 
-    ``base_id`` is the base's vertex id in the ball, and ``rays`` holds
-    the ball and the id steps along the line.
+    ``line`` is the line's ``_lines`` tuple (base id, last letter index,
+    reach, rays).  The base's word is decoded from its id when it is read.
     """
 
-    __slots__ = ("base", "period", "base_id", "rays")
+    __slots__ = ("base_id", "period", "line")
 
-    def __init__(self, base: Word, period: Word, base_id: int, rays: _Rays):
-        self.base = base
-        self.period = period
-        self.base_id = base_id
-        self.rays = rays
+    def __init__(self, line):
+        self.base_id, self.period, self.line = line[0], line[3].period, line
+
+    @property
+    def base(self) -> Word:
+        return self.line[3].ball.vertices[self.base_id]
 
     def __eq__(self, other):
         if type(other) is not Axis:
@@ -92,30 +110,11 @@ class Axis:
     @property
     def trace(self) -> tuple[Word, ...]:
         """The line's vertices in the ball, from the far end against the period."""
-        reach = self.rays.ball.radius - len(self.base)
-        if not reach:
-            return (self.base,)
-        vertices = self.rays.ball.vertices
-        last = letter_index(self.base[-1]) if self.base else -1
-        forward, backward = _ray_ids(self.base_id, last, self.rays, reach)
-        return (tuple(vertices[v] for v in reversed(backward)) + (self.base,)
-                + tuple(vertices[v] for v in forward))
-
-
-def _ray_ids(base_id: int, last: int, rays: _Rays, steps: int) -> list[list[int]]:
-    """Ids of the vertices 1 .. steps (at least 1) from the base, forward and backward."""
-    branch = rays.ball.branch
-    # tree.child_step inlined: 2 + the letter index, less 1 past last's inverse
-    root, inverse = branch * base_id + 2, last ^ 1
-    out = []
-    for first, later in zip(rays.first, rays.steps):
-        v = root + first - (first > inverse)
-        ids = [v]
-        for step in later[:steps - 1]:
-            v = branch * v + step
-            ids.append(v)
-        out.append(ids)
-    return out
+        base, reach = self.base, self.line[2]
+        rays = [(p * (reach // len(p) + 1))[:reach]
+                for p in (self.period, invert_word(self.period))]
+        forward, backward = (list(accumulate([(x,) for x in ray], initial=base)) for ray in rays)
+        return (*reversed(backward[1:]), *forward)
 
 
 def _lines(family, ball: TreeBall, sphere: bool = False):
@@ -139,12 +138,8 @@ def _lines(family, ball: TreeBall, sphere: bool = False):
     # rows by the last letter index of the base, the root's last (index -1):
     # a period extends a base when neither ray's first letter cancels it
     admissible = [[r for r in rays if x ^ 1 not in r.first] for x in range(m)] + [rays]
-    children = [[x for x in range(m) if x != last ^ 1] for last in range(m)] + [range(m)]
-    # the last letter indices of one sphere's vertices, in id order
-    v, level = 0, [-1]
-    for reach in range(ball.radius, -1 if sphere else 0, -1):
-        if v:
-            level = [x for last in level for x in children[last]]
+    v = 0
+    for reach, level in zip(range(ball.radius, -1 if sphere else 0, -1), ball.levels()):
         for last in level:
             for r in admissible[last]:
                 yield v, last, reach, r
@@ -155,27 +150,31 @@ def _axis_lines(ball: TreeBall, axes):
     """The axes with an edge in the ball as ``_lines`` tuples; refuses another ball's axes."""
     shape = (ball.alphabet.rank, ball.radius)
     for axis in axes:
-        rays = axis.rays
-        if rays.ball is not ball and (rays.ball.alphabet.rank, rays.ball.radius) != shape:
+        other = axis.line[3].ball
+        if other is not ball and (other.alphabet.rank, other.radius) != shape:
             raise InvalidInputError(f"axis not in a ball of rank {shape[0]}, radius {shape[1]}")
-        reach = ball.radius - len(axis.base)
-        if reach > 0:
-            yield axis.base_id, letter_index(axis.base[-1]) if axis.base else -1, reach, rays
+        if axis.line[2] > 0:
+            yield axis.line
+
+
+def _trace_ids(line) -> list[int]:
+    """The ids of a ``_lines`` line's vertices in the ball, in ``Axis.trace`` order."""
+    base_id, last, reach, rays = line
+    walk = [(p * base_id + c, p * base_id + d) for p, c, _, d, _ in rays.walks[last][reach]]
+    return [b for _, b in reversed(walk)] + [base_id] + [f for f, _ in walk]
 
 
 def enumerate_axes(family, ball: TreeBall) -> tuple[Axis, ...]:
     """All distinct axes of conjugates of family words meeting the ball, in ``_lines`` order."""
-    vertices = ball.vertices
-    return tuple([Axis(vertices[v], rays.period, v, rays)
-                  for v, _, _, rays in _lines(family, ball, sphere=True)])
+    return tuple(map(Axis, _lines(family, ball, sphere=True)))
 
 
 def _child_counts(ball: TreeBall, lines) -> list[int]:
     counts = [0] * len(ball.vertices)
     for base_id, last, reach, rays in lines:
-        for ids in _ray_ids(base_id, last, rays, reach):
-            for v in ids:
-                counts[v] += 1
+        for p, c, _, d, _ in rays.walks[last][reach]:
+            counts[p * base_id + c] += 1
+            counts[p * base_id + d] += 1
     return counts
 
 
@@ -194,9 +193,9 @@ def edge_counts(axes) -> dict[frozenset, int]:
     axes = tuple(axes)
     if not axes:
         return {}
-    ball = axes[0].rays.ball
-    return {frozenset((ball.vertices[v][:-1], ball.vertices[v])): n
-            for v, n in enumerate(child_counts(ball, axes)) if n}
+    ball = axes[0].line[3].ball
+    return {frozenset((w[:-1], w)): n
+            for v, n in enumerate(child_counts(ball, axes)) if n for w in [ball.vertices[v]]}
 
 
 # ---------------------------------------------------------------------------
@@ -208,19 +207,19 @@ def _star_graph(ball: TreeBall, lines, center: Word) -> Multigraph:
     target = ball.index(center)
     if target is None or len(center) > ball.radius - 1:
         raise InvalidInputError(f"star of {center} does not lie inside the ball")
-    codes = []
+    bits = []
     for base_id, last, reach, rays in lines:
         # a line meets the center's sphere this many steps out from its base
         steps = reach - ball.radius + len(center)
         if base_id == target:
-            codes.append(rays.origin)
+            bits.append(rays.origin)
         elif steps > 0:
-            ends = [ids[-1] for ids in _ray_ids(base_id, last, rays, steps)]
-            codes += [pairs[steps - 1] for v, pairs in zip(ends, rays.pairs) if v == target]
+            p, c, f, d, b = rays.walks[last][steps][-1]
+            bits += [bit for v, bit in [(c, f), (d, b)] if p * base_id + v == target]
     letters = ball.alphabet.letters()
     graph = Multigraph(letters, allow_loops=False)
-    for code in codes:
-        graph.add_edge(*(letters[i] for i in divmod(code, len(letters))))
+    for bit in bits:
+        graph.add_edge(*(letters[i] for i in divmod(bit.bit_length() - 1, len(letters))))
     return graph
 
 
@@ -271,11 +270,10 @@ def _certificate(ball: TreeBall, lines) -> StarCertificate:
     m = 2 * ball.alphabet.rank
     stars = [0] * ball.offsets[ball.radius]
     for base_id, last, reach, rays in lines:
-        stars[base_id] |= 1 << rays.origin
-        if reach > 1:
-            for ids, codes in zip(_ray_ids(base_id, last, rays, reach - 1), rays.pairs):
-                for v, code in zip(ids, codes):
-                    stars[v] |= 1 << code
+        stars[base_id] |= rays.origin
+        for p, c, f, d, b in rays.walks[last][reach - 1]:
+            stars[p * base_id + c] |= f
+            stars[p * base_id + d] |= b
     verdicts = {}
     for v, star in enumerate(stars):
         ok = verdicts.get(star)
@@ -355,13 +353,14 @@ def analyze_subtree(ball: TreeBall, subtree_vertices, axes) -> SubtreeAnalysis:
 
     intervals = []
     for axis in axes:
-        inside = [i for i, v in enumerate(axis.trace) if v in subtree]
+        trace = axis.trace
+        inside = [i for i, v in enumerate(trace) if v in subtree]
         if len(inside) < 2:
             continue
         lo, hi = inside[0], inside[-1]
         if hi - lo != len(inside) - 1:
             raise InvalidInputError("axis trace meets the subtree non-contiguously")
-        intervals.append(Interval(axis, axis.trace[lo : hi + 1]))
+        intervals.append(Interval(axis, trace[lo : hi + 1]))
 
     endpoint_vertices = sorted(
         {p for iv in intervals for p in iv.endpoints},
@@ -414,8 +413,8 @@ def class_count_profile(
         return i
 
     for base_id, last, reach, rays in _lines(family, ball):
-        for a, b in zip(*_ray_ids(base_id, last, rays, reach)):
-            a, b = find(a), find(b)
+        for p, c, _, d, _ in rays.walks[last][reach]:
+            a, b = find(p * base_id + c), find(p * base_id + d)
             if a != b:
                 parent[a] = b
     offsets = ball.offsets

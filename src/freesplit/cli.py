@@ -170,23 +170,19 @@ def _cmd_tree_profile(args):
 
 def _cmd_tree_axes(args):
     ball = _tree_lines(args)[0]
-    axes = arcs.enumerate_axes(args.words, ball)
-    # labels of the bases by vertex id, and of each period once
-    labels = ball.labels()
-    periods = {p: format_word(p) for p in {a.period for a in axes}}
-    certificate = lambda: {
-        "axes": [
-            {
-                "base": labels[a.base_id],
-                "period": periods[a.period],
-                "trace": [format_word(v) for v in a.trace],
-            }
+    # labels of the vertices by id, and of each period once
+    labels, period = ball.labels(), functools.cache(format_word)
+    if args.format == "json":
+        axes = arcs.enumerate_axes(args.words, ball)
+        return None, lambda: {"axes": [
+            {"base": labels[a.base_id], "period": period(a.period),
+             "trace": [labels[v] for v in arcs._trace_ids(a.line)]}
             for a in axes
-        ]
-    }
-    lines = [f"axis base={labels[a.base_id]} period={periods[a.period]}" for a in axes]
-    lines.append(f"total {len(axes)}")
-    return None, certificate, lines, None
+        ]}, None, None
+    lines = [f"axis base={labels[v]} period={period(rays.period)}"
+             for v, _, _, rays in arcs._lines(args.words, ball, sphere=True)]
+    lines.append(f"total {len(lines)}")
+    return None, None, lines, None
 
 
 def _cmd_tree_counts(args):

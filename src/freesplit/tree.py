@@ -3,8 +3,8 @@
 Vertices are reduced words (tuples of letters); the ball of radius r
 holds every reduced word of length at most r.  Edges join u to u.x when
 the product stays reduced.  For rank n >= 2 the vertex count is
-1 + 2n((2n-1)^r - 1)/(2n-2), and a guard refuses to materialise balls
-beyond a configurable budget.
+1 + 2n((2n-1)^r - 1)/(2n-2); a guard refuses balls past a set budget.
+A ball stores no words: ``vertices`` decodes each from its id on demand.
 
 Vertex ids.  The ball lists its vertices in (length, ``word_key``)
 order, and that order is a mixed-radix numbering: the first letter is
@@ -17,6 +17,9 @@ digit d is (2n-1)·v + 2 + d.  The ids do not depend on the radius.
 """
 
 from __future__ import annotations
+
+from collections.abc import Sequence
+from itertools import chain, islice
 
 from .errors import InvalidInputError, ResourceCapError
 from .words import Alphabet, Word, format_letter, format_word, letter_index
@@ -46,10 +49,10 @@ def child_step(last: int, x: int) -> int:
 class TreeBall:
     """The radius-r ball around the identity vertex, ids in ``vertices`` order."""
 
-    def __init__(self, alphabet: Alphabet, radius: int, vertices):
+    def __init__(self, alphabet: Alphabet, radius: int):
         self.alphabet = alphabet
         self.radius = radius
-        self.vertices: tuple[Word, ...] = tuple(vertices)
+        self.vertices = _Vertices(self)
         self.branch = 2 * alphabet.rank - 1
         # offsets[k] is the id of the first vertex at distance k
         self.offsets = [0, 1]
@@ -75,10 +78,10 @@ class TreeBall:
         return self.index(vertex) is not None
 
     def vertex_count(self) -> int:
-        return len(self.vertices)
+        return self.offsets[-1]
 
     def edge_count(self) -> int:
-        return len(self.vertices) - 1
+        return self.offsets[-1] - 1
 
     def edges(self):
         """Edges as (parent, child) pairs, child one letter longer."""
@@ -97,6 +100,16 @@ class TreeBall:
         inner = range(1, self.offsets[self.radius])
         return [0] * (self.branch + 1) + [p for p in inner for _ in range(self.branch)]
 
+    def levels(self):
+        """Each sphere's last letter indices in id order (-1 at the root), built on demand."""
+        m = 2 * self.alphabet.rank
+        children = [[x for x in range(m) if x != last ^ 1] for last in range(m)] + [range(m)]
+        level = [-1]
+        for _ in range(self.radius):
+            yield level
+            level = [x for last in level for x in children[last]]
+        yield level
+
     def labels(self) -> list[str]:
         """``format_word`` of every vertex in id order, each built from its parent's.
 
@@ -104,24 +117,25 @@ class TreeBall:
         throughout, so such a letter switches the label to the numeric
         form of the whole word.
         """
-        letter = {x: format_letter(x) for x in self.alphabet.letters() if abs(x) <= 26}
+        letters = self.alphabet.letters()
+        letter = [format_letter(x) for x in letters[:52]]
+        lasts = chain.from_iterable(self.levels())
+        next(lasts)
         out = [""]
-        for word, parent in zip(self.vertices[1:], self.parents()):
-            head, x = out[parent], word[-1]
+        for parent, x in zip(self.parents(), lasts):
+            head = out[parent]
             if head[-1:].isdigit():
-                out.append(f"{head} {x}")
-            elif x in letter:
+                out.append(f"{head} {letters[x]}")
+            elif x < 52:
                 out.append(head + letter[x])
             else:
-                out.append(format_word(word))
+                out.append(format_word(self.vertices[len(out)]))
         out[0] = format_word(())
         return out
 
     def interior_edges(self):
-        """Edges with both endpoints at distance <= radius - 1."""
-        for u, v in self.edges():
-            if len(v) <= self.radius - 1:
-                yield u, v
+        """Edges with both endpoints at distance <= radius - 1, building no sphere word."""
+        return islice(self.edges(), max(self.offsets[self.radius] - 1, 0))
 
     def to_dot(self, name: str = "ball") -> str:
         labels = self.labels()
@@ -152,7 +166,7 @@ def _bounded_vertex_count(rank: int, radius: int, bound: int) -> int | None:
 
 
 def build_ball(alphabet: Alphabet, radius: int, cap: int = DEFAULT_VERTEX_CAP) -> TreeBall:
-    """Materialise the ball, refusing if the predicted size exceeds ``cap``.
+    """The ball, refusing if the predicted size exceeds ``cap``.
 
     A size past ``max(cap, 10**18)`` is never computed in full: the
     refusal reports it as more than that bound, with ``predicted=None``.
@@ -166,15 +180,46 @@ def build_ball(alphabet: Alphabet, radius: int, cap: int = DEFAULT_VERTEX_CAP) -
             predicted=predicted,
             cap=cap,
         )
-    letters = alphabet.letters()
-    vertices: list[Word] = [()]
-    frontier: list[Word] = [()]
-    for _ in range(radius):
-        nxt = []
-        for v in frontier:
-            for x in letters:
-                if not v or x != -v[-1]:
-                    nxt.append(v + (x,))
-        vertices.extend(nxt)
-        frontier = nxt
-    return TreeBall(alphabet, radius, vertices)
+    return TreeBall(alphabet, radius)
+
+
+class _Vertices(Sequence):
+    """A ball's vertex words by id, read-only, each built only when it is read.
+
+    ``vertices[i]`` decodes id i by the mixed-radix rule above, last letter
+    first: past the first sphere, v is the child of (v - 2) // (2n - 1) by
+    the digit (v - 2) % (2n - 1).  Iteration builds each word from its parent's.
+    """
+
+    __slots__ = ("ball", "letters")
+
+    def __init__(self, ball: TreeBall):
+        self.ball, self.letters = ball, ball.alphabet.letters()
+
+    def __len__(self) -> int:
+        return self.ball.offsets[-1]
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self[j] for j in range(*i.indices(len(self))))
+        count = self.ball.offsets[-1]
+        v = i + count if i < 0 else i
+        if not 0 <= v < count:
+            raise IndexError(f"vertex id {i} out of range")
+        letters, branch, digits = self.letters, self.ball.branch, []
+        while v:
+            # a child of the root is 1 + its letter index, read as the digit v - 2
+            v, d = divmod(v - 2, branch) if v > branch + 1 else (0, v - 2)
+            digits.append(d)
+        word, x = [], -1
+        for d in reversed(digits):
+            x = d + (d >= x ^ 1)  # child_step inverted
+            word.append(letters[x])
+        return tuple(word)
+
+    def __iter__(self):
+        level: list[Word] = [()]
+        yield ()
+        for _ in range(self.ball.radius):
+            level = [v + (x,) for v in level for x in self.letters if not v or x != -v[-1]]
+            yield from level

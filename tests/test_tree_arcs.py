@@ -10,7 +10,6 @@ from freesplit.arcs import (
     _certificate,
     _child_counts,
     _lines,
-    _ray_ids,
     _star_graph,
     analyze_subtree,
     child_counts,
@@ -24,7 +23,7 @@ from freesplit.arcs import (
 from freesplit.cli import main
 from freesplit.errors import InvalidInputError, ResourceCapError
 from freesplit.graphs import Multigraph
-from freesplit.tree import build_ball, predicted_vertex_count
+from freesplit.tree import TreeBall, build_ball, predicted_vertex_count
 from freesplit.whitehead import (
     build_whitehead_graph,
     decide_indecomposable,
@@ -121,19 +120,18 @@ def reference_edge_counts(traces):
 def direction_pairs(ball, family):
     """The (letter in, letter out inverted) pairs of the lines of ``_lines``, by vertex word.
 
-    Each line gives its base the pair coded ``rays.origin`` and each ray
-    vertex short of the sphere the code of ``rays.pairs`` at its step.
+    Each line gives its base the pair of the bit ``rays.origin`` and each
+    ray vertex short of the sphere the pair of its bit in ``rays.walks``.
     """
     letters = ball.alphabet.letters()
     pairs = {}
     for base_id, last, reach, rays in _lines(family, ball):
-        chunks = [([base_id], [rays.origin])]
-        if reach > 1:
-            chunks += zip(_ray_ids(base_id, last, rays, reach - 1), rays.pairs)
-        for ids, codes in chunks:
-            for v, code in zip(ids, codes):
-                a, b = divmod(code, len(letters))
-                pairs.setdefault(ball.vertices[v], []).append((letters[a], letters[b]))
+        chunks = [(base_id, rays.origin)]
+        for p, c, f, d, b in rays.walks[last][reach - 1]:
+            chunks += [(p * base_id + c, f), (p * base_id + d, b)]
+        for v, bit in chunks:
+            a, b = divmod(bit.bit_length() - 1, len(letters))
+            pairs.setdefault(ball.vertices[v], []).append((letters[a], letters[b]))
     return pairs
 
 
@@ -318,6 +316,63 @@ class TestBall:
             assert word not in ball and ball.index(word) is None
         line = build_ball(ALPH1, 4)
         assert (-1,) * 4 in line and (-2,) not in line and (-2,) * 3 not in line
+
+
+class TestVertexDecoder:
+    """``ball.vertices`` decodes words from ids, against the breadth-first reference."""
+
+    @pytest.mark.parametrize("rank", [1, 2, 3, 27])
+    def test_matches_the_reference(self, rank):
+        alphabet = Alphabet(rank)
+        letters = list(alphabet.letters())
+        for radius in range(7):
+            count = predicted_vertex_count(rank, radius)
+            small = count <= 30_000
+            # rank 27 from radius 4 is past the vertex budget: make the ball directly
+            ball = build_ball(alphabet, radius) if small else TreeBall(alphabet, radius)
+            vertices = ball.vertices
+            assert len(vertices) == count
+            for i in (count, -count - 1, count + 5):
+                with pytest.raises(IndexError):
+                    vertices[i]
+            if not small:
+                # rank 27 from radius 3: the first and last id of each sphere,
+                # against the mixed-radix rule, since the reference list is too long
+                for k in range(radius + 1):
+                    for i in (ball.offsets[k], ball.offsets[k + 1] - 1):
+                        word = vertices[i]
+                        assert len(word) == k
+                        assert mixed_radix_id(word, letters) == i == ball.index(word)
+                        assert vertices[i - count] == word
+                continue
+            reference = helpers._ball_vertices(letters, radius)
+            assert [vertices[i] for i in range(count)] == reference
+            assert [vertices[-i] for i in range(1, count + 1)] == reference[::-1]
+            assert list(vertices) == reference
+            for window in (slice(None), slice(1, None), slice(None, None, -1), slice(2, -1, 3),
+                           slice(-4, None), slice(count, count + 3)):
+                assert vertices[window] == tuple(reference[window])
+            assert all(ball.index(vertices[i]) == i for i in range(count))
+
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_trace_words_and_ids_agree(self, rank):
+        rng = random.Random(77 + rank)
+        for radius in range(6):
+            ball = build_ball(Alphabet(rank), radius)
+            for axis in enumerate_axes(helpers.random_clean_family(rng, rank, 2, 6), ball):
+                trace = axis.trace
+                assert trace[len(trace) // 2] == axis.base == ball.vertices[axis.base_id]
+                assert tuple(ball.vertices[v] for v in arcs._trace_ids(axis.line)) == trace
+
+    def test_ball_builds_no_words(self):
+        tracemalloc.start()
+        try:
+            ball = build_ball(ALPH2, 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ball.vertex_count() == 118_097
+        assert peak < 1_000_000
 
 
 class TestEnumerateAxes:
@@ -619,13 +674,14 @@ class TestLineStream:
             (["profile", "--max-radius", "4"], "".join(f"radius {r}: 1\n" for r in range(1, 5))),
             (["counts", "--radius", "2"], None),
             (["star", "--radius", "2"], None),
+            (["axes", "--radius", "3"], None),
         ]:
             code = main(["tree", argv[0], "--rank", "2", "abAB", *argv[1:]])
             captured = capsys.readouterr()
             assert code == 0 and captured.err == "", argv
             assert out is None or captured.out == out
         with pytest.raises(AssertionError):
-            main(["tree", "axes", "--rank", "2", "abAB"])
+            main(["tree", "axes", "--rank", "2", "abAB", "--format", "json"])
 
 
 class TestAnalyzeSubtree:
