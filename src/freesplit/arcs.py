@@ -30,7 +30,7 @@ leaving S) stand in for the ends of the tree that project onto them.
 
 from __future__ import annotations
 
-from itertools import accumulate
+from itertools import accumulate, islice
 
 from .errors import InvalidInputError
 from .graphs import Multigraph, bitmask_two_connected
@@ -47,8 +47,9 @@ class _Rays:
     {u, v^-1} (the Whitehead-graph rule for ``u v``), coded a * 2n + b by
     letter index and kept as the bit ``1 << code``; ``origin`` is the base's.
     The vertex j steps out from a base u has the id (2n-1)^j · u + c, c fixed
-    by the ray and the base's last letter (``tree.child_step``): ``walks[last][k]``
-    lists ((2n-1)^j, c and bit forward, c and bit backward) for j = 1 .. k.
+    by the ray and the base's last letter (``tree.child_step``): ``walks[last]``
+    lists ((2n-1)^j, c and bit forward, c and bit backward) for j = 1 .. radius,
+    and a line of reach k reads its first k entries.
     """
 
     __slots__ = ("ball", "period", "first", "origin", "walks")
@@ -76,10 +77,8 @@ class _Rays:
             ids.append((c, [v - q for v, q in zip(c, powers)]))
         # by the base's last letter index, the root's (-1) last
         passed = [(forward[0] > x ^ 1, backward[0] > x ^ 1) for x in [*range(m), -1]]
-        walks = {}
-        for f, b in set(passed):
-            walk = list(zip(powers[1:], ids[0][f], bits[0], ids[1][b], bits[1]))
-            walks[f, b] = [walk[:k] for k in range(length)]
+        walks = {(f, b): list(zip(powers[1:], ids[0][f], bits[0], ids[1][b], bits[1]))
+                 for f, b in set(passed)}
         self.walks = [walks[key] for key in passed]
 
 
@@ -160,7 +159,8 @@ def _axis_lines(ball: TreeBall, axes):
 def _trace_ids(line) -> list[int]:
     """The ids of a ``_lines`` line's vertices in the ball, in ``Axis.trace`` order."""
     base_id, last, reach, rays = line
-    walk = [(p * base_id + c, p * base_id + d) for p, c, _, d, _ in rays.walks[last][reach]]
+    walk = [(p * base_id + c, p * base_id + d)
+            for p, c, _, d, _ in islice(rays.walks[last], reach)]
     return [b for _, b in reversed(walk)] + [base_id] + [f for f, _ in walk]
 
 
@@ -172,7 +172,7 @@ def enumerate_axes(family, ball: TreeBall) -> tuple[Axis, ...]:
 def _child_counts(ball: TreeBall, lines) -> list[int]:
     counts = [0] * len(ball.vertices)
     for base_id, last, reach, rays in lines:
-        for p, c, _, d, _ in rays.walks[last][reach]:
+        for p, c, _, d, _ in islice(rays.walks[last], reach):
             counts[p * base_id + c] += 1
             counts[p * base_id + d] += 1
     return counts
@@ -214,7 +214,7 @@ def _star_graph(ball: TreeBall, lines, center: Word) -> Multigraph:
         if base_id == target:
             bits.append(rays.origin)
         elif steps > 0:
-            p, c, f, d, b = rays.walks[last][steps][-1]
+            p, c, f, d, b = rays.walks[last][steps - 1]
             bits += [bit for v, bit in [(c, f), (d, b)] if p * base_id + v == target]
     letters = ball.alphabet.letters()
     graph = Multigraph(letters, allow_loops=False)
@@ -271,7 +271,7 @@ def _certificate(ball: TreeBall, lines) -> StarCertificate:
     stars = [0] * ball.offsets[ball.radius]
     for base_id, last, reach, rays in lines:
         stars[base_id] |= rays.origin
-        for p, c, f, d, b in rays.walks[last][reach - 1]:
+        for p, c, f, d, b in islice(rays.walks[last], reach - 1):
             stars[p * base_id + c] |= f
             stars[p * base_id + d] |= b
     verdicts = {}
@@ -413,7 +413,7 @@ def class_count_profile(
         return i
 
     for base_id, last, reach, rays in _lines(family, ball):
-        for p, c, _, d, _ in rays.walks[last][reach]:
+        for p, c, _, d, _ in islice(rays.walks[last], reach):
             a, b = find(p * base_id + c), find(p * base_id + d)
             if a != b:
                 parent[a] = b

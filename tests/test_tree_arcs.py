@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -127,7 +128,7 @@ def direction_pairs(ball, family):
     pairs = {}
     for base_id, last, reach, rays in _lines(family, ball):
         chunks = [(base_id, rays.origin)]
-        for p, c, f, d, b in rays.walks[last][reach - 1]:
+        for p, c, f, d, b in islice(rays.walks[last], reach - 1):
             chunks += [(p * base_id + c, f), (p * base_id + d, b)]
         for v, bit in chunks:
             a, b = divmod(bit.bit_length() - 1, len(letters))
@@ -373,6 +374,22 @@ class TestVertexDecoder:
             tracemalloc.stop()
         assert ball.vertex_count() == 118_097
         assert peak < 1_000_000
+
+    def test_rank_one_rays_grow_linearly(self):
+        # one walk per period and base letter class, read up to each line's
+        # reach: a walk per reach would take about 50 MB at this radius
+        family = [CyclicWord((1,))]
+        tracemalloc.start()
+        try:
+            profile = class_count_profile(Alphabet(1), family, 2000)
+            ball = build_ball(Alphabet(1), 2000)
+            cert = _certificate(ball, _lines(family, ball))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert profile == tuple((r, 1) for r in range(1, 2001))
+        assert cert == StarCertificate(True, None)
+        assert peak < 5_000_000
 
 
 class TestEnumerateAxes:
