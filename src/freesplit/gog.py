@@ -25,16 +25,19 @@ import heapq
 from collections import Counter, defaultdict
 
 from .errors import InvalidInputError, ParseError, ResourceCapError, UnsupportedExportError
+from .graphs import bitmask_two_connected
 from .tree import DEFAULT_VERTEX_CAP
-from .whitehead import IndecomposabilityVerdict, decide_indecomposable, whitehead_two_connected
+from .whitehead import IndecomposabilityVerdict, _whitehead_rows, decide_indecomposable
 from .words import (
     Alphabet,
     CyclicWord,
     _Record,
     _cyclic_core,
+    _least_rotation,
     _within_rank,
     conjugacy_class_rep,
     format_word,
+    free_reduce,
     parse_word,
 )
 
@@ -117,10 +120,19 @@ def _attachment_error(vid: str, group: VertexGroup, att) -> str | None:
     elif isinstance(group, CyclicVertex):
         if not isinstance(att, int) or att == 0:
             return f"attachment at cyclic vertex {vid} must be a nonzero integer"
-    elif isinstance(group, OpaqueVertex):
-        if att is not None and not isinstance(att, str):
-            return f"attachment at opaque vertex {vid} must be a tag"
+    elif att is not None and not isinstance(att, str):
+        return f"attachment at opaque vertex {vid} must be a tag"
     return None
+
+
+def _fits(group: VertexGroup, att) -> bool:
+    """Whether an attachment is valid at sight of its group's exact class."""
+    kind = type(group)
+    if kind is CyclicVertex:
+        return type(att) is int and att != 0
+    if kind is FreeVertex:
+        return type(att) is CyclicWord and _within_rank(att.letters, group.rank)
+    return kind is OpaqueVertex and (att is None or type(att) is str)
 
 
 def validate(g: GraphOfGroups) -> list[str]:
@@ -129,27 +141,31 @@ def validate(g: GraphOfGroups) -> list[str]:
     if not vertices:
         return ["graph has no vertices"]
     unknown, attachment = [], []
-    neighbours = defaultdict(set)
+    neighbours = {vid: [] for vid in vertices}
     for e in g.edges:
-        u, v = e.endpoints
+        (u, v), (a, b) = e.endpoints, e.attachments
         if u not in vertices or v not in vertices:
             unknown += [
                 f"edge {e.id}: unknown vertex {x}" for x in e.endpoints if x not in vertices
             ]
             continue
-        neighbours[u].add(v)
-        neighbours[v].add(u)
-        for vid, att in zip(e.endpoints, e.attachments):
-            error = _attachment_error(vid, vertices[vid], att)
-            if error:
-                attachment.append(f"edge {e.id}: {error}")
+        neighbours[u].append(v)
+        neighbours[v].append(u)
+        if not (_fits(vertices[u], a) and _fits(vertices[v], b)):
+            for vid, att in ((u, a), (v, b)):
+                error = _attachment_error(vid, vertices[vid], att)
+                if error:
+                    attachment.append(f"edge {e.id}: {error}")
     ids = Counter(e.id for e in g.edges)
     repeated = sorted(i for i, n in ids.items() if n > 1)
     errors = unknown + [f"duplicate edge id {i}" for i in repeated] + attachment
-    reached, frontier = set(), {min(vertices)}
-    while frontier:
-        reached |= frontier
-        frontier = set().union(*(neighbours[u] for u in frontier)) - reached
+    root = min(vertices)
+    reached, stack = {root}, [root]
+    while stack:
+        for v in neighbours[stack.pop()]:
+            if v not in reached:
+                reached.add(v)
+                stack.append(v)
     if len(reached) != len(vertices):
         missing = ", ".join(sorted(set(vertices) - reached))
         errors.append(f"graph is not connected (unreached: {missing})")
@@ -162,12 +178,12 @@ def trivial_vertices(g: GraphOfGroups) -> list[str]:
     A cyclic vertex with attachment exponent +-1, or a rank-1 free
     vertex whose attachment word is a single letter.
     """
-    return _trivial_vertices(g, incidence(g))
+    return _trivial_vertices(g, incidence(g), sorted(g.vertices))
 
 
-def _trivial_vertices(g: GraphOfGroups, incident) -> list[str]:
+def _trivial_vertices(g: GraphOfGroups, incident, order) -> list[str]:
     out = []
-    for vid in sorted(g.vertices):
+    for vid in order:
         if len(incident[vid]) != 1:
             continue
         edge, slot = incident[vid][0]
@@ -214,10 +230,12 @@ def one_ended(g: GraphOfGroups) -> OneEndednessVerdict:
     if errors:
         raise InvalidInputError("; ".join(errors))
     incident = incidence(g)
-    trivial = _trivial_vertices(g, incident)
+    order = sorted(g.vertices)
+    trivial = _trivial_vertices(g, incident, order)
     if trivial:
         raise InvalidInputError(f"graph has trivial vertices: {', '.join(trivial)}")
-    for vid in sorted(g.vertices):
+    two_connected: dict[tuple[int, ...], bool] = {}  # per distinct Whitehead graph
+    for vid in order:
         group = g.vertices[vid]
         if isinstance(group, OpaqueVertex):
             continue
@@ -232,10 +250,12 @@ def one_ended(g: GraphOfGroups) -> OneEndednessVerdict:
         if isinstance(group, CyclicVertex):
             continue
         words = [e.attachments[slot] for e, slot in incident[vid]]
-        alphabet = Alphabet(group.rank)
-        if whitehead_two_connected(alphabet, words):
+        rows = _whitehead_rows(group.rank, [w.letters for w in words])
+        if rows not in two_connected:
+            two_connected[rows] = bitmask_two_connected(rows)
+        if two_connected[rows]:
             continue
-        verdict = decide_indecomposable(alphabet, words)
+        verdict = decide_indecomposable(Alphabet(group.rank), words)
         if not verdict.is_indecomposable:
             return OneEndednessVerdict(
                 NOT_ONE_ENDED,
@@ -288,34 +308,39 @@ def presentation(g: GraphOfGroups) -> str:
     finds exactly one of its ends reached.  Relations: ``u = v`` for
     tree edges, in the order they join the tree, then ``t u t^-1 = v``
     for non-tree edges, in edge id order.  Opaque vertices have no
-    presentation and are rejected, and more generators than
-    ``DEFAULT_VERTEX_CAP`` raise ResourceCapError before any is named.
+    presentation and are rejected.  More generators, or more relation
+    letters, than ``DEFAULT_VERTEX_CAP`` raise ResourceCapError before any
+    is named.
     """
     errors = validate(g)
     if errors:
         raise InvalidInputError("; ".join(errors))
-    for vid in sorted(g.vertices):
-        if isinstance(g.vertices[vid], OpaqueVertex):
+    order = sorted(g.vertices)
+    counts = []
+    for vid in order:
+        group = g.vertices[vid]
+        if isinstance(group, OpaqueVertex):
             raise UnsupportedExportError(f"vertex {vid} is opaque; no presentation available")
-
-    counts = {
-        vid: (grp.rank if isinstance(grp, FreeVertex) else 1)
-        for vid, grp in g.vertices.items()
-    }
-    total = sum(counts.values())
+        counts.append(group.rank if isinstance(group, FreeVertex) else 1)
+    total = sum(counts)
     # a valid graph is connected, so all but |V| - 1 edges get a stable letter
-    n = total + len(g.edges) - len(g.vertices) + 1
+    n = total + len(g.edges) - len(order) + 1
     if n > DEFAULT_VERTEX_CAP:
         raise ResourceCapError(f"presentation has {n} generators (cap {DEFAULT_VERTEX_CAP})",
                                predicted=n, cap=DEFAULT_VERTEX_CAP)
+    n = sum(abs(att) if isinstance(att, int) else len(att.letters)
+            for e in g.edges for att in e.attachments)
+    if n > DEFAULT_VERTEX_CAP:
+        raise ResourceCapError(f"presentation has {n} relation letters"
+                               f" (cap {DEFAULT_VERTEX_CAP})", predicted=n, cap=DEFAULT_VERTEX_CAP)
     use_letters = total <= len(_VERTEX_LETTER_POOL)
     separator = "" if use_letters else " "
     # Each vertex's symbol for every letter of its group, built once.
     symbols: dict[str, dict[int, str]] = {}
     generators = []
-    for vid in sorted(g.vertices):
+    for vid, count in zip(order, counts):
         table = symbols[vid] = {}
-        for i in range(1, counts[vid] + 1):
+        for i in range(1, count + 1):
             n = len(generators)
             name = _VERTEX_LETTER_POOL[n] if use_letters else f"x{n + 1}"
             generators.append(name)
@@ -328,50 +353,46 @@ def presentation(g: GraphOfGroups) -> str:
             return separator.join([table[1 if attachment > 0 else -1]] * abs(attachment))
         return separator.join(map(table.__getitem__, attachment.letters))
 
-    # Replay the sweeps as (sweep, id position) events: once a tree edge
-    # at position i reaches a vertex, each edge j at that vertex comes up
-    # later in the same sweep if j > i, else in the next one.  An edge
-    # that comes up with both ends reached (a loop, too) never joins.
+    # Replay the sweeps on a heap of the edge positions due in this sweep:
+    # once a tree edge at position i reaches a vertex, each edge j there
+    # comes up later in the same sweep if j > i, else in the next one.  An
+    # edge that comes up with both ends reached (a loop, too) never joins.
     sorted_edges = sorted(g.edges, key=lambda e: e.id)
-    at = defaultdict(list)  # each vertex's incident edge positions
+    at = {vid: [] for vid in order}  # each vertex's incident edge positions
     for i, e in enumerate(sorted_edges):
-        for vid in e.endpoints:
-            at[vid].append(i)
-    root = min(g.vertices)
-    reached = {root}
-    events = [(0, i) for i in at[root]]
+        u, v = e.endpoints
+        at[u].append(i)
+        at[v].append(i)
+    reached = {order[0]}
+    events, later = at[order[0]][:], []  # positions due in this sweep, and in the next
     heapq.heapify(events)
     tree = []
     while events:
-        sweep, i = heapq.heappop(events)
+        i = heapq.heappop(events)
         u, v = sorted_edges[i].endpoints
-        if (u in reached) == (v in reached):
-            continue
-        new = v if u in reached else u
-        reached.add(new)
-        tree.append(i)
-        for j in at[new]:
-            heapq.heappush(events, (sweep if j > i else sweep + 1, j))
-    tree_edges = [sorted_edges[i] for i in tree]
+        if (u in reached) != (v in reached):
+            new = v if u in reached else u
+            reached.add(new)
+            tree.append(i)
+            for j in at[new]:
+                if j > i:
+                    heapq.heappush(events, j)
+                else:
+                    later.append(j)
+        if not events:
+            events, later = later, []
+            heapq.heapify(events)
+    relations = []
+    for i in tree:
+        (u, v), (a, b) = sorted_edges[i].endpoints, sorted_edges[i].attachments
+        relations.append(f"{render(u, a)} = {render(v, b)}")
     in_tree = set(tree)
     non_tree = [e for i, e in enumerate(sorted_edges) if i not in in_tree]
-
-    stable_names = {}
-    for i, e in enumerate(non_tree, start=1):
-        stable_names[e.id] = "t" if len(non_tree) == 1 else f"t{i}"
-
-    relations = []
-    for e in tree_edges:
-        left = render(e.endpoints[0], e.attachments[0])
-        right = render(e.endpoints[1], e.attachments[1])
-        relations.append(f"{left} = {right}")
-    for e in non_tree:
-        t = stable_names[e.id]
-        left = render(e.endpoints[0], e.attachments[0])
-        right = render(e.endpoints[1], e.attachments[1])
-        relations.append(f"{t} {left} {t}^-1 = {right}")
-
-    generators += [stable_names[e.id] for e in non_tree]
+    for k, e in enumerate(non_tree, start=1):
+        t = "t" if len(non_tree) == 1 else f"t{k}"
+        generators.append(t)
+        (u, v), (a, b) = e.endpoints, e.attachments
+        relations.append(f"{t} {render(u, a)} {t}^-1 = {render(v, b)}")
     if relations:
         return f"< {', '.join(generators)} | {', '.join(relations)} >"
     return f"< {', '.join(generators)} | >"
@@ -385,12 +406,16 @@ def parse_gog(text: str) -> GraphOfGroups:
     """Parse the graph-of-groups file format; errors carry line numbers."""
     vertices: dict[str, VertexGroup] = {}
     edges: list[EdgeSpec] = []
-    # Per rank, its vertex group, Alphabet and the attachment words parsed
-    # so far; vertices of one rank share one group, as cyclic vertices do.
-    ranks: dict[int, tuple[FreeVertex, Alphabet, dict[str, CyclicWord]]] = {}
-    cyclic = CyclicVertex()
+    # Each vertex id's token table maps the tokens parsed so far to their
+    # attachments; each rank, all cyclic and all opaque vertices share one.
+    # Edges are filled through their slots, past the generic record init.
+    tables: dict[str, dict] = {}
+    ranks: dict[int, tuple[FreeVertex, Alphabet, dict]] = {}
+    cyclic, cyclic_table, opaque_table = CyclicVertex(), {}, {}
+    set_id, set_endpoints, set_attachments = (
+        EdgeSpec.id.__set__, EdgeSpec.endpoints.__set__, EdgeSpec.attachments.__set__)
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        tokens = raw.partition("#")[0].split()
+        tokens = (raw.partition("#")[0] if "#" in raw else raw).split()
         if not tokens:
             continue
         kind = tokens[0]
@@ -408,16 +433,17 @@ def parse_gog(text: str) -> GraphOfGroups:
                 if rank < 1:
                     raise ParseError("free vertex needs a positive rank", lineno)
                 if rank not in ranks:
-                    ranks[rank] = (FreeVertex(rank), Alphabet(rank), {})
-                vertices[vid] = ranks[rank][0]
+                    ranks[rank] = FreeVertex(rank), Alphabet(rank), {}
+                vertices[vid], _, tables[vid] = ranks[rank]
             elif vkind == "cyclic":
                 if len(tokens) != 3:
                     raise ParseError("cyclic vertex takes no extra fields", lineno)
-                vertices[vid] = cyclic
+                vertices[vid], tables[vid] = cyclic, cyclic_table
             elif vkind == "opaque":
                 if len(tokens) > 4:
                     raise ParseError("opaque vertex takes at most a label", lineno)
                 vertices[vid] = OpaqueVertex(tokens[3] if len(tokens) == 4 else "")
+                tables[vid] = opaque_table
             else:
                 raise ParseError(f"unknown vertex kind {vkind!r}", lineno)
         elif kind == "edge":
@@ -426,14 +452,22 @@ def parse_gog(text: str) -> GraphOfGroups:
                     "edge line needs: edge <id> <v1> <v2> <attach1> <attach2>", lineno
                 )
             eid, v1, v2, a1, a2 = tokens[1:]
-            for vid in (v1, v2):
-                if vid not in vertices:
-                    raise ParseError(f"unknown vertex {vid} (declare vertices first)", lineno)
-            attachments = (
-                _parse_attachment(a1, vertices[v1], ranks, lineno),
-                _parse_attachment(a2, vertices[v2], ranks, lineno),
-            )
-            edges.append(EdgeSpec(eid, (v1, v2), attachments))
+            if v1 not in vertices or v2 not in vertices:
+                vid = v1 if v1 not in vertices else v2
+                raise ParseError(f"unknown vertex {vid} (declare vertices first)", lineno)
+            known = tables[v1]
+            att1 = known.get(a1)  # None for a new token, or for "-" at an opaque vertex
+            if att1 is None:
+                att1 = known[a1] = _parse_attachment(a1, vertices[v1], ranks, lineno)
+            known = tables[v2]
+            att2 = known.get(a2)
+            if att2 is None:
+                att2 = known[a2] = _parse_attachment(a2, vertices[v2], ranks, lineno)
+            edge = object.__new__(EdgeSpec)
+            set_id(edge, eid)
+            set_endpoints(edge, (v1, v2))
+            set_attachments(edge, (att1, att2))
+            edges.append(edge)
         else:
             raise ParseError(f"unknown directive {kind!r}", lineno)
     if not vertices:
@@ -443,19 +477,18 @@ def parse_gog(text: str) -> GraphOfGroups:
 
 def _parse_attachment(token: str, group: VertexGroup, ranks, lineno: int):
     if isinstance(group, FreeVertex):
-        _, alphabet, known = ranks[group.rank]
-        core = known.get(token)
+        try:
+            word = free_reduce(parse_word(token.replace(",", " "), ranks[group.rank][1]))
+        except InvalidInputError as exc:
+            raise ParseError(f"bad attachment word {token!r}: {exc}", lineno)
+        if word and word[0] != -word[-1]:  # cyclically reduced: only rotate it
+            k = _least_rotation(word)
+            return CyclicWord._from_canonical(word[k:] + word[:k])
+        core = _cyclic_core(word)[0]
         if core is None:
-            try:
-                word = parse_word(token.replace(",", " "), alphabet)
-            except InvalidInputError as exc:
-                raise ParseError(f"bad attachment word {token!r}: {exc}", lineno)
-            core = _cyclic_core(word)[0]
-            if core is None:
-                raise ParseError(
-                    f"trivial edge group: attachment {token!r} reduces to identity", lineno
-                )
-            known[token] = core
+            raise ParseError(
+                f"trivial edge group: attachment {token!r} reduces to identity", lineno
+            )
         return core
     if isinstance(group, CyclicVertex):
         try:

@@ -63,24 +63,28 @@ def whitehead_two_connected(alphabet: Alphabet, family) -> bool:
 
     By Whitehead's cut-vertex lemma (Stallings 1999; Heusener and
     Weidmann 2019) a decomposable family's graph has a cut vertex or is
-    disconnected in every basis, so True proves it indecomposable.  The
-    graph is 2n adjacency bitmasks, letter x at ``letter_index(x)``.
-    An unused generator leaves isolated letters: False before any row.
+    disconnected in every basis, so True proves it indecomposable.  An
+    unused generator leaves isolated letters: False before any row.
     """
-    words = [w.letters for w in family]
+    return bitmask_two_connected(_whitehead_rows(alphabet.rank, [w.letters for w in family]))
+
+
+def _whitehead_rows(rank: int, words) -> tuple[int, ...]:
+    """The Whitehead graph of letter tuples as 2n adjacency bitmasks, letter
+    x at ``letter_index(x)``; no rows when some generator is unused."""
     support = {abs(x) for letters in words for x in letters}
-    if len(support) != alphabet.rank or max(support) != alphabet.rank:
-        return False
-    rows = [0] * (2 * alphabet.rank)
+    if len(support) != rank or max(support) != rank:
+        return ()
+    rows = [0] * (2 * rank)
     for letters in words:
-        x = letters[-1]
+        i = letter_index(letters[-1])
         for y in letters:
-            # the cyclic pair (x, y) joins x to y^-1
-            i, j = letter_index(x), letter_index(-y)
+            # the cyclic pair (x, y) joins x, at i, to y^-1, at j
+            j = 2 * y - 1 if y > 0 else -2 * y - 2
             rows[i] |= 1 << j
             rows[j] |= 1 << i
-            x = y
-    return bitmask_two_connected(rows)
+            i = j ^ 1  # y, the next pair's x
+    return tuple(rows)
 
 
 def whitehead_moves(alphabet: Alphabet):

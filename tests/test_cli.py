@@ -143,6 +143,7 @@ class TestBoundedRefusals:
     """Refusals exit 2 with one short stderr line, in bounded time and memory."""
 
     BIG_RANK_GOG = "vertex v free 400000000\nvertex w cyclic\nedge e v w ab 2\n"
+    BIG_EXPONENT_GOG = "vertex u cyclic\nvertex w free 1\nedge e u w 3000000000 a\n"
 
     @pytest.mark.parametrize("radius", ["9000", "10000", "100000000"])
     def test_huge_ball_refused_quickly(self, capsys, radius):
@@ -170,17 +171,26 @@ class TestBoundedRefusals:
         assert code == 2 and out == ""
         assert err == "error: presentation has 2000001 generators (cap 2000000)\n"
 
+    def test_presentation_relation_letters_refused(self, capsys, tmp_path):
+        # the exponent alone is 3,000,000,000 letters, and the word a one more
+        path = tmp_path / "big_exponent.gog"
+        path.write_text(self.BIG_EXPONENT_GOG)
+        code, out, err = run(capsys, "present", str(path))
+        assert code == 2 and out == ""
+        assert err == "error: presentation has 3000000001 relation letters (cap 2000000)\n"
+
     @pytest.mark.parametrize("argv", [
         ("tree", "ball", "--rank", "2", "--radius", "10000"),
         ("tree", "ball", "--rank", "2", "--radius", "100000000"),
         ("indecomposable", "--rank", "400000000", "ab"),
-        ("one-ended", None),
-        ("present", None),
+        ("one-ended", "BIG_RANK_GOG"),
+        ("present", "BIG_RANK_GOG"),
+        ("present", "BIG_EXPONENT_GOG"),
     ])
     def test_refusal_in_bounded_memory(self, tmp_path, argv):
-        if argv[-1] is None:
-            path = tmp_path / "big_rank.gog"
-            path.write_text(self.BIG_RANK_GOG)
+        if argv[-1].endswith("_GOG"):
+            path = tmp_path / "input.gog"
+            path.write_text(getattr(self, argv[-1]))
             argv = argv[:-1] + (str(path),)
         code, out, err = run_limited(*argv)
         assert code == 2 and out == ""

@@ -3,7 +3,12 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from freesplit.errors import InvalidInputError, ParseError, UnsupportedExportError
+from freesplit.errors import (
+    InvalidInputError,
+    ParseError,
+    ResourceCapError,
+    UnsupportedExportError,
+)
 from freesplit.gog import (
     CyclicVertex,
     EdgeSpec,
@@ -502,6 +507,19 @@ class TestPresentation:
         text = presentation(g)
         assert "t1" in text and "t2" in text
 
+    def test_relation_letters_capped(self):
+        # 2,000,000 letters are rendered; one more is refused before any is
+        g = GraphOfGroups(
+            {"u": CyclicVertex(), "w": FreeVertex(1)},
+            [EdgeSpec("e", ("u", "w"), (1_999_999, fam("a", rank=1)[0]))],
+        )
+        assert len(presentation(g)) == len("< a, b | ") + 1_999_999 + len(" = b >")
+        g.edges[0] = EdgeSpec("e", ("u", "w"), (-3_000_000_000, fam("a", rank=1)[0]))
+        with pytest.raises(ResourceCapError) as info:
+            presentation(g)
+        assert str(info.value) == "presentation has 3000000001 relation letters (cap 2000000)"
+        assert (info.value.predicted, info.value.cap) == (3_000_000_001, 2_000_000)
+
 
 class TestFileFormat:
     def test_round_trip(self):
@@ -817,17 +835,34 @@ def _programmatic_letter():
     )
 
 
+class _Exponent(int):
+    pass
+
+
+class _Word(CyclicWord):
+    __slots__ = ()
+
+
+class _OtherGroup:
+    """A vertex group of none of the three classes."""
+
+
 @st.composite
 def programmatic_graphs(draw):
-    """Graphs built in code, with attachments the parser never makes."""
+    """Graphs built in code, with attachments the parser never makes, and
+    subclasses and other classes where the parser makes exact types."""
     names = draw(st.lists(st.sampled_from(_VERTEX_IDS), unique=True, max_size=4))
-    groups = st.sampled_from([FreeVertex(1), FreeVertex(2), CyclicVertex(), OpaqueVertex()])
+    groups = st.sampled_from(
+        [FreeVertex(1), FreeVertex(2), CyclicVertex(), OpaqueVertex(), _OtherGroup()]
+    )
     vertices = {name: draw(groups) for name in names}
+    word_class = st.sampled_from([CyclicWord, _Word])
     attachment = st.one_of(
-        st.lists(_programmatic_letter(), min_size=1, max_size=4).map(
-            lambda xs: CyclicWord._from_canonical(tuple(xs))
+        st.builds(
+            lambda cls, xs: cls._from_canonical(tuple(xs)),
+            word_class, st.lists(_programmatic_letter(), min_size=1, max_size=4),
         ),
-        st.sampled_from([None, "t", 0, 2, -1, True, 1.5]),
+        st.sampled_from([None, "t", 0, 2, -1, True, 1.5, _Exponent(3), _Exponent(0)]),
     )
     edges = [
         EdgeSpec(
@@ -840,7 +875,48 @@ def programmatic_graphs(draw):
     return GraphOfGroups(vertices, edges)
 
 
+# One token at every kind of vertex: "2" is the exponent 2 at a cyclic
+# vertex, the word b at rank 2 and 3, a tag at an opaque vertex, and no
+# letter of rank 1; "-" is no tag at an opaque vertex and nothing elsewhere.
+_SHARED_TOKEN_VERTICES = (
+    "vertex c cyclic\nvertex f1 free 1\nvertex f2 free 2\nvertex f3 free 3\nvertex o opaque\n"
+)
+_SHARED_TOKEN_FILES = [
+    _SHARED_TOKEN_VERTICES + "\n".join([
+        "edge e1 c f2 2 2", "edge e2 f2 o 2 2", "edge e3 f3 c 2 -1", "edge e4 f1 f2 -1 -1",
+        "edge e5 o f3 -1 -1", "edge e6 f1 o a a", "edge e7 f2 f3 a a", "edge e8 c o 2 -",
+        "edge e9 f3 f1 2 a", "edge e10 o c - -1", "edge e11 f2 f3 ba BA",
+    ]),
+    _SHARED_TOKEN_VERTICES + "edge e1 c f2 2 2\nedge e2 f1 f2 2 a\n",
+    _SHARED_TOKEN_VERTICES + "edge e1 f2 f1 a a\nedge e2 c o a a\n",
+    _SHARED_TOKEN_VERTICES + "edge e1 o o - -\nedge e2 f3 f1 - a\n",
+    _SHARED_TOKEN_VERTICES + "edge e1 f1 o -1 -1\nedge e2 c f1 -1 -1\nedge e3 f2 c 2 -\n",
+]
+
+
 class TestParserAgainstReference:
+    @pytest.mark.parametrize("text", _SHARED_TOKEN_FILES, ids=[
+        "valid", "2-at-rank-1", "a-at-cyclic", "dash-at-rank-3", "dash-at-cyclic"])
+    def test_shared_tokens_parse_by_vertex_kind(self, text):
+        expected = outcome(reference_parse_gog, text)
+        assert outcome(parse_gog, text) == expected
+        if isinstance(expected, GraphOfGroups):
+            assert validate(expected) == reference_validate(expected) == []
+
+    def test_shared_tokens_values(self):
+        g = parse_gog(_SHARED_TOKEN_FILES[0])
+        attachments = {e.id: e.attachments for e in g.edges}
+        b = CyclicWord((2,))
+        assert attachments["e1"] == (2, b)
+        assert attachments["e2"] == (b, "2")
+        assert attachments["e3"] == (b, -1)
+        assert attachments["e4"] == (CyclicWord((-1,)),) * 2
+        assert attachments["e5"] == ("-1", CyclicWord((-1,)))
+        assert attachments["e8"] == (2, None)
+        assert attachments["e10"] == (None, -1)
+        # a cyclically reduced word is stored in its canonical rotation
+        assert [w.letters for w in attachments["e11"]] == [(1, 2), (-1, -2)]
+
     @settings(max_examples=300, deadline=None)
     @given(graph_files())
     def test_parse_matches_reference(self, text):
