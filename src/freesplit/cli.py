@@ -11,10 +11,11 @@ output.  JSON reports always carry the top-level keys ``command``,
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
+import re
 import sys
+from types import SimpleNamespace
 
 from . import arcs, gog, tree, whitehead
 from .errors import FreesplitError, ParseError, ResourceCapError
@@ -170,17 +171,20 @@ def _cmd_tree_profile(args):
 
 def _cmd_tree_axes(args):
     ball = _tree_lines(args)[0]
-    # labels of the vertices by id, and of each period once
-    labels, period = ball.labels(), functools.cache(format_word)
+    period = functools.cache(format_word)  # each period's label once
     if args.format == "json":
-        axes = arcs.enumerate_axes(args.words, ball)
+        axes, labels = arcs.enumerate_axes(args.words, ball), ball.labels()
         return None, lambda: {"axes": [
             {"base": labels[a.base_id], "period": period(a.period),
              "trace": [labels[v] for v in arcs._trace_ids(a.line)]}
             for a in axes
         ]}, None, None
-    lines = [f"axis base={labels[v]} period={period(rays.period)}"
-             for v, _, _, rays in arcs._lines(args.words, ball, sphere=True)]
+    # labels come in id order, as the bases do, and none past the last base is built
+    labels, lines, at = ball.iter_labels(), [], -1
+    for v, _, _, rays in arcs._lines(args.words, ball, sphere=True):
+        while at < v:
+            label, at = next(labels), at + 1
+        lines.append(f"axis base={label} period={period(rays.period)}")
     lines.append(f"total {len(lines)}")
     return None, None, lines, None
 
@@ -252,19 +256,22 @@ _INPUT = ("rank", "words", "radius", "max_radius", "file")
 _PLAIN = ("text", "json")
 _WITH_DOT = ("text", "dot", "json")
 
-# Flags and positionals, named for the command table below.
+# Flags and positionals, named for the command table below: (dest, option
+# strings, type, default, help).  A row without option strings is a
+# positional, and a list one takes a run of words.  A bool flag takes no
+# value; an int one takes an int.  A default of ... marks a required one.
 _ARGUMENTS = {
-    "rank": (("--rank",), {"type": int, "required": True, "help": "free group rank"}),
-    "strict": (("--strict",), {"action": "store_true",
-                               "help": "reject words that are not already cyclically reduced"}),
-    "words": (("words",), {"nargs": "+", "help": "cyclic words (letter or numeric form)"}),
-    "radius": (("--radius",), {"type": int, "help": "ball radius (default 3)"}),
-    "ball_radius": (("--radius",), {"type": int, "default": 2, "help": "ball radius (default 2)"}),
-    "max_radius": (("--max-radius",), {"type": int, "help": "largest radius (default 3)"}),
-    "cap": (("--cap",), {"type": int, "default": tree.DEFAULT_VERTEX_CAP,
-                         "help": "ball vertex budget (default 2000000)"}),
-    "output": (("-o", "--output"), {"help": "write the file here instead of stdout"}),
-    "file": (("file",), {"help": "graph-of-groups file"}),
+    "rank": ("rank", ("--rank",), int, ..., "free group rank"),
+    "strict": ("strict", ("--strict",), bool, False,
+               "reject words that are not already cyclically reduced"),
+    "words": ("words", (), list, ..., "cyclic words (letter or numeric form)"),
+    "radius": ("radius", ("--radius",), int, None, "ball radius (default 3)"),
+    "ball_radius": ("radius", ("--radius",), int, 2, "ball radius (default 2)"),
+    "max_radius": ("max_radius", ("--max-radius",), int, None, "largest radius (default 3)"),
+    "cap": ("cap", ("--cap",), int, tree.DEFAULT_VERTEX_CAP,
+            "ball vertex budget (default 2000000)"),
+    "output": ("output", ("-o", "--output"), str, None, "write the file here instead of stdout"),
+    "file": ("file", (), str, ..., "graph-of-groups file"),
 }
 
 # (name, help, handler, formats, arguments).  A "tree X" row is an analysis
@@ -293,40 +300,178 @@ _COMMANDS = (
 )
 
 
-class _Parser(argparse.ArgumentParser):
-    """Usage errors raise ParseError, so they exit 1 like any other bad input."""
+# argv is read as argparse read it with one subparser per _COMMANDS row.
+# A level is (prog, about, rows, {option string: row}, defaults, positional
+# row); a row's type None is -h/--help, and a dict maps subcommands to
+# their levels.
+def _level(prog, about, rows, **defaults):
+    rows = (("help", ("-h", "--help"), None, None, "show this help message and exit"),) + rows
+    defaults.update((row[0], None if row[3] is ... else row[3]) for row in rows[1:])
+    flags = {option: row for row in rows for option in row[1]}
+    return prog, about, rows, flags, defaults, next((r for r in rows if not r[1]), None)
 
-    def error(self, message):
-        raise ParseError(message)
 
-
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The CLI parser, built from _COMMANDS once per process and shared."""
-    parser = _Parser(
-        prog="freesplit",
-        description="Whitehead-graph and arc-system decisions for free groups"
-        " and graphs of groups",
-    )
-    groups = {"": parser.add_subparsers(dest="command", required=True)}
-    for name, help_text, handler, formats, arguments in _COMMANDS:
+def _levels():
+    levels = {"": _level("freesplit", "Whitehead-graph and arc-system decisions for free"
+                         " groups and graphs of groups", (("command", (), {}, ..., None),))}
+    for name, about, handler, formats, arguments in _COMMANDS:
         group, _, leaf = name.rpartition(" ")
-        p = groups[group].add_parser(leaf, help=help_text)
         if handler is None:
-            groups[name] = p.add_subparsers(dest="analysis", required=True)
+            level = levels[name] = _level(f"freesplit {name}", about,
+                                          (("analysis", (), {}, ..., None),))
+        else:
+            rows = (("format", ("--format",), formats, "text", None),)
+            rows += tuple(_ARGUMENTS[key] for key in arguments)
+            level = _level(f"freesplit {name}", about, rows,
+                           handler=handler, name=name.replace(" ", "-"))
+        levels[group][5][2][leaf] = level
+    return levels[""]
+
+
+_TOP = _levels()
+_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+
+def _option(arg, flags):
+    """How argparse read an argument that starts with "-" and is no flag:
+    None for a word, else (row or None, option string, its value or None)."""
+    if len(arg) == 1:
+        return None
+    name, eq, value = arg.partition("=")
+    if eq and name in flags:
+        return flags[name], name, value
+    if arg[1] == "-":  # a unique prefix of a long flag
+        found = [(flags[o], o, value if eq else None) for o in flags if o.startswith(name)]
+    else:  # a short flag run into its value, -ofile
+        found = [(flags[arg[:2]], arg[:2], arg[2:])] if arg[:2] in flags else []
+    if len(found) > 1:
+        raise ParseError(f"ambiguous option: {arg} could match {', '.join(f[1] for f in found)}")
+    if found:
+        return found[0]
+    return None if _NUMBER.match(arg) or " " in arg else (None, arg, None)
+
+
+def _error(row, message):
+    return ParseError(f"argument {'/'.join(row[1]) or row[0]}: {message}")
+
+
+def _store(values, row, text, level):
+    dest, _, kind = row[:3]
+    if kind is None:
+        sys.stdout.write(_help(level))
+        sys.exit(0)
+    if kind is int:
+        try:
+            text = int(text)
+        except ValueError:
+            raise _error(row, f"invalid int value: {text!r}") from None
+    elif kind not in (bool, str) and text not in kind:
+        raise _error(row, f"invalid choice: {text!r} (choose from {', '.join(map(repr, kind))})")
+    values[dest] = True if kind is bool else text
+
+
+def _parse(argv, level):
+    """One level of argv: its values, and the arguments it could not place."""
+    _, _, rows, flags, values, positional = level
+    subs = positional[2] if positional and type(positional[2]) is dict else None
+    if subs and argv and argv[0] in subs:  # its level reads the rest
+        values, extras = _parse(argv[1:], subs[argv[0]])
+        return {positional[0]: argv[0], **values}, extras
+    # One kind per argument: O a flag, A a word and - the first "--".
+    values, kinds, found = dict(values), "", {}
+    for i, arg in enumerate(argv):
+        option = (flags[arg], arg, None) if arg in flags else (
+            None if arg[:1] != "-" or arg == "--" else _option(arg, flags))
+        if option is None and (arg == "--" or subs is not None):  # the rest are words
+            kinds += ("-" if arg == "--" else "A") + "A" * (len(argv) - i - 1)
+            break
+        if option is not None:
+            found[i] = option
+        kinds += "A" if option is None else "O"
+    extras, i, n = [], 0, len(argv)
+    while i < n:
+        if i in found:
+            row, option, text = found[i]
+            i += 1
+            if row is None:
+                extras.append(option)
+                continue
+            chain = []  # short flags without values run together: -hh
+            while text and row[2] in (None, bool) and option[1] != "-":
+                chain.append((row, None))
+                if "-" + text[0] not in flags:
+                    raise _error(row, f"ignored explicit argument {text!r}")
+                option = "-" + text[0]
+                row, text = flags[option], text[1:] or None
+            if row[2] in (None, bool) and text is not None:
+                raise _error(row, f"ignored explicit argument {text!r}")
+            if row[2] not in (None, bool) and text is None:
+                if kinds[i:i + 1] != "A":
+                    raise _error(row, "expected one argument")
+                text, i = argv[i], i + 1
+            for row, text in chain + [(row, text)]:
+                _store(values, row, text, level)
             continue
-        p.set_defaults(handler=handler, name=name.replace(" ", "-"))
-        p.add_argument("--format", choices=formats, default="text")
-        for key in arguments:
-            flags, options = _ARGUMENTS[key]
-            p.add_argument(*flags, **options)
-    return parser
+        # a positional: a run of words up to the next flag, one word, or a
+        # subcommand and the rest, each perhaps with the "--" around it
+        start, j, kind = i + (kinds[i] == "-"), i, positional and positional[2]
+        if kind and values[positional[0]] is None and kinds[start:start + 1] == "A":
+            j = kinds.find("O", start) if kind is list else start + 1 if kind is str else n
+            j = n if j < 0 else j + (kind is str and kinds[j:j + 1] == "-")
+        if j == i:
+            j = min((k for k in found if k > i), default=n)
+            extras += argv[i:j]
+        elif subs is not None:
+            if argv[i] not in subs:
+                choices = ", ".join(map(repr, subs))
+                raise _error(positional, f"invalid choice: {argv[i]!r} (choose from {choices})")
+            sub_values, sub_extras = _parse(argv[i + 1:], subs[argv[i]])
+            values.update(sub_values, **{positional[0]: argv[i]})
+            extras += sub_extras
+        else:
+            words = argv[i:j]
+            if "--" in words:
+                words.remove("--")
+            values[positional[0]] = words if kind is list else words[0]
+        i = j
+    missing = ["/".join(r[1]) or r[0] for r in rows if r[3] is ... and values[r[0]] is None]
+    if missing:
+        raise ParseError(f"the following arguments are required: {', '.join(missing)}")
+    return values, extras
+
+
+def _help(level):
+    """A level's usage line and one line per row and subcommand."""
+    prog, about, rows, _, _, positional = level
+    subs = positional[2] if positional and type(positional[2]) is dict else {}
+    usage, lines = [], []
+    for dest, options, kind, default, text in rows:
+        if not options:
+            name = "{" + ",".join(kind) + "}" if subs else dest
+            usage.append(name + (" ..." if subs else f" [{dest} ...]" if kind is list else ""))
+            lines.append(f"  {name:<21} {text or ''}".rstrip())
+            continue
+        value = ("" if kind in (None, bool) else
+                 " {" + ",".join(kind) + "}" if type(kind) is tuple else " " + dest.upper())
+        usage.append(options[0] + value if default is ... else f"[{options[0]}{value}]")
+        lines.append(f"  {', '.join(o + value for o in options):<21} {text or ''}".rstrip())
+    lines += [f"    {name:<19} {sub[1]}" for name, sub in subs.items()]
+    return "\n".join([f"usage: {prog} {' '.join(usage)}", "", about, ""] + lines) + "\n"
+
+
+def parse_args(argv) -> SimpleNamespace:
+    """The values of argv, read as by the argparse parser that the command
+    table used to build.  -h or --help prints the help text and exits 0."""
+    values, extras = _parse(argv, _TOP)
+    if extras:
+        raise ParseError(f"unrecognized arguments: {' '.join(extras)}")
+    return SimpleNamespace(**values)
 
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-        if "words" in args:
+        args = parse_args(sys.argv[1:] if argv is None else list(argv))
+        if hasattr(args, "words"):
             args.words = _read_family(args)
         verdict, certificate, lines, dot = args.handler(args)
         if args.format == "dot":

@@ -1,7 +1,8 @@
 """Graphs of groups with cyclic edge groups, and the one-endedness decision.
 
 Vertex groups are free of finite rank, infinite cyclic, or opaque
-one-ended placeholders.  Edge groups are infinite cyclic, attached to a
+one-ended placeholders; a vertex group of any other class is read as
+opaque by every stage.  Edge groups are infinite cyclic, attached to a
 free vertex by a nontrivial cyclic word, to a cyclic vertex by a nonzero
 exponent, and to an opaque vertex by an uninterpreted tag.
 
@@ -237,7 +238,7 @@ def one_ended(g: GraphOfGroups) -> OneEndednessVerdict:
     two_connected: dict[tuple[int, ...], bool] = {}  # per distinct Whitehead graph
     for vid in order:
         group = g.vertices[vid]
-        if isinstance(group, OpaqueVertex):
+        if not isinstance(group, (FreeVertex, CyclicVertex)):
             continue
         if not g.edges:
             # A valid graph is connected, so vid is its only vertex.
@@ -319,7 +320,7 @@ def presentation(g: GraphOfGroups) -> str:
     counts = []
     for vid in order:
         group = g.vertices[vid]
-        if isinstance(group, OpaqueVertex):
+        if not isinstance(group, (FreeVertex, CyclicVertex)):
             raise UnsupportedExportError(f"vertex {vid} is opaque; no presentation available")
         counts.append(group.rank if isinstance(group, FreeVertex) else 1)
     total = sum(counts)
@@ -517,7 +518,8 @@ def serialize_gog(g: GraphOfGroups) -> str:
         elif isinstance(grp, CyclicVertex):
             lines.append(f"vertex {vid} cyclic")
         else:
-            label = f" {_token('label', grp.label)}" if grp.label else ""
+            label = getattr(grp, "label", "")
+            label = f" {_token('label', label)}" if label else ""
             lines.append(f"vertex {vid} opaque{label}")
     for e in g.edges:
         a1 = _format_attachment(e.attachments[0])

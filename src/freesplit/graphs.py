@@ -49,9 +49,6 @@ class Multigraph:
     def total_edges(self) -> int:
         return sum(self._mult.values())
 
-    def neighbors(self, v) -> set:
-        return {self._order[j] for j in self._adj[self._index[v]]}
-
     def degrees(self) -> dict:
         """Edge-end count at every vertex, multiplicities included, loops twice."""
         out = [0] * len(self._order)

@@ -19,7 +19,6 @@ digit d is (2n-1)·v + 2 + d.  The ids do not depend on the radius.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from itertools import chain, islice
 
 from .errors import InvalidInputError, ResourceCapError
 from .words import Alphabet, Word, format_letter, format_word, letter_index
@@ -111,7 +110,12 @@ class TreeBall:
         yield level
 
     def labels(self) -> list[str]:
-        """``format_word`` of every vertex in id order, each built from its parent's.
+        """``format_word`` of every vertex in id order."""
+        return list(self.iter_labels())
+
+    def iter_labels(self):
+        """``format_word`` of every vertex in id order, each built from its
+        parent's, keeping only the labels of the sphere before.
 
         A word with a letter past the 26 of the letter form is numeric
         throughout, so such a letter switches the label to the numeric
@@ -119,23 +123,21 @@ class TreeBall:
         """
         letters = self.alphabet.letters()
         letter = [format_letter(x) for x in letters[:52]]
-        lasts = chain.from_iterable(self.levels())
-        next(lasts)
-        out = [""]
-        for parent, x in zip(self.parents(), lasts):
-            head = out[parent]
-            if head[-1:].isdigit():
-                out.append(f"{head} {letters[x]}")
-            elif x < 52:
-                out.append(head + letter[x])
-            else:
-                out.append(format_word(self.vertices[len(out)]))
-        out[0] = format_word(())
-        return out
-
-    def interior_edges(self):
-        """Edges with both endpoints at distance <= radius - 1, building no sphere word."""
-        return islice(self.edges(), max(self.offsets[self.radius] - 1, 0))
+        yield format_word(())
+        levels, before, v = self.levels(), [""], 1
+        next(levels)
+        for level in levels:
+            step, sphere = len(level) // len(before), []  # children per parent
+            for j, x in enumerate(level):
+                head = before[j // step]
+                if head[-1:].isdigit():
+                    sphere.append(f"{head} {letters[x]}")
+                elif x < 52:
+                    sphere.append(head + letter[x])
+                else:
+                    sphere.append(format_word(self.vertices[v + j]))
+            yield from sphere
+            before, v = sphere, v + len(sphere)
 
     def to_dot(self, name: str = "ball") -> str:
         labels = self.labels()

@@ -2,15 +2,23 @@
 
 The oracles deliberately avoid the production code paths: articulation
 points by vertex deletion, axis membership by the conjugation-length
-criterion |v^-1 h v| = |h|_cyclic, and axis identity by the reduced
+criterion |v^-1 h v| = |h|_cyclic, axis identity by the reduced
 conjugate element itself (valid for indivisible words, where conjugates
-correspond to axes one to one).
+correspond to axes one to one), and argv by the argparse parser the CLI
+used to build.
 """
 
 from __future__ import annotations
 
+import argparse
+import functools
 import random
+from itertools import islice
 
+from hypothesis import strategies as st
+
+from freesplit import cli, tree
+from freesplit.errors import ParseError
 from freesplit.graphs import Multigraph
 from freesplit.words import (
     Alphabet,
@@ -112,12 +120,17 @@ def brute_articulation_points(graph: Multigraph) -> set:
     return cuts
 
 
+def neighbors(graph: Multigraph, v) -> set:
+    """The vertices joined to v by an edge, v itself for a loop."""
+    return {b if a == v else a for a, b, _ in graph.edges() if v in (a, b)}
+
+
 def _component_of(graph: Multigraph, start, excluded) -> set:
     seen = {start}
     stack = [start]
     while stack:
         u = stack.pop()
-        for w in graph.neighbors(u):
+        for w in neighbors(graph, u):
             if w != excluded and w not in seen:
                 seen.add(w)
                 stack.append(w)
@@ -173,7 +186,7 @@ def grow_connected_subset(rng: random.Random, graph: Multigraph, size: int, forb
         frontier = [
             w
             for v in subset
-            for w in graph.neighbors(v)
+            for w in neighbors(graph, v)
             if w not in subset and w not in forbidden
         ]
         if not frontier:
@@ -184,6 +197,11 @@ def grow_connected_subset(rng: random.Random, graph: Multigraph, size: int, forb
 
 # ---------------------------------------------------------------------------
 # Tree-side oracles (independent of the arcs module)
+
+
+def interior_edges(ball) -> list:
+    """The ball's edges with both endpoints at distance <= radius - 1."""
+    return list(islice(ball.edges(), max(ball.offsets[ball.radius] - 1, 0)))
 
 
 def on_axis(vertex, element) -> bool:
@@ -317,3 +335,121 @@ def bounded_product_search(candidates, target, max_factors: int):
                     nxt.append((expr + (tag,), new_word))
         frontier = nxt
     return None
+
+
+# ---------------------------------------------------------------------------
+# The CLI front end: the argparse parser that freesplit.cli built from its
+# command table, with the argument options it had, and a corpus of argv.
+
+_REFERENCE_ARGUMENTS = {
+    "rank": (("--rank",), {"type": int, "required": True, "help": "free group rank"}),
+    "strict": (("--strict",), {"action": "store_true",
+                               "help": "reject words that are not already cyclically reduced"}),
+    "words": (("words",), {"nargs": "+", "help": "cyclic words (letter or numeric form)"}),
+    "radius": (("--radius",), {"type": int, "help": "ball radius (default 3)"}),
+    "ball_radius": (("--radius",), {"type": int, "default": 2, "help": "ball radius (default 2)"}),
+    "max_radius": (("--max-radius",), {"type": int, "help": "largest radius (default 3)"}),
+    "cap": (("--cap",), {"type": int, "default": tree.DEFAULT_VERTEX_CAP,
+                         "help": "ball vertex budget (default 2000000)"}),
+    "output": (("-o", "--output"), {"help": "write the file here instead of stdout"}),
+    "file": (("file",), {"help": "graph-of-groups file"}),
+}
+
+
+class _ReferenceParser(argparse.ArgumentParser):
+    """Usage errors raise ParseError, so they exit 1 like any other bad input."""
+
+    def error(self, message):
+        raise ParseError(message)
+
+
+@functools.cache
+def reference_parser() -> argparse.ArgumentParser:
+    """The parser freesplit.cli built from _COMMANDS before it read argv itself."""
+    parser = _ReferenceParser(
+        prog="freesplit",
+        description="Whitehead-graph and arc-system decisions for free groups"
+        " and graphs of groups",
+    )
+    groups = {"": parser.add_subparsers(dest="command", required=True)}
+    for name, help_text, handler, formats, arguments in cli._COMMANDS:
+        group, _, leaf = name.rpartition(" ")
+        p = groups[group].add_parser(leaf, help=help_text)
+        if handler is None:
+            groups[name] = p.add_subparsers(dest="analysis", required=True)
+            continue
+        p.set_defaults(handler=handler, name=name.replace(" ", "-"))
+        p.add_argument("--format", choices=formats, default="text")
+        for key in arguments:
+            flags, options = _REFERENCE_ARGUMENTS[key]
+            p.add_argument(*flags, **options)
+    return parser
+
+
+_COMMAND_PATHS = [name.split() for name, *_ in cli._COMMANDS]
+_LONG_FLAGS = ["--help", "--format", "--rank", "--strict", "--radius", "--max-radius", "--cap",
+               "--output"]
+# A long flag in full or cut to a prefix of at least "--x"; "--r" is
+# ambiguous where both --rank and --radius are taken.
+_FLAG = st.sampled_from(_LONG_FLAGS).flatmap(
+    lambda flag: st.sampled_from([flag[:k] for k in range(3, len(flag) + 1)]))
+# Flag values: ints, negative ints, what int() takes or refuses, formats.
+# "--" is left out: "--rank=--" is read differently on purpose.
+_VALUE = st.sampled_from([
+    "2", "3", "1", "0", "-1", "-7", "+2", " 2", "2_0", "\u0663", "1.5", "x", "", "json", "text",
+    "dot", "JSON", "abAB",
+])
+_WORD = st.sampled_from([
+    "abAB", "a", "ab", "b", "-1", "-1 2", "1 2 -1 -2", "-1.5", "-.5", "-a", "-", "- a", "x.gog",
+    "a=b", "--rank 2", "-h x",
+])
+_STRAY = st.sampled_from([
+    "--", "-h", "--foo", "-x", "---", "-hh", "-hx", "-ho", "-ofile", "-o=f", "-h=", "--=x",
+    "--strict=", "--help=x", "--strict=1", "tree", "graph", "ball", "Tree", "",
+])
+_UNIT = st.one_of(
+    st.tuples(_FLAG, _VALUE).map(list),
+    st.tuples(_FLAG, _VALUE).map(lambda fv: ["=".join(fv)]),
+    st.tuples(st.just("-o"), _VALUE).map(list),
+    _FLAG.map(lambda flag: [flag]),
+    _WORD.map(lambda word: [word]),
+    _STRAY.map(lambda stray: [stray]),
+)
+_GOOD_WORD = st.sampled_from(["abAB", "a", "ab", "-1", "-1 2", "1 2 -1 -2", "x.gog"])
+_INT = st.sampled_from(["2", "3", "1", "-1", "0", "+2", " 2", "2_0", "\u0663"])
+
+
+@st.composite
+def _command_argv(draw) -> list[str]:
+    """A command with most of its arguments, each well formed in one of the
+    ways argparse took, in any order, and perhaps a stray unit or two."""
+    name, _, handler, formats, arguments = draw(st.sampled_from(cli._COMMANDS))
+    units = []
+    for key in ("format",) * bool(formats) + arguments:
+        flags = ("--format",) if key == "format" else _REFERENCE_ARGUMENTS[key][0]
+        if draw(st.integers(0, 7)) == 0:
+            continue
+        if not flags[0].startswith("-"):  # a run of words, or the one file
+            size = 3 if key == "words" else 1
+            units.append(draw(st.lists(_GOOD_WORD, min_size=1, max_size=size)))
+            continue
+        flag = draw(st.sampled_from(flags))
+        if flag.startswith("--") and draw(st.booleans()):
+            flag = flag[:draw(st.integers(3, len(flag)))]
+        if key == "strict":
+            units.append([flag])
+            continue
+        value = draw(st.sampled_from(formats) if key == "format" else _INT)
+        units.append(draw(st.sampled_from([[flag, value], [flag + "=" + value]])))
+    units += draw(st.lists(_UNIT, max_size=2))
+    return name.split() + [arg for unit in draw(st.permutations(units)) for arg in unit]
+
+
+# argv: a command with its arguments, or perhaps a stray argument, a
+# command path (whole, cut short or none), then flags, values and words in
+# any order.
+ARGV = st.one_of(_command_argv(), st.tuples(
+    st.lists(_STRAY, max_size=1),
+    st.sampled_from(_COMMAND_PATHS + [[], ["tree", "bal"]]),
+    st.lists(_UNIT, max_size=7),
+).map(lambda parts: parts[0] + parts[1] + [arg for unit in parts[2] for arg in unit]))

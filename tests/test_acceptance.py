@@ -145,7 +145,7 @@ def test_criterion_06_edge_count_stability():
         family = (helpers.random_cyclic_word(rng, 2, rng.randint(1, 6)),)
         counts_small = edge_counts(enumerate_axes(family, small))
         counts_large = edge_counts(enumerate_axes(family, large))
-        for u, v in small.interior_edges():
+        for u, v in helpers.interior_edges(small):
             key = frozenset((u, v))
             assert counts_small.get(key, 0) == counts_large.get(key, 0), family
     report(6, f"interior edge counts at radius 3 == radius 5 on {trials} single words")
@@ -166,7 +166,7 @@ def test_criterion_07_certified_edges_covered_twice():
             continue
         qualifying += 1
         counts = edge_counts(axes)
-        for u, v in ball.interior_edges():
+        for u, v in helpers.interior_edges(ball):
             assert counts.get(frozenset((u, v)), 0) >= 2, (family, u, v)
     assert qualifying >= 10
     report(7, f"certified systems cover every interior edge >= 2x"

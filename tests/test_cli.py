@@ -121,6 +121,12 @@ class TestTreeCommands:
         assert code == 2 and out == ""
         assert "cap" in err
 
+    def test_text_axes_label_only_printed_bases(self):
+        # a rank-1 ball of radius 100,000 has one line; labelling all of its
+        # 200,001 vertices took memory quadratic in the radius
+        code, out, err = run_limited("tree", "axes", "--rank", "1", "--radius", "100000", "a")
+        assert (code, out, err) == (0, "axis base=1 period=a\ntotal 1\n", "")
+
     def test_words_before_flags_also_accepted(self, capsys):
         code, out, _ = run(capsys, "tree", "certificate", "abAB", "--rank", "2", "--radius", "3")
         assert code == 0 and out == "CERTIFIED\n"

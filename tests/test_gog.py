@@ -936,3 +936,25 @@ class TestParserAgainstReference:
     @given(mixed_graphs())
     def test_round_trip(self, g):
         assert parse_gog(serialize_gog(g)) == g
+
+
+class TestOtherVertexClass:
+    """A vertex group of another class is opaque to every stage, as to validate."""
+
+    GRAPH = GraphOfGroups({"v": _OtherGroup(), "w": CyclicVertex()},
+                          [EdgeSpec("e", ("v", "w"), ("t", 2))])
+
+    def test_validates(self):
+        assert validate(self.GRAPH) == []
+
+    def test_one_ended_reads_it_as_opaque(self):
+        opaque = GraphOfGroups({"v": OpaqueVertex(), "w": CyclicVertex()}, self.GRAPH.edges)
+        assert one_ended(self.GRAPH) == one_ended(opaque)
+        assert one_ended(self.GRAPH).is_one_ended
+
+    def test_presentation_refuses_it_as_opaque(self):
+        with pytest.raises(UnsupportedExportError, match="vertex v is opaque"):
+            presentation(self.GRAPH)
+
+    def test_serialized_as_opaque(self):
+        assert serialize_gog(self.GRAPH) == "vertex v opaque\nvertex w cyclic\nedge e v w t 2\n"

@@ -37,3 +37,5 @@ def test_runtime_loads_only_stdlib_modules():
     assert foreign == []
     # dataclasses alone pulls in inspect, ast, dis and tokenize at every start
     assert "dataclasses" not in loaded and "inspect" not in loaded
+    # argv is parsed from the command table, without argparse and its gettext
+    assert "argparse" not in loaded and "gettext" not in loaded

@@ -514,7 +514,7 @@ class TestEdgeCounts:
             large = build_ball(ALPH2, 5)
             counts_small = edge_counts(enumerate_axes(family, small))
             counts_large = edge_counts(enumerate_axes(family, large))
-            for u, v in small.interior_edges():
+            for u, v in helpers.interior_edges(small):
                 key = frozenset((u, v))
                 assert counts_small.get(key, 0) == counts_large.get(key, 0)
 
@@ -602,7 +602,7 @@ class TestCertificate:
                 continue
             hits += 1
             counts = edge_counts(axes)
-            for u, v in ball.interior_edges():
+            for u, v in helpers.interior_edges(ball):
                 assert counts.get(frozenset((u, v)), 0) >= 2
         assert hits >= 3
 
