@@ -30,7 +30,7 @@ leaving S) stand in for the ends of the tree that project onto them.
 
 from __future__ import annotations
 
-from itertools import accumulate, islice
+from itertools import islice
 
 from .errors import InvalidInputError
 from .graphs import Multigraph, bitmask_two_connected
@@ -109,11 +109,7 @@ class Axis:
     @property
     def trace(self) -> tuple[Word, ...]:
         """The line's vertices in the ball, from the far end against the period."""
-        base, reach = self.base, self.line[2]
-        rays = [(p * (reach // len(p) + 1))[:reach]
-                for p in (self.period, invert_word(self.period))]
-        forward, backward = (list(accumulate([(x,) for x in ray], initial=base)) for ray in rays)
-        return (*reversed(backward[1:]), *forward)
+        return tuple(map(self.line[3].ball.vertices.__getitem__, _trace_ids(self.line)))
 
 
 def _lines(family, ball: TreeBall, sphere: bool = False):
@@ -157,7 +153,8 @@ def _axis_lines(ball: TreeBall, axes):
 
 
 def _trace_ids(line) -> list[int]:
-    """The ids of a ``_lines`` line's vertices in the ball, in ``Axis.trace`` order."""
+    """The ids of a ``_lines`` line's vertices in the ball, from the far end
+    against the period."""
     base_id, last, reach, rays = line
     walk = [(p * base_id + c, p * base_id + d)
             for p, c, _, d, _ in islice(rays.walks[last], reach)]

@@ -26,7 +26,6 @@ from .words import (
     _cyclic_core,
     format_letter,
     format_word,
-    is_cyclically_reduced,
     parse_word,
 )
 
@@ -40,7 +39,7 @@ def _read_family(args) -> tuple[CyclicWord, ...]:
         core = _cyclic_core(raw)[0]
         if core is None:
             raise ParseError(f"word {text!r} reduces to the trivial word")
-        if not is_cyclically_reduced(raw):
+        if len(core.letters) != len(raw):  # shorter exactly when raw was not cyclically reduced
             message = f"word {text!r} auto-reduced to {format_word(core.letters)!r}"
             if args.strict:
                 raise ParseError(message + " (--strict)")
@@ -486,12 +485,10 @@ def main(argv=None) -> int:
             output = json.dumps(report, indent=2) + "\n"
         else:
             output = "\n".join(lines) + "\n"
-    except ResourceCapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (FreesplitError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        message = str(exc).replace("\n", "\\n").replace("\r", "\\r")  # one line
+        print(f"error: {message}", file=sys.stderr)
+        return 2 if isinstance(exc, ResourceCapError) else 1
     sys.stdout.write(output)
     return 0
 

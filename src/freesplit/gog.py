@@ -34,11 +34,9 @@ from .words import (
     CyclicWord,
     _Record,
     _cyclic_core,
-    _least_rotation,
     _within_rank,
     conjugacy_class_rep,
     format_word,
-    free_reduce,
     parse_word,
 )
 
@@ -126,16 +124,6 @@ def _attachment_error(vid: str, group: VertexGroup, att) -> str | None:
     return None
 
 
-def _fits(group: VertexGroup, att) -> bool:
-    """Whether an attachment is valid at sight of its group's exact class."""
-    kind = type(group)
-    if kind is CyclicVertex:
-        return type(att) is int and att != 0
-    if kind is FreeVertex:
-        return type(att) is CyclicWord and _within_rank(att.letters, group.rank)
-    return kind is OpaqueVertex and (att is None or type(att) is str)
-
-
 def validate(g: GraphOfGroups) -> list[str]:
     """All well-formedness violations, each tagged with the vertex/edge id."""
     vertices = g.vertices
@@ -152,11 +140,12 @@ def validate(g: GraphOfGroups) -> list[str]:
             continue
         neighbours[u].append(v)
         neighbours[v].append(u)
-        if not (_fits(vertices[u], a) and _fits(vertices[v], b)):
-            for vid, att in ((u, a), (v, b)):
-                error = _attachment_error(vid, vertices[vid], att)
-                if error:
-                    attachment.append(f"edge {e.id}: {error}")
+        error = _attachment_error(u, vertices[u], a)
+        if error:
+            attachment.append(f"edge {e.id}: {error}")
+        error = _attachment_error(v, vertices[v], b)
+        if error:
+            attachment.append(f"edge {e.id}: {error}")
     ids = Counter(e.id for e in g.edges)
     repeated = sorted(i for i, n in ids.items() if n > 1)
     errors = unknown + [f"duplicate edge id {i}" for i in repeated] + attachment
@@ -479,13 +468,9 @@ def parse_gog(text: str) -> GraphOfGroups:
 def _parse_attachment(token: str, group: VertexGroup, ranks, lineno: int):
     if isinstance(group, FreeVertex):
         try:
-            word = free_reduce(parse_word(token.replace(",", " "), ranks[group.rank][1]))
+            core = _cyclic_core(parse_word(token.replace(",", " "), ranks[group.rank][1]))[0]
         except InvalidInputError as exc:
             raise ParseError(f"bad attachment word {token!r}: {exc}", lineno)
-        if word and word[0] != -word[-1]:  # cyclically reduced: only rotate it
-            k = _least_rotation(word)
-            return CyclicWord._from_canonical(word[k:] + word[:k])
-        core = _cyclic_core(word)[0]
         if core is None:
             raise ParseError(
                 f"trivial edge group: attachment {token!r} reduces to identity", lineno

@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from .errors import InvalidInputError, ResourceCapError
-from .words import Alphabet, Word, format_letter, format_word, letter_index
+from .words import Alphabet, format_letter, format_word, letter_index
 
 DEFAULT_VERTEX_CAP = 2_000_000
 
@@ -82,12 +82,6 @@ class TreeBall:
     def edge_count(self) -> int:
         return self.offsets[-1] - 1
 
-    def edges(self):
-        """Edges as (parent, child) pairs, child one letter longer."""
-        for v in self.vertices:
-            if v:
-                yield v[:-1], v
-
     def parents(self) -> list[int]:
         """The parent id of every vertex but the root, in id order.
 
@@ -100,14 +94,18 @@ class TreeBall:
         return [0] * (self.branch + 1) + [p for p in inner for _ in range(self.branch)]
 
     def levels(self):
-        """Each sphere's last letter indices in id order (-1 at the root), built on demand."""
-        m = 2 * self.alphabet.rank
-        children = [[x for x in range(m) if x != last ^ 1] for last in range(m)] + [range(m)]
-        level = [-1]
-        for _ in range(self.radius):
-            yield level
-            level = [x for last in level for x in children[last]]
+        """Each sphere's last letter indices in id order (-1 at the root), built on demand.
+
+        The table of each letter's 2n - 1 children is built only when a
+        sphere past the first is read.
+        """
+        m, level = 2 * self.alphabet.rank, [-1]
         yield level
+        for k in range(1, self.radius + 1):
+            if k == 2:
+                children = [[x for x in range(m) if x != last ^ 1] for last in range(m)]
+            level = [x for last in level for x in children[last]] if k > 1 else list(range(m))
+            yield level
 
     def labels(self) -> list[str]:
         """``format_word`` of every vertex in id order."""
@@ -168,7 +166,8 @@ def _bounded_vertex_count(rank: int, radius: int, bound: int) -> int | None:
 
 
 def build_ball(alphabet: Alphabet, radius: int, cap: int = DEFAULT_VERTEX_CAP) -> TreeBall:
-    """The ball, refusing if the predicted size exceeds ``cap``.
+    """The ball, refusing if the predicted size, or the 2n letters that its
+    per-letter tables take even at radius 0, exceed ``cap``.
 
     A size past ``max(cap, 10**18)`` is never computed in full: the
     refusal reports it as more than that bound, with ``predicted=None``.
@@ -182,6 +181,9 @@ def build_ball(alphabet: Alphabet, radius: int, cap: int = DEFAULT_VERTEX_CAP) -
             predicted=predicted,
             cap=cap,
         )
+    if 2 * alphabet.rank > cap:
+        raise ResourceCapError(f"ball of rank {alphabet.rank} has {2 * alphabet.rank} letters"
+                               f" (cap {cap})", predicted=2 * alphabet.rank, cap=cap)
     return TreeBall(alphabet, radius)
 
 
@@ -190,7 +192,7 @@ class _Vertices(Sequence):
 
     ``vertices[i]`` decodes id i by the mixed-radix rule above, last letter
     first: past the first sphere, v is the child of (v - 2) // (2n - 1) by
-    the digit (v - 2) % (2n - 1).  Iteration builds each word from its parent's.
+    the digit (v - 2) % (2n - 1).
     """
 
     __slots__ = ("ball", "letters")
@@ -218,10 +220,3 @@ class _Vertices(Sequence):
             x = d + (d >= x ^ 1)  # child_step inverted
             word.append(letters[x])
         return tuple(word)
-
-    def __iter__(self):
-        level: list[Word] = [()]
-        yield ()
-        for _ in range(self.ball.radius):
-            level = [v + (x,) for v in level for x in self.letters if not v or x != -v[-1]]
-            yield from level

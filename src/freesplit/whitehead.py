@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import Counter
 
 from .errors import InternalConsistencyError, InvalidInputError, ResourceCapError
-from .graphs import Multigraph, bitmask_two_connected
+from .graphs import Multigraph
 from .tree import DEFAULT_VERTEX_CAP
 from .words import (
     Alphabet,
@@ -27,7 +27,9 @@ from .words import (
     FreeGroupMap,
     MultiplierAutomorphism,
     _Record,
+    _cyclic_core,
     letter_index,
+    parse_word,
     total_cyclic_length,
 )
 
@@ -56,17 +58,6 @@ def build_whitehead_graph(alphabet: Alphabet, family) -> Multigraph:
         # the cyclic pair (x, y) joins x to y^-1
         graph.add_edge(x, -y, count)
     return graph
-
-
-def whitehead_two_connected(alphabet: Alphabet, family) -> bool:
-    """Whether the Whitehead graph of a family is 2-vertex connected.
-
-    By Whitehead's cut-vertex lemma (Stallings 1999; Heusener and
-    Weidmann 2019) a decomposable family's graph has a cut vertex or is
-    disconnected in every basis, so True proves it indecomposable.  An
-    unused generator leaves isolated letters: False before any row.
-    """
-    return bitmask_two_connected(_whitehead_rows(alphabet.rank, [w.letters for w in family]))
 
 
 def _whitehead_rows(rank: int, words) -> tuple[int, ...]:
@@ -286,8 +277,6 @@ def recognize_basis(alphabet: Alphabet, words) -> tuple[bool, FreeGroupMap | Non
 
 def family_from_texts(alphabet: Alphabet, texts) -> tuple[CyclicWord, ...]:
     """Parse, freely reduce, and cyclically reduce a family given as text."""
-    from .words import _cyclic_core, parse_word
-
     out = []
     for text in texts:
         core = _cyclic_core(parse_word(text, alphabet))[0]

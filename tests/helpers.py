@@ -5,7 +5,8 @@ points by vertex deletion, axis membership by the conjugation-length
 criterion |v^-1 h v| = |h|_cyclic, axis identity by the reduced
 conjugate element itself (valid for indivisible words, where conjugates
 correspond to axes one to one), and argv by the argparse parser the CLI
-used to build.
+used to build.  ``whitehead_two_connected`` and ``edges`` are not oracles:
+they are views over the production code that only the tests read.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ from hypothesis import strategies as st
 
 from freesplit import cli, tree
 from freesplit.errors import ParseError
-from freesplit.graphs import Multigraph
+from freesplit.graphs import Multigraph, bitmask_two_connected
+from freesplit.whitehead import _whitehead_rows
 from freesplit.words import (
     Alphabet,
     CyclicWord,
@@ -103,6 +105,17 @@ def random_clean_family(
 
 # ---------------------------------------------------------------------------
 # Graph oracles
+
+
+def whitehead_two_connected(alphabet: Alphabet, family) -> bool:
+    """Whether the Whitehead graph of a family is 2-vertex connected.
+
+    By Whitehead's cut-vertex lemma (Stallings 1999; Heusener and
+    Weidmann 2019) a decomposable family's graph has a cut vertex or is
+    disconnected in every basis, so True proves it indecomposable.  An
+    unused generator leaves isolated letters: False before any row.
+    """
+    return bitmask_two_connected(_whitehead_rows(alphabet.rank, [w.letters for w in family]))
 
 
 def brute_articulation_points(graph: Multigraph) -> set:
@@ -199,9 +212,15 @@ def grow_connected_subset(rng: random.Random, graph: Multigraph, size: int, forb
 # Tree-side oracles (independent of the arcs module)
 
 
+def edges(ball):
+    """The ball's edges as (parent, child) pairs, child one letter longer."""
+    for v in islice(ball.vertices, 1, None):
+        yield v[:-1], v
+
+
 def interior_edges(ball) -> list:
     """The ball's edges with both endpoints at distance <= radius - 1."""
-    return list(islice(ball.edges(), max(ball.offsets[ball.radius] - 1, 0)))
+    return list(islice(edges(ball), max(ball.offsets[ball.radius] - 1, 0)))
 
 
 def on_axis(vertex, element) -> bool:

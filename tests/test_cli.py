@@ -127,6 +127,15 @@ class TestTreeCommands:
         code, out, err = run_limited("tree", "axes", "--rank", "1", "--radius", "100000", "a")
         assert (code, out, err) == (0, "axis base=1 period=a\ntotal 1\n", "")
 
+    @pytest.mark.parametrize("analysis, lines",
+                             [("counts", 60000), ("axes", 60000), ("profile", 1)])
+    def test_radius_1_ball_of_high_rank(self, analysis, lines):
+        # a radius-1 ball has 1 + 2n vertices; the per-letter child table
+        # of (2n)(2n - 1) entries, 3.6 billion here, is never built
+        radius = "--max-radius" if analysis == "profile" else "--radius"
+        code, out, err = run_limited("tree", analysis, "--rank", "30000", radius, "1", "a")
+        assert (code, out.count("\n"), err) == (0, lines, "")
+
     def test_words_before_flags_also_accepted(self, capsys):
         code, out, _ = run(capsys, "tree", "certificate", "abAB", "--rank", "2", "--radius", "3")
         assert code == 0 and out == "CERTIFIED\n"
@@ -192,6 +201,7 @@ class TestBoundedRefusals:
         ("one-ended", "BIG_RANK_GOG"),
         ("present", "BIG_RANK_GOG"),
         ("present", "BIG_EXPONENT_GOG"),
+        ("tree", "ball", "--rank", "100000000", "--radius", "0"),
     ])
     def test_refusal_in_bounded_memory(self, tmp_path, argv):
         if argv[-1].endswith("_GOG"):
@@ -236,6 +246,16 @@ class TestUsageErrors:
     def test_tree_analyses_take_cap(self, capsys):
         code, _, err = run(capsys, "tree", "ball", "--rank", "2", "--radius", "3", "--cap", "5")
         assert code == 2 and "cap 5" in err
+
+
+class TestOneLineErrors:
+    """An error is one stderr line, even when the text it quotes holds a line break."""
+
+    @pytest.mark.parametrize("arg, shown", [("-x\ny", "-x\\ny"), ("-x\ry", "-x\\ry")])
+    def test_unrecognized_argument_with_a_line_break(self, capsys, arg, shown):
+        code, out, err = run(capsys, "graph", "--rank", "2", "a", arg)
+        assert (code, out) == (1, "")
+        assert err == f"error: unrecognized arguments: {shown}\n"
 
 
 class TestWordHygiene:

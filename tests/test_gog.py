@@ -476,6 +476,8 @@ class TestPresentation:
     def test_surface_presentation(self):
         text = presentation(double(ALPH2, fam("abAB")))
         assert text == "< a, b, c, d | abAB = cdCD >"
+        # a lone vertex has no relations
+        assert presentation(GraphOfGroups({"v1": FreeVertex(1)}, [])) == "< a | >"
 
     def test_hnn_presentation(self):
         g = GraphOfGroups(
@@ -567,6 +569,12 @@ class TestFileFormat:
         text = "vertex v1 free 2\nvertex v2 free 2\nedge e1 v1 v2 1,2,-1,-2 abAB\n"
         g = parse_gog(text)
         assert g.edges[0].attachments[0] == fam("abAB")[0]
+        # a word with a letter past z is written back in the comma form
+        g = GraphOfGroups({"v1": FreeVertex(27), "v2": FreeVertex(27)},
+                          [EdgeSpec("e1", ("v1", "v2"), (CyclicWord((27, -1)), fam("ab")[0]))])
+        text = serialize_gog(g)
+        assert text.splitlines()[-1] == "edge e1 v1 v2 -1,27 ab"
+        assert parse_gog(text) == g
 
     def test_cyclic_and_opaque_attachments(self):
         text = (
@@ -596,6 +604,16 @@ class TestFileFormat:
         with pytest.raises(ParseError) as info:
             parse_gog("widget v1\n")
         assert "unknown directive" in str(info.value)
+
+        for text, message in [
+            ("vertex c cyclic 3\n", "line 1: cyclic vertex takes no extra fields"),
+            ("vertex v1 free 2\nvertex v2 solid\n", "line 2: unknown vertex kind 'solid'"),
+            ("vertex v1 cyclic\nvertex v2 free 1\nedge e1 v1 v2 0 a\n",
+             "line 3: trivial edge group: cyclic attachment is 0"),
+        ]:
+            with pytest.raises(ParseError) as info:
+                parse_gog(text)
+            assert str(info.value) == message
 
         with pytest.raises(ParseError):
             parse_gog("")

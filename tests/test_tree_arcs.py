@@ -270,11 +270,34 @@ class TestBall:
                 ball = build_ball(Alphabet(rank), radius)
                 assert ball.vertex_count() == predicted_vertex_count(rank, radius)
                 assert ball.edge_count() == ball.vertex_count() - 1
+        with pytest.raises(InvalidInputError, match="radius must be >= 0, got -1"):
+            predicted_vertex_count(2, -1)
 
     def test_cap_refusal(self):
         with pytest.raises(ResourceCapError) as info:
             build_ball(ALPH2, 20)
         assert info.value.predicted == predicted_vertex_count(2, 20)
+
+    def test_letters_count_against_the_cap(self):
+        # a radius-0 ball has one vertex, but its per-letter tables take 2n entries
+        assert build_ball(Alphabet(5), 0, cap=10).vertex_count() == 1
+        with pytest.raises(ResourceCapError) as info:
+            build_ball(Alphabet(5), 0, cap=9)
+        assert str(info.value) == "ball of rank 5 has 10 letters (cap 9)"
+        assert (info.value.predicted, info.value.cap) == (10, 9)
+
+    def test_child_table_only_past_the_first_sphere(self):
+        # the (2n)(2n - 1) table would be 4 million entries at rank 1,000
+        ball = build_ball(Alphabet(1000), 1)
+        tracemalloc.start()
+        try:
+            levels = list(ball.levels())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert levels == [[-1], list(range(2000))]
+        assert peak < 10**6
+        assert list(build_ball(ALPH2, 2).levels())[2] == [0, 2, 3, 1, 2, 3, 0, 1, 2, 0, 1, 3]
 
     def test_vertices_in_length_then_word_key_order(self):
         # enumerate_axes relies on this order to emit axes already sorted
@@ -502,7 +525,7 @@ class TestEdgeCounts:
         ball = build_ball(ALPH2, 2)
         axes = enumerate_axes(fam("abAB"), ball)
         counts = edge_counts(axes)
-        for u, v in ball.edges():
+        for u, v in helpers.edges(ball):
             assert counts.get(frozenset((u, v)), 0) == edge_arc_count((u, v), axes)
 
     def test_stability_under_radius_growth(self):
@@ -579,6 +602,7 @@ class TestCertificate:
         ball = build_ball(ALPH2, 3)
         cert = lemma33_certificate(ball, enumerate_axes(fam("a"), ball))
         assert not cert.certified and cert.witness == ()
+        assert not cert and lemma33_certificate(ball, enumerate_axes(fam("abAB"), ball))
 
     def test_rank1_certified_by_single_edge_convention(self):
         ball = build_ball(ALPH1, 3)
@@ -827,7 +851,7 @@ class TestReferenceRoute:
         assert cert == reference_lemma33_certificate(ball, traces)
         counts = reference_edge_counts(traces)
         assert edge_counts(axes) == counts
-        for edge in list(ball.edges())[:5]:
+        for edge in list(helpers.edges(ball))[:5]:
             assert edge_arc_count(edge, axes) == counts.get(frozenset(edge), 0)
         assert class_count_profile(alphabet, family, radius) == \
             reference_class_count_profile(alphabet, family, radius)

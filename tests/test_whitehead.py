@@ -19,7 +19,6 @@ from freesplit.whitehead import (
     minimize,
     recognize_basis,
     whitehead_moves,
-    whitehead_two_connected,
 )
 from freesplit.words import (
     Alphabet,
@@ -128,7 +127,7 @@ class TestCutVertexLemma:
     @given(lemma_corpus())
     def test_agrees_with_multigraph_and_networkx(self, case):
         alphabet, family = case
-        fast = whitehead_two_connected(alphabet, family)
+        fast = helpers.whitehead_two_connected(alphabet, family)
         graph = build_whitehead_graph(alphabet, family)
         assert fast == graph.is_two_vertex_connected()[0]
         shadow = nx.Graph()
@@ -145,7 +144,7 @@ class TestCutVertexLemma:
     @given(lemma_corpus())
     def test_two_connected_input_is_indecomposable(self, case):
         alphabet, family = case
-        fast = whitehead_two_connected(alphabet, family)
+        fast = helpers.whitehead_two_connected(alphabet, family)
         verdict = decide_indecomposable(alphabet, family)
         if fast:
             assert verdict.decision == INDECOMPOSABLE
@@ -154,19 +153,19 @@ class TestCutVertexLemma:
             assert not build_whitehead_graph(alphabet, family).is_two_vertex_connected()[0]
 
     def test_small_cases(self):
-        assert whitehead_two_connected(ALPH2, fam("abAB"))
-        assert whitehead_two_connected(Alphabet(1), fam("aa", rank=1))
-        assert whitehead_two_connected(Alphabet(1), fam("a", rank=1))
+        assert helpers.whitehead_two_connected(ALPH2, fam("abAB"))
+        assert helpers.whitehead_two_connected(Alphabet(1), fam("aa", rank=1))
+        assert helpers.whitehead_two_connected(Alphabet(1), fam("a", rank=1))
         # the path a - B - b - A has cut vertices
-        assert not whitehead_two_connected(ALPH2, fam("ab", "b"))
+        assert not helpers.whitehead_two_connected(ALPH2, fam("ab", "b"))
         # a cut vertex here, yet one descent step shows it indecomposable
-        assert not whitehead_two_connected(ALPH2, fam("aaabab"))
+        assert not helpers.whitehead_two_connected(ALPH2, fam("aaabab"))
         assert decide_indecomposable(ALPH2, fam("aaabab")).decision == INDECOMPOSABLE
-        assert not whitehead_two_connected(Alphabet(3), fam("abAB", "ab", rank=3))
+        assert not helpers.whitehead_two_connected(Alphabet(3), fam("abAB", "ab", rank=3))
 
     def test_unused_generator_answers_before_allocating(self):
         # rows for 2 * 10**9 letters would never fit; the support check comes first
-        assert not whitehead_two_connected(Alphabet(10**9), fam("ab", rank=10**9))
+        assert not helpers.whitehead_two_connected(Alphabet(10**9), fam("ab", rank=10**9))
 
 
 class TestBuildGraph:
@@ -381,6 +380,11 @@ class TestDecide:
         with pytest.raises(InvalidInputError):
             decide_indecomposable(ALPH2, [(1, 2)])
 
+    def test_trivial_text_word_rejected(self):
+        assert family_from_texts(ALPH2, ["baB", "abAB"]) == fam("a", "abAB")
+        with pytest.raises(InvalidInputError, match="word 'abBA' is trivial"):
+            family_from_texts(ALPH2, ["ab", "abBA"])
+
     def test_certificate_soundness(self):
         rng = random.Random(61)
         seen_decomposable = 0
@@ -435,6 +439,10 @@ class TestLazyComposite:
         assert trace._composite is trace.composite
         assert verdict.automorphism is verdict.trace.composite
         assert verdict.automorphism == folded
+        # equality and hashing ignore whether the composite was read
+        unread = minimize(alphabet, family)[1]
+        assert unread._composite is None
+        assert trace == unread and hash(trace) == hash(unread)
 
     def test_text_paths_never_compose(self, capsys, monkeypatch):
         def unread(trace):
