@@ -108,8 +108,23 @@ class Axis:
 
     @property
     def trace(self) -> tuple[Word, ...]:
-        """The line's vertices in the ball, from the far end against the period."""
-        return tuple(map(self.line[3].ball.vertices.__getitem__, _trace_ids(self.line)))
+        """The line's vertices in the ball, from the far end against the period.
+
+        Only the far end is decoded from its id; each next vertex is the one
+        before less its last letter, when it is the parent, or else plus one.
+        """
+        ids, vertices = _trace_ids(self.line), self.line[3].ball.vertices
+        branch, word = vertices.ball.branch, vertices[ids[0]]
+        trace = [word]
+        for u, v in zip(ids, ids[1:]):
+            d = v - branch * u - 2  # v's digit, when v is u's child
+            if d < -1:
+                word = word[:-1]  # v is u's parent
+            else:
+                last = letter_index(word[-1]) if word else -1
+                word += (vertices.letters[d + (d >= last ^ 1)],)  # tree.child_step inverted
+            trace.append(word)
+        return tuple(trace)
 
 
 def _lines(family, ball: TreeBall, sphere: bool = False):

@@ -28,6 +28,8 @@ from .words import (
     MultiplierAutomorphism,
     _Record,
     _cyclic_core,
+    _core,
+    canonical_rotation,
     letter_index,
     parse_word,
     total_cyclic_length,
@@ -44,13 +46,17 @@ def build_whitehead_graph(alphabet: Alphabet, family) -> Multigraph:
     Refuses with ResourceCapError, before any letter is listed, when the
     2n vertices exceed the ball's default vertex budget.
     """
+    return _letters_graph(alphabet, [word.letters for word in family])
+
+
+def _letters_graph(alphabet: Alphabet, words) -> Multigraph:
+    """``build_whitehead_graph`` of cyclically reduced letter tuples, in any rotation."""
     if 2 * alphabet.rank > DEFAULT_VERTEX_CAP:
         raise ResourceCapError(f"Whitehead graph of rank {alphabet.rank} has {2 * alphabet.rank}"
                                f" vertices (cap {DEFAULT_VERTEX_CAP})",
                                predicted=2 * alphabet.rank, cap=DEFAULT_VERTEX_CAP)
     pairs = Counter()
-    for word in family:
-        letters = word.letters
+    for letters in words:
         alphabet.validate_letters(letters)
         pairs.update(zip(letters, letters[1:] + letters[:1]))
     graph = Multigraph(alphabet.letters(), allow_loops=False)
@@ -152,13 +158,16 @@ def _descend(alphabet: Alphabet, family):
     """``minimize``, plus the Whitehead graph of the minimized family.
 
     The last, non-improving step builds that graph anyway, so a decision
-    takes it from here instead of building it again.
+    takes it from here instead of building it again.  The graph and the
+    length do not depend on rotation, so steps carry unrotated cores and
+    only the result is rotated.
     """
-    current = tuple(family)
+    family = tuple(family)
+    current = [w.letters for w in family]
     steps = []
     length = total_cyclic_length(current)
     while True:
-        graph = build_whitehead_graph(alphabet, current)
+        graph = _letters_graph(alphabet, current)
         best = None
         best_change = 0
         degrees = graph.degrees()
@@ -169,9 +178,15 @@ def _descend(alphabet: Alphabet, family):
                 best = MultiplierAutomorphism(alphabet.rank, x, side)
                 best_change = change
         if best is None:
-            return current, MinimizationTrace(alphabet.rank, tuple(steps)), graph
+            if steps:
+                family = tuple(CyclicWord._from_canonical(canonical_rotation(w)) for w in current)
+            return family, MinimizationTrace(alphabet.rank, tuple(steps)), graph
         mapping = best.to_map()
-        current = tuple(mapping.apply_cyclic(w) for w in current)
+        images = [mapping.apply(letters) for letters in current]
+        if () in images:
+            trivial = CyclicWord(current[images.index(())])
+            raise InvalidInputError(f"map sends {trivial!r} to the trivial word")
+        current = [_core(w) for w in images]
         new_length = total_cyclic_length(current)
         if new_length != length + best_change:
             raise InternalConsistencyError(

@@ -119,10 +119,24 @@ def is_cyclically_reduced(word) -> bool:
 
 
 def _least_rotation(word: Word) -> int:
-    """First offset k at which word[k:] + word[:k] is least in canonical order."""
+    """First offset k at which word[k:] + word[:k] is least in canonical order.
+
+    Offsets i < j race (Shiloach 1981): a mismatch after k equal letters rules
+    out the loser and the k offsets after it.  At k = n the word is a proper
+    power, and i is first, since every other offset below j is out.
+    """
     n = len(word)
     key = word_key(word) * 2
-    return min(range(n), key=lambda i: key[i:i + n])
+    i, j, k = 0, 1, 0
+    while j < n and k < n:
+        a, b = key[i + k], key[j + k]
+        if a == b:
+            k += 1
+        elif a < b:  # j loses
+            j, k = j + k + 1, 0
+        else:  # i loses, and j leads
+            i, j, k = j, max(j, i + k) + 1, 0
+    return i
 
 
 def canonical_rotation(word: Word) -> Word:
@@ -194,15 +208,21 @@ def conjugacy_class_rep(word: CyclicWord) -> CyclicWord:
     return word if word < inv or word == inv else inv
 
 
-def _cyclic_core(word) -> tuple[CyclicWord | None, Word, Word]:
-    """``(c, prefix, head)``: the ``cyclic_reduce`` core ``c`` and its
-    conjugator ``g = free_reduce(prefix + head)``, left for callers to reduce."""
-    w = free_reduce(word)
+def _core(w: Word) -> Word:
+    """The cyclically reduced c of a reduced word w = g c g^-1, in w's rotation."""
     i, j = 0, len(w)
     while j - i >= 2 and w[i] == -w[j - 1]:
         i += 1
         j -= 1
-    core = w[i:j]
+    return w[i:j]
+
+
+def _cyclic_core(word) -> tuple[CyclicWord | None, Word, Word]:
+    """``(c, prefix, head)``: the ``cyclic_reduce`` core ``c`` and its
+    conjugator ``g = free_reduce(prefix + head)``, left for callers to reduce."""
+    w = free_reduce(word)
+    core = _core(w)
+    i = (len(w) - len(core)) // 2
     if not core:
         return None, w[:i], ()
     # rotating the core to canonical form shifts the conjugator:
@@ -260,7 +280,7 @@ class FreeGroupMap(_Record):
         return free_reduce(itertools.chain.from_iterable(self.letter_image(x) for x in word))
 
     def apply_cyclic(self, word: CyclicWord) -> CyclicWord:
-        core, _ = cyclic_reduce(self.apply(word.letters))
+        core = _cyclic_core(self.apply(word.letters))[0]
         if core is None:
             raise InvalidInputError(f"map sends {word!r} to the trivial word")
         return core

@@ -388,6 +388,12 @@ class TestVertexDecoder:
                 assert trace[len(trace) // 2] == axis.base == ball.vertices[axis.base_id]
                 assert tuple(ball.vertices[v] for v in arcs._trace_ids(axis.line)) == trace
 
+    def test_rank_one_trace_is_the_whole_line(self):
+        # the far end A^2000 down to the root, then out to a^2000
+        (axis,) = enumerate_axes([CyclicWord((1,))], build_ball(Alphabet(1), 2000))
+        line = tuple((-1,) * k for k in range(2000, 0, -1)) + tuple((1,) * k for k in range(2001))
+        assert axis.trace == line
+
     def test_ball_builds_no_words(self):
         tracemalloc.start()
         try:

@@ -9,6 +9,7 @@ from freesplit.words import (
     CyclicWord,
     FreeGroupMap,
     MultiplierAutomorphism,
+    _least_rotation,
     canonical_rotation,
     conjugacy_class_rep,
     cyclic_reduce,
@@ -28,6 +29,18 @@ import helpers
 ALPH2 = Alphabet(2)
 # Few letters, so that periodic words and repeated rotations are common.
 LETTERS = st.integers(min_value=-2, max_value=2).filter(bool)
+
+
+@st.composite
+def long_words(draw):
+    """Words of up to 200 letters at ranks 1-5, half of them proper powers w^k
+    (k = 2-5), whose least rotation starts at several offsets."""
+    rank = draw(st.integers(min_value=1, max_value=5))
+    letters = st.integers(min_value=-rank, max_value=rank).filter(bool)
+    if draw(st.booleans()):
+        return tuple(draw(st.lists(letters, min_size=1, max_size=200)))
+    power = draw(st.integers(min_value=2, max_value=5))
+    return tuple(draw(st.lists(letters, min_size=1, max_size=40))) * power
 
 
 def nested_key(word):
@@ -128,6 +141,24 @@ class TestCyclicReduce:
             assert is_cyclically_reduced(core.letters)
         body = core.letters if core else ()
         assert free_reduce(conj + body + invert_word(conj)) == free_reduce(letters)
+
+    @given(long_words(), st.lists(st.integers(min_value=-5, max_value=5).filter(bool), max_size=8))
+    def test_conjugated_powers_match_rotation_search(self, word, g):
+        # g w g^-1: the conjugator must come from the first least offset of the core
+        letters = tuple(g) + word + invert_word(g)
+        assert cyclic_reduce(letters) == reference_cyclic_reduce(letters)
+
+
+class TestLeastRotation:
+    @given(long_words())
+    def test_first_least_offset(self, word):
+        keys = [word_key(word[i:] + word[:i]) for i in range(len(word))]
+        assert _least_rotation(word) == keys.index(min(keys))
+
+    def test_powers_start_at_the_first_offset(self):
+        assert _least_rotation((2, 1) * 5) == 1
+        assert _least_rotation((-1, 1, 1) * 4) == 1
+        assert _least_rotation((1,) * 7) == 0
 
 
 class TestCyclicWord:
