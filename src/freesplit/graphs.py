@@ -14,14 +14,20 @@ from .errors import InvalidInputError
 
 
 class Multigraph:
-    """Undirected multigraph: vertex list plus edge multiplicities."""
+    """Undirected multigraph: vertex list plus edge multiplicities by position."""
 
     def __init__(self, vertices, allow_loops: bool = True):
         self._order = tuple(dict.fromkeys(vertices))
         self._index = {v: i for i, v in enumerate(self._order)}
-        self._mult: dict[tuple[int, int], int] = {}
-        self._adj: list[set[int]] = [set() for _ in self._order]
+        self._rows: list[dict[int, int]] = [{} for _ in self._order]
         self._allow_loops = allow_loops
+
+    @classmethod
+    def _from_rows(cls, vertices, rows) -> "Multigraph":
+        """A loop-free graph whose capacity rows are ``rows``, taken as they are."""
+        graph = cls(vertices, allow_loops=False)
+        graph._rows = rows
+        return graph
 
     def add_edge(self, u, v, count: int = 1) -> None:
         i, j = self._index.get(u), self._index.get(v)
@@ -31,11 +37,10 @@ class Multigraph:
             raise InvalidInputError(f"loop at {u!r} not allowed")
         if count < 1:
             raise InvalidInputError("edge count must be positive")
-        key = (i, j) if i <= j else (j, i)
-        self._mult[key] = self._mult.get(key, 0) + count
+        rows = self._rows
+        rows[i][j] = rows[i].get(j, 0) + count
         if i != j:
-            self._adj[i].add(j)
-            self._adj[j].add(i)
+            rows[j][i] = rows[j].get(i, 0) + count
 
     @property
     def vertices(self) -> tuple:
@@ -43,65 +48,35 @@ class Multigraph:
 
     def edges(self):
         """Edges as (u, v, multiplicity), in vertex order."""
-        order = self._order
-        return [(order[i], order[j], m) for (i, j), m in sorted(self._mult.items())]
+        return [(self._order[i], self._order[j], m) for i, row in enumerate(self._rows)
+                for j, m in sorted(row.items()) if i <= j]
 
     def total_edges(self) -> int:
-        return sum(self._mult.values())
+        return sum(m for _, _, m in self.edges())
 
     def degrees(self) -> dict:
         """Edge-end count at every vertex, multiplicities included, loops twice."""
-        out = [0] * len(self._order)
-        for (i, j), m in self._mult.items():
-            out[i] += m
-            out[j] += m
-        return dict(zip(self._order, out))
+        return {v: sum(row.values()) + row.get(i, 0)
+                for i, (v, row) in enumerate(zip(self._order, self._rows))}
 
     def min_cut(self, s, t) -> tuple[int, frozenset]:
         """Minimum s-t edge cut with multiplicities as capacities.
 
-        Edmonds-Karp: augment along shortest residual paths until t is
-        unreachable, on residual capacities kept as one dict row per
-        vertex position.  Returns the cut value and the source side, the
-        vertices reachable from s in the final residual graph.  That side
-        is contained in the source side of every minimum cut.  Loops
-        never cross a cut and are ignored.
+        Solved by ``_max_flow`` on the graph's capacity rows.  Returns the
+        cut value and the source side: the vertices reachable from s in
+        the residual graph of any maximum flow, contained in the source
+        side of every minimum cut.  Loops never cross a cut.
         """
         source, sink = self._index.get(s), self._index.get(t)
         if source is None or sink is None or source == sink:
             raise InvalidInputError(f"min cut needs two distinct vertices: {s!r}, {t!r}")
-        residual = [{} for _ in self._order]
-        for (u, v), m in self._mult.items():
-            if u != v:
-                residual[u][v] = residual[v][u] = m
-        value = 0
-        while True:
-            parent = {source: None}
-            queue = [source]
-            for u in queue:
-                for w, capacity in residual[u].items():
-                    if capacity and w not in parent:
-                        parent[w] = u
-                        queue.append(w)
-                if sink in parent:
-                    break
-            if sink not in parent:
-                return value, frozenset(self._order[u] for u in queue)
-            path = []
-            w = sink
-            while w != source:
-                path.append((parent[w], w))
-                w = parent[w]
-            push = min(residual[u][w] for u, w in path)
-            for u, w in path:
-                residual[u][w] -= push
-                residual[w][u] += push
-            value += push
+        value, side = _max_flow(self._rows, source, sink)
+        return value, frozenset(self._order[u] for u in side)
 
     def _search(self) -> tuple[tuple[frozenset, ...], tuple]:
         """Components in order of their first vertex and cut vertices in
         vertex order, from one iterative Hopcroft-Tarjan pass."""
-        order, adj = self._order, self._adj
+        order, adj = self._order, self._rows
         disc, low = [-1] * len(order), [0] * len(order)
         found, components, cuts = [], [], set()
         for root in range(len(order)):
@@ -164,6 +139,48 @@ class Multigraph:
                 lines.append(f'  "{label(u)}" -- "{label(v)}";')
         lines.append("}")
         return "\n".join(lines) + "\n"
+
+
+def _max_flow(rows, source, sink, limit=float("inf")) -> tuple[int, list | None]:
+    """Maximum flow from ``source`` to ``sink`` on a copy of capacity rows
+    ``rows[u][w]``: the direct edge and the two-edge paths first, then
+    shortest residual paths (Edmonds-Karp).  Returns the value and the
+    positions reachable from the source in the final residual graph, or,
+    once the value reaches ``limit``, that value and None."""
+    residual = [row.copy() for row in rows]
+    # No search enters the source or leaves the sink, so the pre-push keeps
+    # only forward capacities; a loop at the source meets no direct edge.
+    out = residual[source]
+    value = out.pop(sink, 0)
+    for v, capacity in out.items():
+        through = min(capacity, residual[v].get(sink, 0))
+        if through:
+            out[v] -= through
+            residual[v][sink] -= through
+            value += through
+    while value < limit:
+        parent = {source: None}
+        queue = [source]
+        for u in queue:
+            for w, capacity in residual[u].items():
+                if capacity and w not in parent:
+                    parent[w] = u
+                    queue.append(w)
+            if sink in parent:
+                break
+        if sink not in parent:
+            return value, queue
+        path = []
+        w = sink
+        while w != source:
+            path.append((parent[w], w))
+            w = parent[w]
+        push = min(residual[u][w] for u, w in path)
+        for u, w in path:
+            residual[u][w] -= push
+            residual[w][u] += push
+        value += push
+    return value, None
 
 
 def bitmask_two_connected(rows) -> bool:

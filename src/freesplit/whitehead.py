@@ -16,10 +16,8 @@ factorisation) or 2-vertex connected (the family is indecomposable).
 
 from __future__ import annotations
 
-from collections import Counter
-
 from .errors import InternalConsistencyError, InvalidInputError, ResourceCapError
-from .graphs import Multigraph
+from .graphs import Multigraph, _max_flow
 from .tree import DEFAULT_VERTEX_CAP
 from .words import (
     Alphabet,
@@ -42,28 +40,38 @@ DECOMPOSABLE = "decomposable"
 def build_whitehead_graph(alphabet: Alphabet, family) -> Multigraph:
     """Whitehead graph of a family (multiset) of cyclic words, on the 2n letters.
 
-    Each distinct edge is added once, with its count of cyclic pairs.
     Refuses with ResourceCapError, before any letter is listed, when the
     2n vertices exceed the ball's default vertex budget.
     """
-    return _letters_graph(alphabet, [word.letters for word in family])
+    words = _checked_letters(alphabet, family)
+    return Multigraph._from_rows(alphabet.letters(), _capacity_rows(alphabet.rank, words))
 
 
-def _letters_graph(alphabet: Alphabet, words) -> Multigraph:
-    """``build_whitehead_graph`` of cyclically reduced letter tuples, in any rotation."""
+def _checked_letters(alphabet: Alphabet, family) -> list[tuple[int, ...]]:
+    """The family's letter tuples; refuses a rank past the vertex budget, then a foreign letter."""
     if 2 * alphabet.rank > DEFAULT_VERTEX_CAP:
         raise ResourceCapError(f"Whitehead graph of rank {alphabet.rank} has {2 * alphabet.rank}"
                                f" vertices (cap {DEFAULT_VERTEX_CAP})",
                                predicted=2 * alphabet.rank, cap=DEFAULT_VERTEX_CAP)
-    pairs = Counter()
+    words = [word.letters for word in family]
     for letters in words:
         alphabet.validate_letters(letters)
-        pairs.update(zip(letters, letters[1:] + letters[:1]))
-    graph = Multigraph(alphabet.letters(), allow_loops=False)
-    for (x, y), count in pairs.items():
-        # the cyclic pair (x, y) joins x to y^-1
-        graph.add_edge(x, -y, count)
-    return graph
+    return words
+
+
+def _capacity_rows(rank: int, words) -> list[dict[int, int]]:
+    """The Whitehead graph of cyclically reduced letter tuples, in any
+    rotation, as one capacity row per letter x at ``letter_index(x)``."""
+    rows = [{} for _ in range(2 * rank)]
+    for letters in words:
+        i = letter_index(letters[-1])
+        for y in letters:
+            # the cyclic pair (x, y) joins x, at i, to y^-1, at j
+            j = 2 * y - 1 if y > 0 else -2 * y - 2
+            rows[i][j] = rows[i].get(j, 0) + 1
+            rows[j][i] = rows[j].get(i, 0) + 1
+            i = j ^ 1  # y, the next pair's x
+    return rows
 
 
 def _whitehead_rows(rank: int, words) -> tuple[int, ...]:
@@ -141,14 +149,15 @@ def minimize(alphabet: Alphabet, family) -> tuple[tuple[CyclicWord, ...], Minimi
     between x and x^-1.  An occurrence of a letter z puts one edge end at
     z and one at z^-1, so deg(x) = deg(x^-1), and that cut has one value
     both ways: x^-1 changes length exactly as x does.  So each step
-    solves n max-flow problems, one per generator, on the Whitehead graph
-    of the current family.  The step applies the best strict reducer:
-    the first multiplier in canonical order on ties, never an inverse
-    letter, with the inclusion-minimal minimum cut as side set, which is
-    also the first such side in ``whitehead_moves`` order.  Only
-    multiplier moves are searched: permutation-type automorphisms
-    preserve length and cannot help the descent.  The trace length is at
-    most the initial total length.
+    solves a max flow per generator x on the current Whitehead graph,
+    stopped at deg(x) plus the best change so far, past which x cannot
+    win.  The step applies the best strict reducer: the first multiplier
+    in canonical order on ties, never an inverse letter, with the
+    inclusion-minimal minimum cut as side set, which is also the first
+    such side in ``whitehead_moves`` order.  Only multiplier moves are
+    searched: permutation-type automorphisms preserve length and cannot
+    help the descent.  The trace length is at most the initial total
+    length.
     """
     minimized, trace, _ = _descend(alphabet, family)
     return minimized, trace
@@ -160,29 +169,33 @@ def _descend(alphabet: Alphabet, family):
     The last, non-improving step builds that graph anyway, so a decision
     takes it from here instead of building it again.  The graph and the
     length do not depend on rotation, so steps carry unrotated cores and
-    only the result is rotated.
+    only the result is rotated.  Moves keep letters in the alphabet, so
+    the family is checked once, on entry.
     """
     family = tuple(family)
-    current = [w.letters for w in family]
+    current = _checked_letters(alphabet, family)
+    letters = alphabet.letters()
     steps = []
     length = total_cyclic_length(current)
     while True:
-        graph = _letters_graph(alphabet, current)
+        rows = _capacity_rows(alphabet.rank, current)
         best = None
         best_change = 0
-        degrees = graph.degrees()
-        for x in range(1, alphabet.rank + 1):
-            cut, side = graph.min_cut(x, -x)
-            change = cut - degrees[x]
-            if change < best_change:
-                best = MultiplierAutomorphism(alphabet.rank, x, side)
-                best_change = change
+        for source in range(0, len(rows), 2):
+            degree = sum(rows[source].values())
+            if degree + best_change > 0:
+                cut, side = _max_flow(rows, source, source + 1, degree + best_change)
+                if side is not None:  # cut - degree < best_change: a strict improvement
+                    best = MultiplierAutomorphism(alphabet.rank, letters[source],
+                                                  frozenset(letters[i] for i in side))
+                    best_change = cut - degree
         if best is None:
             if steps:
                 family = tuple(CyclicWord._from_canonical(canonical_rotation(w)) for w in current)
+            graph = Multigraph._from_rows(letters, rows)
             return family, MinimizationTrace(alphabet.rank, tuple(steps)), graph
         mapping = best.to_map()
-        images = [mapping.apply(letters) for letters in current]
+        images = [mapping.apply(w) for w in current]
         if () in images:
             trivial = CyclicWord(current[images.index(())])
             raise InvalidInputError(f"map sends {trivial!r} to the trivial word")

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from freesplit import cli, tree
 from freesplit.errors import ParseError
 from freesplit.graphs import Multigraph, bitmask_two_connected
-from freesplit.whitehead import _whitehead_rows
+from freesplit.whitehead import _whitehead_rows, build_whitehead_graph
 from freesplit.words import (
     Alphabet,
     CyclicWord,
@@ -325,6 +325,69 @@ def whitehead_pair_recount(family, rank: int) -> dict[frozenset, int]:
             key = frozenset((x, -y))
             counts[key] = counts.get(key, 0) + 1
     return counts
+
+
+def edmonds_karp_cut(graph: Multigraph, s, t) -> tuple[int, frozenset]:
+    """Minimum s-t cut by plain Edmonds-Karp on the graph's edges: shortest
+    augmenting paths from a zero flow, with no pre-push and no limit.
+
+    Returns the value and the vertices reachable from s in the final
+    residual graph, the inclusion-minimal source side.
+    """
+    residual = {v: {} for v in graph.vertices}
+    for u, v, m in graph.edges():
+        if u != v:
+            residual[u][v] = residual[v][u] = m
+    value = 0
+    while True:
+        parent = {s: None}
+        queue = [s]
+        for u in queue:
+            for w, capacity in residual[u].items():
+                if capacity and w not in parent:
+                    parent[w] = u
+                    queue.append(w)
+            if t in parent:
+                break
+        if t not in parent:
+            return value, frozenset(queue)
+        path = []
+        w = t
+        while w != s:
+            path.append((parent[w], w))
+            w = parent[w]
+        push = min(residual[u][w] for u, w in path)
+        for u, w in path:
+            residual[u][w] -= push
+            residual[w][u] += push
+        value += push
+
+
+def full_cut_minimize(alphabet: Alphabet, family):
+    """The greedy descent with a full ``edmonds_karp_cut`` from x to x^-1
+    for every generator x at every step, and no bound on any flow.
+
+    The best strict reducer wins, the first generator on ties, with the
+    inclusion-minimal side.  Returns the minimized family and the steps
+    as (multiplier, side, length before, length after).
+    """
+    current = tuple(family)
+    length = sum(map(len, current))
+    steps = []
+    while True:
+        graph = build_whitehead_graph(alphabet, current)
+        degrees = graph.degrees()
+        best, best_change = None, 0
+        for x in range(1, alphabet.rank + 1):
+            cut, side = edmonds_karp_cut(graph, x, -x)
+            if cut - degrees[x] < best_change:
+                best, best_change = MultiplierAutomorphism(alphabet.rank, x, side), cut - degrees[x]
+        if best is None:
+            return current, tuple(steps)
+        mapping = best.to_map()
+        current = tuple(mapping.apply_cyclic(w) for w in current)
+        steps.append((best.multiplier, best.side, length, sum(map(len, current))))
+        length = steps[-1][-1]
 
 
 def bounded_product_search(candidates, target, max_factors: int):

@@ -1,11 +1,15 @@
+import copy
 import itertools
 import random
 
 import networkx as nx
 import pytest
+from networkx.algorithms.flow import edmonds_karp
 
 from freesplit.errors import InvalidInputError
-from freesplit.graphs import Multigraph, bitmask_two_connected
+from freesplit.graphs import Multigraph, _max_flow, bitmask_two_connected
+from freesplit.whitehead import build_whitehead_graph
+from freesplit.words import Alphabet
 
 import helpers
 
@@ -229,6 +233,50 @@ class TestMinCut:
                 assert cut_capacity(g, cut) >= value
             assert side in minimum
             assert all(side <= cut for cut in minimum)
+
+
+class TestMaxFlowKernel:
+    """The descent's flow kernel on capacity rows, against networkx."""
+
+    @staticmethod
+    def cases():
+        rng = random.Random(707)
+        for _ in range(150):
+            g = helpers.random_multigraph(rng, 12)
+            yield g._rows, *rng.sample(range(len(g.vertices)), 2)
+        for _ in range(150):
+            rank = rng.randint(1, 8)
+            family = helpers.random_family(rng, rank, 4, 6 * rank)
+            x = rng.randint(1, rank)
+            yield build_whitehead_graph(Alphabet(rank), family)._rows, 2 * x - 2, 2 * x - 1
+
+    @staticmethod
+    def least_source_side(rows, s, t):
+        # the vertices reachable from s in networkx's residual network of a
+        # maximum flow: the intersection of all minimum cut source sides
+        h = nx.Graph()
+        h.add_nodes_from(range(len(rows)))
+        h.add_edges_from((i, j, {"capacity": m}) for i, row in enumerate(rows)
+                         for j, m in row.items() if i < j)
+        residual = edmonds_karp(h, s, t)
+        open_arcs = nx.DiGraph((u, v) for u, v, arc in residual.edges(data=True)
+                               if arc["capacity"] > arc["flow"])
+        open_arcs.add_node(s)
+        return nx.minimum_cut_value(h, s, t), {s} | nx.descendants(open_arcs, s)
+
+    def test_against_networkx(self):
+        for rows, s, t in self.cases():
+            template = copy.deepcopy(rows)
+            value, side = _max_flow(rows, s, t)
+            assert rows == template
+            assert (value, set(side)) == self.least_source_side(rows, s, t)
+            for limit in range(-1, value + 3):
+                stopped_at, stopped_side = _max_flow(rows, s, t, limit)
+                assert rows == template
+                if value >= limit:
+                    assert stopped_side is None and limit <= stopped_at <= value
+                else:
+                    assert (stopped_at, stopped_side) == (value, side)
 
 
 class TestDot:

@@ -5,6 +5,7 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from freesplit import whitehead
 from freesplit.cli import main
 from freesplit.errors import InvalidInputError
 from freesplit.graphs import Multigraph
@@ -267,18 +268,52 @@ class TestMinimize:
             assert all(step.automorphism.multiplier > 0 for step in trace.steps)
 
     def test_one_flow_per_generator(self, monkeypatch):
-        solved = []
-        min_cut = Multigraph.min_cut
+        # At most one flow per generator and step, on letter positions
+        # (a = 0, a^-1 = 1, b = 2, ...), stopped at deg(x) plus the best
+        # change so far; x is skipped when that limit is at most 0
+        flows = []
+        kernel = whitehead._max_flow
 
-        def counted(graph, s, t):
-            solved.append((s, t))
-            return min_cut(graph, s, t)
+        def recorded(rows, source, sink, limit):
+            value, side = kernel(rows, source, sink, limit)
+            flows.append((source, sink, limit, "stopped" if side is None else value))
+            return value, side
 
-        monkeypatch.setattr(Multigraph, "min_cut", counted)
+        monkeypatch.setattr(whitehead, "_max_flow", recorded)
         _, trace = minimize(Alphabet(3), fam("aab", "abcb", rank=3))
-        assert len(trace.steps) == 3
-        # one flow per generator in each of the k steps and the final check
-        assert solved == [(1, -1), (2, -2), (3, -3)] * 4
+        assert [(s.length_before, s.length_after) for s in trace.steps] == [(7, 5), (5, 3), (3, 2)]
+        assert flows == [
+            # degrees 3, 3, 1: a cuts 1 (change -2), b stops at 3 - 2, c's 1 - 2 is skipped
+            (0, 1, 3, 1), (2, 3, 1, "stopped"),
+            # degrees 1, 3, 1: a stops at 1, b cuts 1 (change -2), c is skipped
+            (0, 1, 1, "stopped"), (2, 3, 3, 1),
+            # degrees 1, 1, 1: a stops, b cuts 0 (change -1), c's 1 - 1 is skipped
+            (0, 1, 1, "stopped"), (2, 3, 1, 0),
+            # the final check, degrees 1, 0, 1: a and c stop, unused b is skipped
+            (0, 1, 1, "stopped"), (4, 5, 1, "stopped"),
+        ]
+
+    def test_matches_full_cuts_above_the_oracle_ranks(self):
+        # reference_minimize stops at rank 4; above it the bounded flows
+        # must take the steps of a full minimum cut for every generator
+        rng = random.Random(211)
+        stepped = 0
+        for _ in range(200):
+            rank = rng.randint(5, 12)
+            family = helpers.random_family(rng, rank, 3, 3 * rank)
+            for _ in range(3):
+                move = helpers.random_move(rng, rank).to_map()
+                moved = tuple(move.apply_cyclic(w) for w in family)
+                if total_cyclic_length(moved) <= 6 * rank:
+                    family = moved
+            minimized, trace = minimize(Alphabet(rank), family)
+            steps = tuple(
+                (s.automorphism.multiplier, s.automorphism.side, s.length_before, s.length_after)
+                for s in trace.steps
+            )
+            assert (minimized, steps) == helpers.full_cut_minimize(Alphabet(rank), family)
+            stepped += bool(steps)
+        assert stepped >= 190
 
     @pytest.mark.parametrize("seed, rank, steps, digest", [
         (6, 6, 5, "7e038cd6f0cd305a7c72b34a55f31c6bbcd05dc882ecdabcd180356c9762debd"),
