@@ -14,8 +14,8 @@ one multiply-add each.  It builds no object per line and skips the bases
 on the outer sphere, most of the ball, whose lines have no edge in it.
 The per-edge counts, the star graph, the star certificate and the class
 profile each read that stream in one loop: counts and stars are flat
-lists indexed by id, a star is an int with one bit per letter pair,
-tested on adjacency bitmasks over the 2n letters, and the profile is a
+lists indexed by id, a star is an int with one bit per letter pair that
+``_star_rows`` decodes for ``graphs._search``, and the profile is a
 union-find over ids.  Only ``enumerate_axes`` builds ``Axis`` objects,
 one per line, sphere bases included, for JSON ``tree axes`` and the
 subtree analysis; the functions that take axes turn them back into the
@@ -33,7 +33,7 @@ from __future__ import annotations
 from itertools import islice
 
 from .errors import InvalidInputError
-from .graphs import Multigraph, bitmask_two_connected
+from .graphs import Multigraph, _search
 from .tree import TreeBall, build_ball, child_step, DEFAULT_VERTEX_CAP
 from .words import Alphabet, CyclicWord, Word, _Record, invert_word, letter_index, word_key
 
@@ -229,10 +229,21 @@ def _star_graph(ball: TreeBall, lines, center: Word) -> Multigraph:
             p, c, f, d, b = rays.walks[last][steps - 1]
             bits += [bit for v, bit in [(c, f), (d, b)] if p * base_id + v == target]
     letters = ball.alphabet.letters()
-    graph = Multigraph(letters, allow_loops=False)
-    for bit in bits:
-        graph.add_edge(*(letters[i] for i in divmod(bit.bit_length() - 1, len(letters))))
-    return graph
+    return Multigraph._from_rows(letters, _star_rows(bits, len(letters)))
+
+
+def _star_rows(stars, m: int) -> list[dict[int, int]]:
+    """Capacity rows over m letters with one edge {a, b} for each pair bit
+    a * m + b set in each of the ints ``stars`` (see ``_Rays``)."""
+    rows = [{} for _ in range(m)]
+    for star in stars:
+        while star:
+            low = star & -star
+            a, b = divmod(low.bit_length() - 1, m)
+            rows[a][b] = rows[a].get(b, 0) + 1
+            rows[b][a] = rows[b].get(a, 0) + 1
+            star ^= low
+    return rows
 
 
 def star_graph(ball: TreeBall, axes, center: Word) -> Multigraph:
@@ -264,18 +275,6 @@ class StarCertificate(_Record):
         return self.certified
 
 
-def _adjacency(star: int, m: int) -> list[int]:
-    """Adjacency bitmasks over m letters of the pairs whose codes are set in ``star``."""
-    rows = [0] * m
-    while star:
-        low = star & -star
-        a, b = divmod(low.bit_length() - 1, m)
-        rows[a] |= 1 << b
-        rows[b] |= 1 << a
-        star ^= low
-    return rows
-
-
 def _certificate(ball: TreeBall, lines) -> StarCertificate:
     if ball.radius < 2:
         raise InvalidInputError("certificate needs radius >= 2")
@@ -290,7 +289,8 @@ def _certificate(ball: TreeBall, lines) -> StarCertificate:
     for v, star in enumerate(stars):
         ok = verdicts.get(star)
         if ok is None:
-            ok = verdicts[star] = bitmask_two_connected(_adjacency(star, m))
+            components, cuts = _search(_star_rows((star,), m))
+            ok = verdicts[star] = len(components) == 1 and not cuts
         if not ok:
             return StarCertificate(False, ball.vertices[v])
     return StarCertificate(True, None)
@@ -302,7 +302,8 @@ def lemma33_certificate(ball: TreeBall, axes) -> StarCertificate:
     Each interior star is one int per vertex id, with bit a * 2n + b set
     for each of its pairs (a, b) (see ``_Rays``).  Connectivity
     ignores multiplicities, and the verdict depends on that mask alone, so
-    each distinct mask is tested once, on the adjacency bitmasks it gives.
+    each distinct mask is decoded once, as ``star_graph`` decodes its pairs,
+    and tested by the one search of ``graphs``.
     """
     return _certificate(ball, _axis_lines(ball, axes))
 

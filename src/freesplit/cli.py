@@ -49,8 +49,13 @@ def _read_family(args) -> tuple[CyclicWord, ...]:
 
 
 def _read_gog(args) -> gog.GraphOfGroups:
-    with open(args.file, encoding="utf-8") as fh:
-        return gog.parse_gog(fh.read())
+    with open(args.file, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text ({exc.reason})", data.count(b"\n", 0, exc.start) + 1)
+    return gog.parse_gog(text)
 
 
 def _render_words(family) -> list[str]:

@@ -26,9 +26,9 @@ import heapq
 from collections import Counter, defaultdict
 
 from .errors import InvalidInputError, ParseError, ResourceCapError, UnsupportedExportError
-from .graphs import bitmask_two_connected
+from .graphs import _search
 from .tree import DEFAULT_VERTEX_CAP
-from .whitehead import IndecomposabilityVerdict, _whitehead_rows, decide_indecomposable
+from .whitehead import IndecomposabilityVerdict, _capacity_rows, decide_indecomposable
 from .words import (
     Alphabet,
     CyclicWord,
@@ -210,7 +210,9 @@ def one_ended(g: GraphOfGroups) -> OneEndednessVerdict:
     attachment words (a loop contributes both of its words).  By
     Whitehead's cut-vertex lemma a 2-vertex connected Whitehead graph of
     those words already proves it, so ``decide_indecomposable`` runs only
-    on the vertices whose graph fails that test.  A free or
+    on the vertices whose graph fails that test.  A rank above the words'
+    total length leaves a generator unused, so its two letters isolated,
+    and fails the test before any row is built.  A free or
     cyclic vertex without incident edges is the whole graph, and its
     group (free, or Z) splits freely.  Otherwise cyclic and opaque
     vertices never split over a finite subgroup relative to their edge
@@ -224,7 +226,7 @@ def one_ended(g: GraphOfGroups) -> OneEndednessVerdict:
     trivial = _trivial_vertices(g, incident, order)
     if trivial:
         raise InvalidInputError(f"graph has trivial vertices: {', '.join(trivial)}")
-    two_connected: dict[tuple[int, ...], bool] = {}  # per distinct Whitehead graph
+    two_connected: dict[tuple[frozenset, ...], bool] = {}  # by the rows' neighbour sets
     for vid in order:
         group = g.vertices[vid]
         if not isinstance(group, (FreeVertex, CyclicVertex)):
@@ -240,11 +242,15 @@ def one_ended(g: GraphOfGroups) -> OneEndednessVerdict:
         if isinstance(group, CyclicVertex):
             continue
         words = [e.attachments[slot] for e, slot in incident[vid]]
-        rows = _whitehead_rows(group.rank, [w.letters for w in words])
-        if rows not in two_connected:
-            two_connected[rows] = bitmask_two_connected(rows)
-        if two_connected[rows]:
-            continue
+        letters = [w.letters for w in words]
+        if group.rank <= sum(map(len, letters)):
+            rows = _capacity_rows(group.rank, letters)
+            key = tuple(map(frozenset, rows))
+            if key not in two_connected:
+                components, cuts = _search(rows)
+                two_connected[key] = len(components) == 1 and not cuts
+            if two_connected[key]:
+                continue
         verdict = decide_indecomposable(Alphabet(group.rank), words)
         if not verdict.is_indecomposable:
             return OneEndednessVerdict(

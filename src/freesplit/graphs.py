@@ -3,9 +3,12 @@
 Vertices are arbitrary hashables supplied in a fixed order, which makes
 every derived output (components, articulation points, DOT text)
 deterministic.  All state and every search are kept on vertex positions
-in that order; vertices come back only in returned values.  Connectivity
-and cut vertices ignore multiplicities and loops; minimum cuts take
-multiplicities as capacities.
+in that order, as capacity rows: one dict per position from neighbour
+positions to edge multiplicities.  Vertices come back only in returned
+values.  The Whitehead-graph, one-endedness and star code build rows
+directly and pass them to ``_search``, one Hopcroft-Tarjan pass that gives
+components and cut vertices; it ignores multiplicities and loops.
+Minimum cuts take multiplicities as capacities.
 """
 
 from __future__ import annotations
@@ -74,40 +77,11 @@ class Multigraph:
         return value, frozenset(self._order[u] for u in side)
 
     def _search(self) -> tuple[tuple[frozenset, ...], tuple]:
-        """Components in order of their first vertex and cut vertices in
-        vertex order, from one iterative Hopcroft-Tarjan pass."""
-        order, adj = self._order, self._rows
-        disc, low = [-1] * len(order), [0] * len(order)
-        found, components, cuts = [], [], set()
-        for root in range(len(order)):
-            if disc[root] >= 0:
-                continue
-            first, root_children = len(found), 0
-            disc[root] = low[root] = first
-            found.append(root)
-            stack = [(root, -1, iter(adj[root]))]
-            while stack:
-                u, parent, neighbours = stack[-1]
-                for w in neighbours:
-                    if disc[w] < 0:
-                        disc[w] = low[w] = len(found)
-                        found.append(w)
-                        stack.append((w, u, iter(adj[w])))
-                        break
-                    if w != parent:
-                        low[u] = min(low[u], disc[w])
-                else:
-                    stack.pop()
-                    if parent == root:
-                        root_children += 1
-                    elif parent >= 0:
-                        low[parent] = min(low[parent], low[u])
-                        if low[u] >= disc[parent]:
-                            cuts.add(parent)
-            if root_children > 1:
-                cuts.add(root)
-            components.append(frozenset(order[i] for i in found[first:]))
-        return tuple(components), tuple(order[i] for i in sorted(cuts))
+        """Components in order of their first vertex and cut vertices in vertex order."""
+        order = self._order
+        components, cuts = _search(self._rows)
+        return (tuple(frozenset(order[i] for i in c) for c in components),
+                tuple(order[i] for i in cuts))
 
     def components(self) -> tuple[frozenset, ...]:
         """Connected components in order of their first vertex, isolated vertices as singletons."""
@@ -139,6 +113,43 @@ class Multigraph:
                 lines.append(f'  "{label(u)}" -- "{label(v)}";')
         lines.append("}")
         return "\n".join(lines) + "\n"
+
+
+def _search(rows) -> tuple[list[list[int]], list[int]]:
+    """Components of capacity rows ``rows[u][w]``, as lists of positions in
+    order of their first position, and the sorted cut positions, from one
+    iterative Hopcroft-Tarjan pass.  Multiplicities and loops are ignored."""
+    disc, low = [-1] * len(rows), [0] * len(rows)
+    found, components, cuts = [], [], set()
+    for root in range(len(rows)):
+        if disc[root] >= 0:
+            continue
+        first, root_children = len(found), 0
+        disc[root] = low[root] = first
+        found.append(root)
+        stack = [(root, -1, iter(rows[root]))]
+        while stack:
+            u, parent, neighbours = stack[-1]
+            for w in neighbours:
+                if disc[w] < 0:
+                    disc[w] = low[w] = len(found)
+                    found.append(w)
+                    stack.append((w, u, iter(rows[w])))
+                    break
+                if w != parent:
+                    low[u] = min(low[u], disc[w])
+            else:
+                stack.pop()
+                if parent == root:
+                    root_children += 1
+                elif parent >= 0:
+                    low[parent] = min(low[parent], low[u])
+                    if low[u] >= disc[parent]:
+                        cuts.add(parent)
+        if root_children > 1:
+            cuts.add(root)
+        components.append(found[first:])
+    return components, sorted(cuts)
 
 
 def _max_flow(rows, source, sink, limit=float("inf")) -> tuple[int, list | None]:
@@ -181,28 +192,3 @@ def _max_flow(rows, source, sink, limit=float("inf")) -> tuple[int, list | None]
             residual[w][u] += push
         value += push
     return value, None
-
-
-def bitmask_two_connected(rows) -> bool:
-    """2-vertex connectivity of a simple graph given as adjacency bitmasks.
-
-    Vertex i is adjacent to j when bit j of ``rows[i]`` is set.  The
-    convention is ``Multigraph.is_two_vertex_connected``'s: connected, at
-    least two vertices, and no cut vertex, i.e. still connected after
-    deleting any one vertex.
-    """
-    everyone = (1 << len(rows)) - 1
-    return len(rows) >= 2 and _bitmask_connected(rows, everyone) and all(
-        _bitmask_connected(rows, everyone & ~(1 << x)) for x in range(len(rows)))
-
-
-def _bitmask_connected(rows, alive) -> bool:
-    """Whether the vertices in the bitmask ``alive`` induce a connected graph."""
-    seen = frontier = alive & -alive
-    while frontier:
-        low = frontier & -frontier
-        frontier ^= low
-        new = rows[low.bit_length() - 1] & alive & ~seen
-        seen |= new
-        frontier |= new
-    return seen == alive

@@ -74,24 +74,6 @@ def _capacity_rows(rank: int, words) -> list[dict[int, int]]:
     return rows
 
 
-def _whitehead_rows(rank: int, words) -> tuple[int, ...]:
-    """The Whitehead graph of letter tuples as 2n adjacency bitmasks, letter
-    x at ``letter_index(x)``; no rows when some generator is unused."""
-    support = {abs(x) for letters in words for x in letters}
-    if len(support) != rank or max(support) != rank:
-        return ()
-    rows = [0] * (2 * rank)
-    for letters in words:
-        i = letter_index(letters[-1])
-        for y in letters:
-            # the cyclic pair (x, y) joins x, at i, to y^-1, at j
-            j = 2 * y - 1 if y > 0 else -2 * y - 2
-            rows[i] |= 1 << j
-            rows[j] |= 1 << i
-            i = j ^ 1  # y, the next pair's x
-    return tuple(rows)
-
-
 def whitehead_moves(alphabet: Alphabet):
     """All multiplier-type Whitehead automorphisms, in canonical order.
 

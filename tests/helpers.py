@@ -1,12 +1,14 @@
 """Shared test utilities: random corpora and independent oracles.
 
 The oracles deliberately avoid the production code paths: articulation
-points by vertex deletion, axis membership by the conjugation-length
-criterion |v^-1 h v| = |h|_cyclic, axis identity by the reduced
-conjugate element itself (valid for indivisible words, where conjugates
-correspond to axes one to one), and argv by the argparse parser the CLI
-used to build.  ``whitehead_two_connected`` and ``edges`` are not oracles:
-they are views over the production code that only the tests read.
+points and 2-vertex connectivity by vertex deletion (on a ``Multigraph``'s
+edges, or on adjacency bitmasks, which ``whitehead_two_connected`` builds
+from a recount of the family's letter pairs), axis membership by the
+conjugation-length criterion |v^-1 h v| = |h|_cyclic, axis identity by the
+reduced conjugate element itself (valid for indivisible words, where
+conjugates correspond to axes one to one), and argv by the argparse parser
+the CLI used to build.  ``edges`` is not an oracle: it is a view over the
+production ball that only the tests read.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ from hypothesis import strategies as st
 
 from freesplit import cli, tree
 from freesplit.errors import ParseError
-from freesplit.graphs import Multigraph, bitmask_two_connected
-from freesplit.whitehead import _whitehead_rows, build_whitehead_graph
+from freesplit.graphs import Multigraph
+from freesplit.whitehead import build_whitehead_graph
 from freesplit.words import (
     Alphabet,
     CyclicWord,
@@ -108,14 +110,49 @@ def random_clean_family(
 
 
 def whitehead_two_connected(alphabet: Alphabet, family) -> bool:
-    """Whether the Whitehead graph of a family is 2-vertex connected.
+    """Whether the Whitehead graph of a family is 2-vertex connected, by
+    vertex deletion on the adjacency bitmasks of ``whitehead_pair_recount``.
 
     By Whitehead's cut-vertex lemma (Stallings 1999; Heusener and
     Weidmann 2019) a decomposable family's graph has a cut vertex or is
     disconnected in every basis, so True proves it indecomposable.  An
     unused generator leaves isolated letters: False before any row.
     """
-    return bitmask_two_connected(_whitehead_rows(alphabet.rank, [w.letters for w in family]))
+    pairs = whitehead_pair_recount(family, alphabet.rank)
+    if len({abs(x) for pair in pairs for x in pair}) < alphabet.rank:
+        return False
+    position = {x: i for i, x in enumerate(alphabet.letters())}
+    rows = [0] * len(position)
+    for pair in pairs:
+        i, j = (position[x] for x in pair)  # reduced words have no pair {x, x}
+        rows[i] |= 1 << j
+        rows[j] |= 1 << i
+    return bitmask_two_connected(rows)
+
+
+def bitmask_two_connected(rows) -> bool:
+    """2-vertex connectivity of a simple graph given as adjacency bitmasks.
+
+    Vertex i is adjacent to j when bit j of ``rows[i]`` is set.  The
+    convention is ``Multigraph.is_two_vertex_connected``'s: connected, at
+    least two vertices, and no cut vertex, i.e. still connected after
+    deleting any one vertex.
+    """
+    everyone = (1 << len(rows)) - 1
+    return len(rows) >= 2 and _bitmask_connected(rows, everyone) and all(
+        _bitmask_connected(rows, everyone & ~(1 << x)) for x in range(len(rows)))
+
+
+def _bitmask_connected(rows, alive) -> bool:
+    """Whether the vertices in the bitmask ``alive`` induce a connected graph."""
+    seen = frontier = alive & -alive
+    while frontier:
+        low = frontier & -frontier
+        frontier ^= low
+        new = rows[low.bit_length() - 1] & alive & ~seen
+        seen |= new
+        frontier |= new
+    return seen == alive
 
 
 def brute_articulation_points(graph: Multigraph) -> set:

@@ -356,6 +356,14 @@ class TestGraphOfGroupsCommands:
         code, _, err = run(capsys, "one-ended", "/nonexistent/file.gog")
         assert code == 1
 
+    @pytest.mark.parametrize("command", ["one-ended", "present"])
+    def test_file_not_utf8(self, capsys, tmp_path, command):
+        path = tmp_path / "bad.gog"
+        path.write_bytes(b"vertex v free 2\n\xff\xfe\n")
+        code, out, err = run(capsys, command, str(path))
+        assert (code, out) == (1, "")
+        assert err == "error: line 2: not UTF-8 text (invalid start byte)\n"
+
 
 class TestDeterminism:
     @pytest.mark.parametrize(

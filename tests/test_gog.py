@@ -1,4 +1,6 @@
 import random
+import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -233,6 +235,36 @@ class TestOneEnded:
                 support = w.generator_support()
                 assert support <= left or support <= right
         assert found >= 5
+
+    def test_cut_vertex_pretest_skips_two_connected_vertices(self, monkeypatch):
+        # p, q and s have 2-connected Whitehead graphs, so only r and w are decided
+        calls = []
+
+        def recording(alphabet, family):
+            calls.append((alphabet.rank, [format_word(w.letters) for w in family]))
+            return decide_indecomposable(alphabet, family)
+
+        monkeypatch.setattr("freesplit.gog.decide_indecomposable", recording)
+        text = (Path(__file__).resolve().parent / "golden" / "lemma.gog").read_text()
+        verdict = one_ended(parse_gog(text))
+        assert calls == [(2, ["aaabab"]), (3, ["abAB", "ab"])]
+        assert (verdict.decision, verdict.witness_vertex) == (NOT_ONE_ENDED, "w")
+
+    def test_rank_above_length_builds_no_rows(self):
+        # the rank-10^9 vertex leaves a generator unused, so it fails the
+        # pretest before any row and its decision refuses the rank
+        g = GraphOfGroups(
+            {"v": FreeVertex(10**9), "w": CyclicVertex()},
+            [EdgeSpec("e", ("v", "w"), (fam("ab", rank=10**9)[0], 2))],
+        )
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceCapError):
+                one_ended(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     def test_relabeling_invariance(self):
         family = fam("ab", "b")

@@ -7,7 +7,7 @@ import pytest
 from networkx.algorithms.flow import edmonds_karp
 
 from freesplit.errors import InvalidInputError
-from freesplit.graphs import Multigraph, _max_flow, bitmask_two_connected
+from freesplit.graphs import Multigraph, _max_flow, _search
 from freesplit.whitehead import build_whitehead_graph
 from freesplit.words import Alphabet
 
@@ -133,19 +133,26 @@ class TestNetworkxOracle:
 
 
 class TestBitmaskTwoConnected:
-    """The bitmask test behind the star certificate, against networkx."""
+    """The one search on capacity rows, which the star certificate and the
+    one-endedness pretest run, and the vertex-deletion oracle on adjacency
+    bitmasks, both against networkx."""
 
     @staticmethod
     def agree(n, edges):
-        rows = [0] * n
+        masks, rows = [0] * n, [{} for _ in range(n)]
         for a, b in edges:
-            rows[a] |= 1 << b
-            rows[b] |= 1 << a
+            masks[a] |= 1 << b
+            masks[b] |= 1 << a
+            rows[a][b] = rows[b][a] = 1
         g = nx.Graph()
         g.add_nodes_from(range(n))
         g.add_edges_from(edges)
-        expected = n >= 2 and nx.is_connected(g) and not list(nx.articulation_points(g))
-        assert bitmask_two_connected(rows) == expected, (n, edges)
+        cuts = sorted(nx.articulation_points(g))
+        expected = n >= 2 and nx.is_connected(g) and not cuts
+        components, found = _search(rows)
+        assert (len(components), found) == (nx.number_connected_components(g), cuts), (n, edges)
+        assert (n >= 2 and len(components) == 1 and not found) == expected, (n, edges)
+        assert helpers.bitmask_two_connected(masks) == expected, (n, edges)
         return expected
 
     def test_every_graph_on_four_letters(self):

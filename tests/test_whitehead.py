@@ -122,7 +122,8 @@ def lemma_corpus(draw):
 
 
 class TestCutVertexLemma:
-    """The bitmask 2-connectivity test of the input Whitehead graph."""
+    """The vertex-deletion oracle for 2-connectivity of the input Whitehead
+    graph, against ``is_two_vertex_connected`` and networkx."""
 
     @settings(max_examples=300, deadline=None)
     @given(lemma_corpus())
