@@ -32,9 +32,9 @@ from __future__ import annotations
 
 from itertools import islice
 
-from .errors import InvalidInputError
+from .errors import DEFAULT_VERTEX_CAP, InvalidInputError
 from .graphs import Multigraph, _search
-from .tree import TreeBall, build_ball, child_step, DEFAULT_VERTEX_CAP
+from .tree import TreeBall, build_ball, child_step
 from .words import Alphabet, CyclicWord, Word, _Record, invert_word, letter_index, word_key
 
 
@@ -45,7 +45,9 @@ class _Rays:
     (period^-1)^oo; ``first`` holds their first letters' indices.  A line
     reading u into a vertex and v out of it gives the vertex the star pair
     {u, v^-1} (the Whitehead-graph rule for ``u v``), coded a * 2n + b by
-    letter index and kept as the bit ``1 << code``; ``origin`` is the base's.
+    letter index with a < b, so that equal stars are equal ints whichever
+    way their lines pass, and kept as the bit ``1 << code``; ``origin`` is
+    the base's.
     The vertex j steps out from a base u has the id (2n-1)^j · u + c, c fixed
     by the ray and the base's last letter (``tree.child_step``): ``walks[last]``
     lists ((2n-1)^j, c and bit forward, c and bit backward) for j = 1 .. radius,
@@ -63,9 +65,10 @@ class _Rays:
         forward, backward = rays = [(word * (length // len(word) + 1))[:length]
                                     for word in (index, [x ^ 1 for x in reversed(index)])]
         self.first = [ray[0] for ray in rays]
-        self.origin = 1 << (backward[0] ^ 1) * m + (forward[0] ^ 1)
-        bits = [[1 << a * m + (b ^ 1) for a, b in zip(forward, forward[1:])],
-                [1 << (b ^ 1) * m + a for a, b in zip(backward, backward[1:])]]
+        pair = lambda a, b: 1 << min(a, b) * m + max(a, b)
+        self.origin = pair(backward[0] ^ 1, forward[0] ^ 1)
+        bits = [[pair(a, b ^ 1) for a, b in zip(forward, forward[1:])],
+                [pair(b ^ 1, a) for a, b in zip(backward, backward[1:])]]
         # ids[ray][passed]: c for j = 1 .. radius, less (2n-1)^(j-1) when the
         # first letter passes the inverse of the base's last letter
         powers = [branch ** j for j in range(length)]
@@ -300,7 +303,7 @@ def lemma33_certificate(ball: TreeBall, axes) -> StarCertificate:
     """Check 2-vertex connectivity of the star graph at every interior vertex.
 
     Each interior star is one int per vertex id, with bit a * 2n + b set
-    for each of its pairs (a, b) (see ``_Rays``).  Connectivity
+    for each of its pairs {a, b}, a < b (see ``_Rays``).  Connectivity
     ignores multiplicities, and the verdict depends on that mask alone, so
     each distinct mask is decoded once, as ``star_graph`` decodes its pairs,
     and tested by the one search of ``graphs``.

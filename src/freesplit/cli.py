@@ -12,13 +12,14 @@ output.  JSON reports always carry the top-level keys ``command``,
 from __future__ import annotations
 
 import functools
-import json
 import re
 import sys
 from types import SimpleNamespace
 
+# whitehead, tree, arcs and gog are deferred modules (see __init__), so binding
+# them here runs none of them: a command runs only the ones its handler reads.
 from . import arcs, gog, tree, whitehead
-from .errors import FreesplitError, ParseError, ResourceCapError
+from .errors import DEFAULT_VERTEX_CAP, FreesplitError, ParseError, ResourceCapError
 from .graphs import Multigraph
 from .words import (
     Alphabet,
@@ -48,9 +49,22 @@ def _read_family(args) -> tuple[CyclicWord, ...]:
     return tuple(family)
 
 
+# The bytes of a graph-of-groups file that are read, about ten times the
+# 20,000-vertex file CI decides (1.7 MB); a longer file is refused unparsed.
+_GOG_FILE_BYTES = 1 << 24
+
+
 def _read_gog(args) -> gog.GraphOfGroups:
+    # in 64 KiB reads: one read of the whole budget would allocate all of it
+    chunks, size = [], 0
     with open(args.file, "rb") as fh:
-        data = fh.read()
+        while size <= _GOG_FILE_BYTES and (chunk := fh.read(1 << 16)):
+            chunks.append(chunk)
+            size += len(chunk)
+    if size > _GOG_FILE_BYTES:
+        raise ResourceCapError(f"graph-of-groups file has more than {_GOG_FILE_BYTES}"
+                               f" bytes (cap {_GOG_FILE_BYTES})")
+    data = b"".join(chunks)
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -272,7 +286,7 @@ _ARGUMENTS = {
     "radius": ("radius", ("--radius",), int, None, "ball radius (default 3)"),
     "ball_radius": ("radius", ("--radius",), int, 2, "ball radius (default 2)"),
     "max_radius": ("max_radius", ("--max-radius",), int, None, "largest radius (default 3)"),
-    "cap": ("cap", ("--cap",), int, tree.DEFAULT_VERTEX_CAP,
+    "cap": ("cap", ("--cap",), int, DEFAULT_VERTEX_CAP,
             "ball vertex budget (default 2000000)"),
     "output": ("output", ("-o", "--output"), str, None, "write the file here instead of stdout"),
     "file": ("file", (), str, ..., "graph-of-groups file"),
@@ -481,6 +495,7 @@ def main(argv=None) -> int:
         if args.format == "dot":
             output = dot()
         elif args.format == "json" and certificate is not None:
+            import json
             data = {key: getattr(args, key) for key in _INPUT
                     if getattr(args, key, None) is not None}
             if "words" in data:

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types, and the vertex budget they enforce, shared across the package."""
 
 
 class FreesplitError(Exception):
@@ -17,6 +17,11 @@ class ParseError(InvalidInputError):
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
+
+
+# The vertex budget: the default ball cap, and the bound on Whitehead graphs
+# and presentations.
+DEFAULT_VERTEX_CAP = 2_000_000
 
 
 class ResourceCapError(FreesplitError):

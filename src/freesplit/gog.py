@@ -25,9 +25,10 @@ from __future__ import annotations
 import heapq
 from collections import Counter, defaultdict
 
-from .errors import InvalidInputError, ParseError, ResourceCapError, UnsupportedExportError
+from .errors import (
+    DEFAULT_VERTEX_CAP, InvalidInputError, ParseError, ResourceCapError, UnsupportedExportError,
+)
 from .graphs import _search
-from .tree import DEFAULT_VERTEX_CAP
 from .whitehead import IndecomposabilityVerdict, _capacity_rows, decide_indecomposable
 from .words import (
     Alphabet,

@@ -20,10 +20,8 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from .errors import InvalidInputError, ResourceCapError
+from .errors import DEFAULT_VERTEX_CAP, InvalidInputError, ResourceCapError
 from .words import Alphabet, format_letter, format_word, letter_index
-
-DEFAULT_VERTEX_CAP = 2_000_000
 
 
 def predicted_vertex_count(rank: int, radius: int) -> int:

@@ -16,9 +16,10 @@ factorisation) or 2-vertex connected (the family is indecomposable).
 
 from __future__ import annotations
 
-from .errors import InternalConsistencyError, InvalidInputError, ResourceCapError
+from .errors import (
+    DEFAULT_VERTEX_CAP, InternalConsistencyError, InvalidInputError, ResourceCapError,
+)
 from .graphs import Multigraph, _max_flow
-from .tree import DEFAULT_VERTEX_CAP
 from .words import (
     Alphabet,
     CyclicWord,

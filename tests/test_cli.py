@@ -202,6 +202,8 @@ class TestBoundedRefusals:
         ("present", "BIG_RANK_GOG"),
         ("present", "BIG_EXPONENT_GOG"),
         ("tree", "ball", "--rank", "100000000", "--radius", "0"),
+        ("one-ended", "/dev/zero"),
+        ("present", "/dev/zero"),
     ])
     def test_refusal_in_bounded_memory(self, tmp_path, argv):
         if argv[-1].endswith("_GOG"):
