@@ -149,8 +149,11 @@ def _lines(family, ball: TreeBall, sphere: bool = False):
     rays = [_Rays(p, ball) for p in sorted(periods, key=word_key)]
     m = 2 * ball.alphabet.rank
     # rows by the last letter index of the base, the root's last (index -1):
-    # a period extends a base when neither ray's first letter cancels it
-    admissible = [[r for r in rays if x ^ 1 not in r.first] for x in range(m)] + [rays]
+    # a period extends a base when neither ray's first letter cancels it, so
+    # only the rows of letters that some first letter cancels drop a period
+    admissible = [rays] * (m + 1)
+    for x in {f ^ 1 for r in rays for f in r.first}:
+        admissible[x] = [r for r in rays if x ^ 1 not in r.first]
     v = 0
     for reach, level in zip(range(ball.radius, -1 if sphere else 0, -1), ball.levels()):
         for last in level:

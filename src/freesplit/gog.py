@@ -210,8 +210,10 @@ def one_ended(g: GraphOfGroups) -> OneEndednessVerdict:
     free vertex is checked for indecomposability of its incident
     attachment words (a loop contributes both of its words).  By
     Whitehead's cut-vertex lemma a 2-vertex connected Whitehead graph of
-    those words already proves it, so ``decide_indecomposable`` runs only
-    on the vertices whose graph fails that test.  A rank above the words'
+    those words already proves it.  ``decide_indecomposable`` applies the
+    lemma itself, but vertices here often share one graph, so the test is
+    made once per distinct graph and the decision runs only on the
+    vertices whose graph fails it.  A rank above the words'
     total length leaves a generator unused, so its two letters isolated,
     and fails the test before any row is built.  A free or
     cyclic vertex without incident edges is the whole graph, and its

@@ -12,6 +12,13 @@ generator, since x and x^-1 change length alike.  On a minimal family
 the graph is either disconnected (the family can be conjugated into a
 proper free factor, and the component structure exhibits the
 factorisation) or 2-vertex connected (the family is indecomposable).
+
+By Whitehead's cut-vertex lemma (Stallings 1999; Heusener and Weidmann
+2019) a decomposable family has a cut vertex or a disconnected Whitehead
+graph in every basis.  So a family whose own graph is 2-vertex connected
+is decided indecomposable, and at rank 2 and up a tuple with such a graph
+is not a basis, without a descent; a decision runs the descent for such
+a family only when its certificate is read.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ from __future__ import annotations
 from .errors import (
     DEFAULT_VERTEX_CAP, InternalConsistencyError, InvalidInputError, ResourceCapError,
 )
-from .graphs import Multigraph, _max_flow
+from .graphs import Multigraph, _max_flow, _search
 from .words import (
     Alphabet,
     CyclicWord,
@@ -73,6 +80,16 @@ def _capacity_rows(rank: int, words) -> list[dict[int, int]]:
             rows[j][i] = rows[j].get(i, 0) + 1
             i = j ^ 1  # y, the next pair's x
     return rows
+
+
+def _two_connected(rank: int, words) -> bool:
+    """Whether the Whitehead graph of checked letter tuples is 2-vertex
+    connected.  A rank above their total length leaves a generator unused,
+    so its letters isolated: False before any row is built."""
+    if rank > sum(map(len, words)):
+        return False
+    components, cuts = _search(_capacity_rows(rank, words))
+    return len(components) == 1 and not cuts
 
 
 def whitehead_moves(alphabet: Alphabet):
@@ -200,10 +217,45 @@ class IndecomposabilityVerdict(_Record):
     together with its connected, cut-vertex-free Whitehead graph.  For a
     decomposable one it is the minimizing automorphism plus a bipartition
     (P, Q) of the generator indices such that every minimized word uses
-    generators from only one side.
+    generators from only one side.  A verdict that the cut-vertex lemma
+    decided runs the descent for its certificate when ``minimized``,
+    ``graph``, ``trace`` or ``automorphism`` is first read, and keeps it;
+    equality and hashing compare the same five fields either way.
     """
 
-    __slots__ = ("decision", "minimized", "graph", "trace", "bipartition")
+    __slots__ = ("decision", "_minimized", "_graph", "_trace", "bipartition", "_pending")
+
+    def __init__(self, decision: str, minimized, graph, trace, bipartition):
+        super().__init__(decision, minimized, graph, trace, bipartition, None)
+
+    @classmethod
+    def _by_lemma(cls, alphabet: Alphabet, family) -> "IndecomposabilityVerdict":
+        """An INDECOMPOSABLE verdict for a checked family whose Whitehead
+        graph is 2-vertex connected; its certificate is built on first read."""
+        verdict = cls(INDECOMPOSABLE, None, None, None, None)
+        object.__setattr__(verdict, "_pending", (alphabet, family))
+        return verdict
+
+    def _certificate(self) -> tuple:
+        """(minimized, graph, trace), from the descent on the first read of a lemma verdict."""
+        if self._pending is not None:
+            minimized, trace, graph = _descend(*self._pending)
+            two_connected, cuts = graph.is_two_vertex_connected()
+            if not two_connected:
+                raise InternalConsistencyError(
+                    f"2-connected family minimizes to a graph that is not (cut vertices {cuts})"
+                )
+            for name, value in (("_minimized", minimized), ("_graph", graph),
+                                ("_trace", trace), ("_pending", None)):
+                object.__setattr__(self, name, value)
+        return self._minimized, self._graph, self._trace
+
+    minimized = property(lambda self: self._certificate()[0], doc="The minimized family.")
+    graph = property(lambda self: self._certificate()[1], doc="The minimal Whitehead graph.")
+    trace = property(lambda self: self._certificate()[2], doc="The descent's trace.")
+
+    def _key(self) -> tuple:
+        return (self.decision, *self._certificate(), self.bipartition)
 
     @property
     def automorphism(self) -> FreeGroupMap:
@@ -237,11 +289,15 @@ def _generator_groups(components) -> tuple[frozenset[int], ...]:
 def decide_indecomposable(alphabet: Alphabet, family) -> IndecomposabilityVerdict:
     """Decide whether a family of cyclic subgroups is indecomposable.
 
-    The family is minimized first.  A disconnected minimal graph yields
-    a Decomposable verdict with a generator bipartition read off the
-    components; a connected one must have no cut vertex (minimality
-    guarantees this; a surviving cut vertex raises
-    InternalConsistencyError rather than guessing).
+    By Whitehead's cut-vertex lemma (Stallings 1999; Heusener and
+    Weidmann 2019) a family whose own Whitehead graph is 2-vertex
+    connected is indecomposable: that verdict comes at once, and its
+    certificate is built only when read.  Otherwise the family is
+    minimized.  A disconnected minimal graph yields a Decomposable
+    verdict with a generator bipartition read off the components; a
+    connected one must have no cut vertex (minimality guarantees this; a
+    surviving cut vertex raises InternalConsistencyError rather than
+    guessing).
     """
     family = tuple(family)
     if not family:
@@ -249,6 +305,8 @@ def decide_indecomposable(alphabet: Alphabet, family) -> IndecomposabilityVerdic
     for w in family:
         if not isinstance(w, CyclicWord):
             raise InvalidInputError(f"family members must be CyclicWord, got {w!r}")
+    if _two_connected(alphabet.rank, _checked_letters(alphabet, family)):
+        return IndecomposabilityVerdict._by_lemma(alphabet, family)
     minimized, trace, graph = _descend(alphabet, family)
     two_connected, cuts = graph.is_two_vertex_connected()
     if two_connected:
@@ -272,10 +330,14 @@ def recognize_basis(alphabet: Alphabet, words) -> tuple[bool, FreeGroupMap | Non
 
     True iff the tuple has length equal to the rank and Whitehead
     minimization brings it to single-letter words on pairwise distinct
-    generators; the witness is the minimizing automorphism.
+    generators; the witness is the minimizing automorphism.  At rank 2
+    and up a basis is decomposable, so a tuple whose Whitehead graph is
+    2-vertex connected is refused by the cut-vertex lemma, with no descent.
     """
     words = tuple(words)
     if len(words) != alphabet.rank:
+        return False, None
+    if alphabet.rank > 1 and _two_connected(alphabet.rank, _checked_letters(alphabet, words)):
         return False, None
     minimized, trace = minimize(alphabet, words)
     if any(len(w) != 1 for w in minimized):

@@ -439,6 +439,15 @@ class TestEnumerateAxes:
             v: [tuple(sorted(pair, key=letter_index)) for pair in pairs]
             for v, pairs in reference_direction_pairs(traces).items()}
 
+    @pytest.mark.parametrize("rank, texts", [(6, ["ab"]), (8, ["aab", "c"]), (5, ["abAB", "E"])])
+    def test_letters_that_no_ray_cancels(self, rank, texts):
+        # most letters start no ray here, so their rows keep every period
+        ball = build_ball(Alphabet(rank), 2)
+        family = fam(*texts, rank=rank)
+        reference = reference_enumerate_axes(family, ball)
+        assert [(a.base, a.period) for a in enumerate_axes(family, ball)] == [
+            key for key, _ in reference]
+
     def test_powers_and_inverses(self):
         # abab keeps its own period beside ab; BA shares ab's lines
         ball = build_ball(ALPH2, 2)

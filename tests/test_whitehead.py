@@ -1,5 +1,6 @@
 import hashlib
 import random
+import tracemalloc
 
 import networkx as nx
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from freesplit import whitehead
 from freesplit.cli import main
-from freesplit.errors import InvalidInputError
+from freesplit.errors import InternalConsistencyError, InvalidInputError, ResourceCapError
 from freesplit.graphs import Multigraph
 from freesplit.gog import NOT_ONE_ENDED, double, one_ended
 from freesplit.whitehead import (
@@ -119,6 +120,32 @@ def lemma_corpus(draw):
             break
         family = moved
     return Alphabet(rank), tuple(family)
+
+
+@st.composite
+def wide_corpus(draw):
+    """A family of 1-3 random cyclic words at rank 1-12, each up to 3 * rank + 2
+    letters long, sometimes moved by random Whitehead moves."""
+    rank = draw(st.integers(min_value=1, max_value=12))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    lengths = draw(st.lists(st.integers(min_value=1, max_value=3 * rank + 2),
+                            min_size=1, max_size=3))
+    family = tuple(helpers.random_cyclic_word(rng, rank, n) for n in lengths)
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        move = helpers.random_move(rng, rank).to_map()
+        family = tuple(move.apply_cyclic(w) for w in family)
+    return Alphabet(rank), family
+
+
+def reference_basis(alphabet, words):
+    """``recognize_basis`` by the descent alone, with no cut-vertex test."""
+    if len(words) != alphabet.rank:
+        return False, None
+    minimized, trace = minimize(alphabet, words)
+    if sorted(abs(w.letters[0]) if len(w) == 1 else 0 for w in minimized) != list(
+            range(1, alphabet.rank + 1)):
+        return False, None
+    return True, trace.composite
 
 
 class TestCutVertexLemma:
@@ -492,6 +519,100 @@ class TestLazyComposite:
         capsys.readouterr()
 
 
+class TestDecidedByLemma:
+    """A 2-connected input graph is decided without a descent; the certificate
+    is built when read, and equals the eager descent's."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(wide_corpus())
+    def test_agrees_with_oracle_and_eager_descent(self, case):
+        alphabet, family = case
+        minimized, trace, graph = whitehead._descend(alphabet, family)
+        two_connected = helpers.whitehead_two_connected(alphabet, family)
+        verdict = decide_indecomposable(alphabet, family)
+        assert (verdict._pending is not None) == two_connected
+        if two_connected or graph.is_two_vertex_connected()[0]:
+            assert verdict.decision == INDECOMPOSABLE and verdict.bipartition is None
+        else:
+            assert verdict.decision == DECOMPOSABLE
+        assert verdict.minimized == minimized
+        assert verdict.trace == trace
+        assert verdict.automorphism == trace.composite
+        assert verdict.graph.vertices == graph.vertices
+        assert verdict.graph.edges() == graph.edges()
+        assert verdict._pending is None
+
+    def test_certificate_built_once_on_first_read(self, monkeypatch):
+        descents = []
+
+        def counting(alphabet, family):
+            descents.append(family)
+            return descend(alphabet, family)
+
+        descend = whitehead._descend
+        monkeypatch.setattr(whitehead, "_descend", counting)
+        family = fam("abAB", "aabb")
+        verdict = decide_indecomposable(ALPH2, family)
+        assert verdict.is_indecomposable and verdict.bipartition is None
+        assert descents == []
+        graph = verdict.graph
+        assert descents == [family]
+        assert verdict.graph is graph and verdict.minimized == family
+        assert verdict.trace.steps == () and verdict.automorphism == FreeGroupMap.identity(2)
+        assert descents == [family]
+        # the public five-field form still builds an eager verdict
+        eager = whitehead.IndecomposabilityVerdict(
+            INDECOMPOSABLE, verdict.minimized, graph, verdict.trace, None)
+        assert eager == verdict and hash(eager) == hash(verdict)
+        assert descents == [family]
+
+    def test_unminimized_certificate_is_checked(self, monkeypatch):
+        # a descent that ended on a graph with a cut vertex is a defect, reported on read
+        monkeypatch.setattr(whitehead, "_descend", lambda alphabet, family: (
+            family, MinimizationTrace(2, ()), build_whitehead_graph(alphabet, fam("ab", "b"))))
+        verdict = decide_indecomposable(ALPH2, fam("abAB"))
+        assert verdict.decision == INDECOMPOSABLE
+        with pytest.raises(InternalConsistencyError, match="cut vertices"):
+            verdict.minimized
+
+    def test_text_runs_no_flow_and_json_as_many_as_the_descent(self, capsys, monkeypatch):
+        # AABCABCbc is 2-connected but not minimal: its descent takes two steps
+        alphabet, family = Alphabet(3), fam("AABCABCbc", rank=3)
+        assert helpers.whitehead_two_connected(alphabet, family)
+        flows = []
+
+        def counting(rows, source, sink, limit=float("inf")):
+            flows.append(source)
+            return max_flow(rows, source, sink, limit)
+
+        max_flow = whitehead._max_flow
+        monkeypatch.setattr(whitehead, "_max_flow", counting)
+        assert main(["indecomposable", "--rank", "3", "AABCABCbc"]) == 0
+        assert capsys.readouterr().out == "INDECOMPOSABLE\n"
+        assert flows == []
+        assert len(whitehead._descend(alphabet, family)[1].steps) == 2
+        eager = len(flows)
+        flows.clear()
+        assert main(["indecomposable", "--rank", "3", "--format", "json", "AABCABCbc"]) == 0
+        assert '"verdict": "indecomposable"' in capsys.readouterr().out
+        assert len(flows) == eager == 9
+
+    def test_rank_cap_refuses_before_any_row(self):
+        family = fam("ab", rank=400_000_000)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceCapError):
+                decide_indecomposable(Alphabet(400_000_000), family)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    def test_foreign_letter_refused_before_the_lemma(self):
+        with pytest.raises(InvalidInputError, match="outside"):
+            decide_indecomposable(ALPH2, fam("abcABC", rank=3))
+
+
 class TestRecognizeBasis:
     def test_standard_basis(self):
         ok, witness = recognize_basis(ALPH2, fam("a", "b"))
@@ -540,6 +661,36 @@ class TestRecognizeBasis:
             ok, _ = recognize_basis(ALPH2, family)
             assert ok, family
 
+
+    def test_cut_vertex_refusal_agrees_with_the_descent(self):
+        # bases under random moves, random tuples, and bases with one word
+        # squared or replaced, at ranks 2-5
+        rng = random.Random(83)
+        two_connected = 0
+        for i in range(2100):
+            rank = 2 + i % 4
+            alphabet = Alphabet(rank)
+            words = [CyclicWord((g,)) for g in range(1, rank + 1)]
+            for _ in range(rng.randint(1, 6)):
+                move = helpers.random_move(rng, rank).to_map()
+                words = [move.apply_cyclic(w) for w in words]
+            kind = i // 4 % 3
+            if kind == 1:
+                words = [helpers.random_cyclic_word(rng, rank, rng.randint(1, 6))
+                         for _ in range(rank)]
+            elif kind == 2:
+                k = rng.randrange(rank)
+                words[k] = (CyclicWord(words[k].letters * 2) if rng.random() < 0.5
+                            else helpers.random_cyclic_word(rng, rank, rng.randint(1, 8)))
+            two_connected += helpers.whitehead_two_connected(alphabet, words)
+            assert recognize_basis(alphabet, words) == reference_basis(alphabet, words), words
+        assert two_connected >= 200
+
+    def test_rank_one_letter_is_a_basis(self):
+        # the graph of a is one edge, 2-connected, yet a is a basis of Z
+        assert helpers.whitehead_two_connected(Alphabet(1), fam("a", rank=1))
+        assert recognize_basis(Alphabet(1), fam("a", rank=1))[0]
+        assert not recognize_basis(Alphabet(1), fam("aa", rank=1))[0]
 
 class TestComponentsOp:
     def test_four_cycle_connected(self):
