@@ -24,10 +24,9 @@ from .graphs import Multigraph
 from .words import (
     Alphabet,
     CyclicWord,
-    _cyclic_core,
+    _parse_cyclic,
     format_letter,
     format_word,
-    parse_word,
 )
 
 
@@ -36,11 +35,10 @@ def _read_family(args) -> tuple[CyclicWord, ...]:
     alphabet = Alphabet(args.rank)
     family = []
     for text in args.words:
-        raw = parse_word(text, alphabet)
-        core = _cyclic_core(raw)[0]
+        core, length = _parse_cyclic(text, alphabet)
         if core is None:
             raise ParseError(f"word {text!r} reduces to the trivial word")
-        if len(core.letters) != len(raw):  # shorter exactly when raw was not cyclically reduced
+        if len(core.letters) != length:  # shorter exactly when the word was not cyclically reduced
             message = f"word {text!r} auto-reduced to {format_word(core.letters)!r}"
             if args.strict:
                 raise ParseError(message + " (--strict)")

@@ -29,16 +29,15 @@ from .errors import (
     DEFAULT_VERTEX_CAP, InvalidInputError, ParseError, ResourceCapError, UnsupportedExportError,
 )
 from .graphs import _search
-from .whitehead import IndecomposabilityVerdict, _capacity_rows, decide_indecomposable
+from .whitehead import IndecomposabilityVerdict, _neighbours, decide_indecomposable
 from .words import (
     Alphabet,
     CyclicWord,
     _Record,
-    _cyclic_core,
+    _parse_cyclic,
     _within_rank,
     conjugacy_class_rep,
     format_word,
-    parse_word,
 )
 
 
@@ -127,40 +126,53 @@ def _attachment_error(vid: str, group: VertexGroup, att) -> str | None:
 
 def validate(g: GraphOfGroups) -> list[str]:
     """All well-formedness violations, each tagged with the vertex/edge id."""
+    return _checked(g)[0]
+
+
+def _checked(g: GraphOfGroups) -> tuple[list[str], dict[str, list[tuple[EdgeSpec, int]]]]:
+    """``validate``'s errors, and every vertex id's incident (edge, endpoint
+    slot) pairs, as ``incidence`` gives them for a valid graph, from the
+    same pass over the edges.  A nonzero int at a cyclic vertex is passed
+    there; any other attachment gets the check that words its error."""
     vertices = g.vertices
     if not vertices:
-        return ["graph has no vertices"]
+        return ["graph has no vertices"], {}
     unknown, attachment = [], []
-    neighbours = {vid: [] for vid in vertices}
+    incident = {vid: [] for vid in vertices}
     for e in g.edges:
         (u, v), (a, b) = e.endpoints, e.attachments
-        if u not in vertices or v not in vertices:
+        at_u, at_v = incident.get(u), incident.get(v)
+        if at_u is None or at_v is None:
             unknown += [
                 f"edge {e.id}: unknown vertex {x}" for x in e.endpoints if x not in vertices
             ]
             continue
-        neighbours[u].append(v)
-        neighbours[v].append(u)
-        error = _attachment_error(u, vertices[u], a)
-        if error:
-            attachment.append(f"edge {e.id}: {error}")
-        error = _attachment_error(v, vertices[v], b)
-        if error:
-            attachment.append(f"edge {e.id}: {error}")
-    ids = Counter(e.id for e in g.edges)
-    repeated = sorted(i for i, n in ids.items() if n > 1)
+        at_u.append((e, 0))
+        at_v.append((e, 1))
+        if type(a) is not int or not a or type(vertices[u]) is not CyclicVertex:
+            error = _attachment_error(u, vertices[u], a)
+            if error:
+                attachment.append(f"edge {e.id}: {error}")
+        if type(b) is not int or not b or type(vertices[v]) is not CyclicVertex:
+            error = _attachment_error(v, vertices[v], b)
+            if error:
+                attachment.append(f"edge {e.id}: {error}")
+    repeated = []
+    if len({e.id for e in g.edges}) != len(g.edges):
+        repeated = sorted(i for i, n in Counter(e.id for e in g.edges).items() if n > 1)
     errors = unknown + [f"duplicate edge id {i}" for i in repeated] + attachment
     root = min(vertices)
     reached, stack = {root}, [root]
     while stack:
-        for v in neighbours[stack.pop()]:
+        for e, slot in incident[stack.pop()]:
+            v = e.endpoints[1 - slot]
             if v not in reached:
                 reached.add(v)
                 stack.append(v)
     if len(reached) != len(vertices):
         missing = ", ".join(sorted(set(vertices) - reached))
         errors.append(f"graph is not connected (unreached: {missing})")
-    return errors
+    return errors, incident
 
 
 def trivial_vertices(g: GraphOfGroups) -> list[str]:
@@ -221,10 +233,9 @@ def one_ended(g: GraphOfGroups) -> OneEndednessVerdict:
     vertices never split over a finite subgroup relative to their edge
     groups.  The lowest failing vertex id wins.
     """
-    errors = validate(g)
+    errors, incident = _checked(g)
     if errors:
         raise InvalidInputError("; ".join(errors))
-    incident = incidence(g)
     order = sorted(g.vertices)
     trivial = _trivial_vertices(g, incident, order)
     if trivial:
@@ -244,16 +255,16 @@ def one_ended(g: GraphOfGroups) -> OneEndednessVerdict:
             )
         if isinstance(group, CyclicVertex):
             continue
-        words = [e.attachments[slot] for e, slot in incident[vid]]
-        letters = [w.letters for w in words]
+        letters = [e.attachments[slot].letters for e, slot in incident[vid]]
         if group.rank <= sum(map(len, letters)):
-            rows = _capacity_rows(group.rank, letters)
+            rows = _neighbours(group.rank, letters)
             key = tuple(map(frozenset, rows))
             if key not in two_connected:
                 components, cuts = _search(rows)
                 two_connected[key] = len(components) == 1 and not cuts
             if two_connected[key]:
                 continue
+        words = [e.attachments[slot] for e, slot in incident[vid]]
         verdict = decide_indecomposable(Alphabet(group.rank), words)
         if not verdict.is_indecomposable:
             return OneEndednessVerdict(
@@ -332,55 +343,59 @@ def presentation(g: GraphOfGroups) -> str:
     if n > DEFAULT_VERTEX_CAP:
         raise ResourceCapError(f"presentation has {n} relation letters"
                                f" (cap {DEFAULT_VERTEX_CAP})", predicted=n, cap=DEFAULT_VERTEX_CAP)
-    use_letters = total <= len(_VERTEX_LETTER_POOL)
-    separator = "" if use_letters else " "
-    # Each vertex's symbol for every letter of its group, built once.
-    symbols: dict[str, dict[int, str]] = {}
-    generators = []
+    if total <= len(_VERTEX_LETTER_POOL):
+        separator, generators = "", list(_VERTEX_LETTER_POOL[:total])
+        inverses = [name.upper() for name in generators]
+    else:
+        separator, generators = " ", [f"x{n}" for n in range(1, total + 1)]
+        inverses = [f"{name}^-1" for name in generators]
+    # The letter i of a vertex's group is generators[offset[vid] + i] and
+    # its inverse inverses[offset[vid] + i], with 1 <= i <= the group's count.
+    offset, n = {}, -1
     for vid, count in zip(order, counts):
-        table = symbols[vid] = {}
-        for i in range(1, count + 1):
-            n = len(generators)
-            name = _VERTEX_LETTER_POOL[n] if use_letters else f"x{n + 1}"
-            generators.append(name)
-            table[i] = name
-            table[-i] = name.upper() if use_letters else f"{name}^-1"
+        offset[vid] = n
+        n += count
 
     def render(vid: str, attachment) -> str:
-        table = symbols[vid]
+        base = offset[vid]
         if isinstance(attachment, int):
-            return separator.join([table[1 if attachment > 0 else -1]] * abs(attachment))
-        return separator.join(map(table.__getitem__, attachment.letters))
+            name = generators[base + 1] if attachment > 0 else inverses[base + 1]
+            return separator.join([name] * abs(attachment))
+        return separator.join([generators[base + x] if x > 0 else inverses[base - x]
+                               for x in attachment.letters])
 
-    # Replay the sweeps on a heap of the edge positions due in this sweep:
-    # once a tree edge at position i reaches a vertex, each edge j there
-    # comes up later in the same sweep if j > i, else in the next one.  An
-    # edge that comes up with both ends reached (a loop, too) never joins.
+    # Replay the sweeps on a heap of the edge positions due in this sweep.
+    # An edge comes up once, when the first of its ends is reached, and
+    # only if its far end is not (an edge with both ends reached, a loop
+    # too, never joins): in the same sweep if it lies after the tree edge
+    # that reached that end, else in the next one.
     sorted_edges = sorted(g.edges, key=lambda e: e.id)
-    at = {vid: [] for vid in order}  # each vertex's incident edge positions
+    at = {vid: [] for vid in order}  # each vertex's (edge position, far end) pairs
     for i, e in enumerate(sorted_edges):
         u, v = e.endpoints
-        at[u].append(i)
-        at[v].append(i)
-    reached = {order[0]}
-    events, later = at[order[0]][:], []  # positions due in this sweep, and in the next
-    heapq.heapify(events)
-    tree = []
-    while events:
-        i = heapq.heappop(events)
-        u, v = sorted_edges[i].endpoints
-        if (u in reached) != (v in reached):
-            new = v if u in reached else u
+        at[u].append((i, v))
+        at[v].append((i, u))
+    # Position -1, the last slot of far, brings up the root before any edge.
+    far = [None] * len(sorted_edges) + [order[0]]
+    reached, tree, later = set(), [], [-1]
+    while later:
+        events, later = later, []
+        heapq.heapify(events)
+        while events:
+            i = heapq.heappop(events)
+            new = far[i]
+            if new in reached:
+                continue
             reached.add(new)
             tree.append(i)
-            for j in at[new]:
-                if j > i:
-                    heapq.heappush(events, j)
-                else:
-                    later.append(j)
-        if not events:
-            events, later = later, []
-            heapq.heapify(events)
+            for j, w in at[new]:
+                if w not in reached:
+                    far[j] = w
+                    if j > i:
+                        heapq.heappush(events, j)
+                    else:
+                        later.append(j)
+    del tree[0]  # position -1
     relations = []
     for i in tree:
         (u, v), (a, b) = sorted_edges[i].endpoints, sorted_edges[i].attachments
@@ -451,17 +466,16 @@ def parse_gog(text: str) -> GraphOfGroups:
                     "edge line needs: edge <id> <v1> <v2> <attach1> <attach2>", lineno
                 )
             eid, v1, v2, a1, a2 = tokens[1:]
-            if v1 not in vertices or v2 not in vertices:
-                vid = v1 if v1 not in vertices else v2
+            known1, known2 = tables.get(v1), tables.get(v2)
+            if known1 is None or known2 is None:
+                vid = v1 if known1 is None else v2
                 raise ParseError(f"unknown vertex {vid} (declare vertices first)", lineno)
-            known = tables[v1]
-            att1 = known.get(a1)  # None for a new token, or for "-" at an opaque vertex
+            att1 = known1.get(a1)  # None for a new token, or for "-" at an opaque vertex
             if att1 is None:
-                att1 = known[a1] = _parse_attachment(a1, vertices[v1], ranks, lineno)
-            known = tables[v2]
-            att2 = known.get(a2)
+                att1 = known1[a1] = _parse_attachment(a1, vertices[v1], ranks, lineno)
+            att2 = known2.get(a2)
             if att2 is None:
-                att2 = known[a2] = _parse_attachment(a2, vertices[v2], ranks, lineno)
+                att2 = known2[a2] = _parse_attachment(a2, vertices[v2], ranks, lineno)
             edge = object.__new__(EdgeSpec)
             set_id(edge, eid)
             set_endpoints(edge, (v1, v2))
@@ -477,7 +491,7 @@ def parse_gog(text: str) -> GraphOfGroups:
 def _parse_attachment(token: str, group: VertexGroup, ranks, lineno: int):
     if isinstance(group, FreeVertex):
         try:
-            core = _cyclic_core(parse_word(token.replace(",", " "), ranks[group.rank][1]))[0]
+            core = _parse_cyclic(token.replace(",", " "), ranks[group.rank][1])[0]
         except InvalidInputError as exc:
             raise ParseError(f"bad attachment word {token!r}: {exc}", lineno)
         if core is None:

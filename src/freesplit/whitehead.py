@@ -33,11 +33,10 @@ from .words import (
     FreeGroupMap,
     MultiplierAutomorphism,
     _Record,
-    _cyclic_core,
     _core,
+    _parse_cyclic,
     canonical_rotation,
     letter_index,
-    parse_word,
     total_cyclic_length,
 )
 
@@ -82,13 +81,27 @@ def _capacity_rows(rank: int, words) -> list[dict[int, int]]:
     return rows
 
 
+def _neighbours(rank: int, words) -> list[set[int]]:
+    """``_capacity_rows`` without the multiplicities, which connectivity
+    does not read: one neighbour set per letter position."""
+    rows = [set() for _ in range(2 * rank)]
+    for letters in words:
+        i = letter_index(letters[-1])
+        for y in letters:
+            j = 2 * y - 1 if y > 0 else -2 * y - 2
+            rows[i].add(j)
+            rows[j].add(i)
+            i = j ^ 1
+    return rows
+
+
 def _two_connected(rank: int, words) -> bool:
     """Whether the Whitehead graph of checked letter tuples is 2-vertex
     connected.  A rank above their total length leaves a generator unused,
     so its letters isolated: False before any row is built."""
     if rank > sum(map(len, words)):
         return False
-    components, cuts = _search(_capacity_rows(rank, words))
+    components, cuts = _search(_neighbours(rank, words))
     return len(components) == 1 and not cuts
 
 
@@ -308,10 +321,11 @@ def decide_indecomposable(alphabet: Alphabet, family) -> IndecomposabilityVerdic
     if _two_connected(alphabet.rank, _checked_letters(alphabet, family)):
         return IndecomposabilityVerdict._by_lemma(alphabet, family)
     minimized, trace, graph = _descend(alphabet, family)
-    two_connected, cuts = graph.is_two_vertex_connected()
-    if two_connected:
+    # One search answers both tests: on its 2n >= 2 letters, a connected
+    # graph without a cut vertex is 2-vertex connected.
+    components, cuts = graph._search()
+    if len(components) == 1 and not cuts:
         return IndecomposabilityVerdict(INDECOMPOSABLE, minimized, graph, trace, None)
-    components = graph.components()
     if len(components) == 1:
         raise InternalConsistencyError(
             f"minimal Whitehead graph is connected but has cut vertices {cuts}"
@@ -352,7 +366,7 @@ def family_from_texts(alphabet: Alphabet, texts) -> tuple[CyclicWord, ...]:
     """Parse, freely reduce, and cyclically reduce a family given as text."""
     out = []
     for text in texts:
-        core = _cyclic_core(parse_word(text, alphabet))[0]
+        core = _parse_cyclic(text, alphabet)[0]
         if core is None:
             raise InvalidInputError(f"word {text!r} is trivial")
         out.append(core)

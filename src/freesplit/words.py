@@ -126,7 +126,7 @@ def _least_rotation(word: Word) -> int:
     power, and i is first, since every other offset below j is out.
     """
     n = len(word)
-    key = word_key(word) * 2
+    key = [2 * x - 1 if x > 0 else -2 * x for x in word] * 2  # word_key, as a list
     i, j, k = 0, 1, 0
     while j < n and k < n:
         a, b = key[i + k], key[j + k]
@@ -167,7 +167,7 @@ class CyclicWord(_Record):
     def _from_canonical(cls, letters: Word) -> "CyclicWord":
         """Wrap letters already cyclically reduced and in canonical rotation."""
         word = object.__new__(cls)
-        object.__setattr__(word, "letters", letters)
+        _set_letters(word, letters)
         return word
 
     def __len__(self):
@@ -200,6 +200,9 @@ class CyclicWord(_Record):
 
     def generator_support(self) -> frozenset[int]:
         return frozenset(abs(x) for x in self.letters)
+
+
+_set_letters = CyclicWord.letters.__set__  # the slot, past the refusing __setattr__
 
 
 def conjugacy_class_rep(word: CyclicWord) -> CyclicWord:
@@ -366,6 +369,38 @@ def parse_word(text: str, alphabet: Alphabet) -> Word:
         if not -rank <= x <= rank:
             raise ParseError(f"letter {format_letter(x)!r} outside alphabet of rank {rank}")
     return letters
+
+
+_LETTER_TABLES: dict[int, dict[str, int]] = {}  # by min(rank, 26)
+
+
+def _parse_cyclic(text: str, alphabet: Alphabet) -> tuple[CyclicWord | None, int]:
+    """``(_cyclic_core(w)[0], len(w))`` for ``w = parse_word(text, alphabet)``.
+
+    A letter-form word is read in one loop, reduced freely as it comes; the
+    rank's letter table is the range check.  A character the table lacks
+    (a digit, space, comma or other letter) sends ``text`` to ``parse_word``.
+    """
+    rank = min(alphabet.rank, 26)
+    table = _LETTER_TABLES.get(rank)
+    if table is None:
+        table = _LETTER_TABLES[rank] = {c: x for c, x in _LETTER_OF.items() if abs(x) <= rank}
+    out: list[int] = []
+    try:
+        for c in text:
+            x = table[c]
+            if out and out[-1] == -x:
+                out.pop()
+            else:
+                out.append(x)
+    except KeyError:
+        letters = parse_word(text, alphabet)
+        return _cyclic_core(letters)[0], len(letters)
+    core = _core(out)
+    if not core:
+        return None, len(text)
+    k = _least_rotation(core)
+    return CyclicWord._from_canonical(tuple(core[k:] + core[:k] if k else core)), len(text)
 
 
 def _within_rank(letters, rank: int) -> bool:

@@ -674,7 +674,10 @@ def reference_parse_word(text, alphabet):
         return (token[1:] if token[0] in "+-" else token).isdigit()
 
     if all(is_int(t) for t in tokens):
-        letters = [int(t) for t in tokens]
+        try:
+            letters = [int(t) for t in tokens]
+        except ValueError:  # digits that int() refuses, such as superscripts
+            raise ParseError(f"mixed or malformed word syntax: {text!r}") from None
     elif all(t.isalpha() and t.isascii() for t in tokens):
         letters = [
             _REFERENCE_LOWER.index(c) + 1 if c.islower()
@@ -838,7 +841,8 @@ def _word_tokens(rank):
         st.lists(st.integers(-4, 4), min_size=1, max_size=4).map(
             lambda xs: ",".join(map(str, xs))
         ),
-        st.sampled_from(["aA", "abBA", "z", "Ab,c", "a,b", "1,,2", ",1", "1b", "a-", "+2"]),
+        st.sampled_from(["aA", "abBA", "z", "Ab,c", "a,b", "1,,2", ",1", "1b", "a-", "+2",
+                         "\uff41", "\u00e9", "\u00b2", "a\u00e9", "1,\u00b2", "\uff41b"]),
     )
 
 

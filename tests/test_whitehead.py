@@ -6,7 +6,7 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from freesplit import whitehead
+from freesplit import graphs, whitehead
 from freesplit.cli import main
 from freesplit.errors import InternalConsistencyError, InvalidInputError, ResourceCapError
 from freesplit.graphs import Multigraph
@@ -434,6 +434,32 @@ class TestDecide:
         assert verdict.decision == DECOMPOSABLE
         left, right = verdict.bipartition
         assert {1, 2} in (left, right) and {3} in (left, right)
+
+    def test_one_search_of_the_minimal_graph(self, monkeypatch):
+        # the lemma's search of the input rows, then one of the minimal graph
+        # for both its components and its cut vertices
+        searches = []
+
+        def counting(rows):
+            searches.append(len(rows))
+            return search(rows)
+
+        search = graphs._search
+        monkeypatch.setattr(graphs, "_search", counting)
+        monkeypatch.setattr(whitehead, "_search", counting)
+        verdict = decide_indecomposable(Alphabet(3), fam("abAB", rank=3))
+        assert verdict.decision == DECOMPOSABLE
+        assert verdict.bipartition == (frozenset({1, 2}), frozenset({3}))
+        assert searches == [6, 6]
+
+    def test_connected_minimal_graph_with_a_cut_vertex_is_a_defect(self, monkeypatch):
+        # fam("ab", "b") has a connected Whitehead graph with cut vertices b and B
+        monkeypatch.setattr(whitehead, "_descend", lambda alphabet, family: (
+            family, MinimizationTrace(2, ()), build_whitehead_graph(alphabet, fam("ab", "b"))))
+        with pytest.raises(InternalConsistencyError) as raised:
+            decide_indecomposable(ALPH2, fam("ab"))
+        assert str(raised.value) == (
+            "minimal Whitehead graph is connected but has cut vertices (2, -2)")
 
     def test_empty_family_rejected(self):
         with pytest.raises(InvalidInputError):

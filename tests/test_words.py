@@ -1,7 +1,8 @@
 import random
+import string
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from freesplit.errors import InvalidInputError, ParseError
 from freesplit.words import (
@@ -10,6 +11,7 @@ from freesplit.words import (
     FreeGroupMap,
     MultiplierAutomorphism,
     _least_rotation,
+    _parse_cyclic,
     canonical_rotation,
     conjugacy_class_rep,
     cyclic_reduce,
@@ -280,6 +282,59 @@ class TestTextSyntax:
 
     def test_empty_renders_as_identity(self):
         assert format_word(()) == "1"
+
+
+@st.composite
+def word_texts(draw):
+    """A rank from 1 to 30 and a word text: letter form, often reducible or
+    trivial; numeric form with spaces or commas; or either with a letter
+    outside the rank, 0, a non-ASCII letter or digit, or a stray separator."""
+    rank = draw(st.integers(1, 30))
+    lower = string.ascii_lowercase[:rank]
+    letters = st.sampled_from(lower + lower.upper())
+    odd = st.sampled_from(["\uff41", "\u00e9", "\u00b2", "z", "Z", " ", ",", "0", "1", "-"])
+    numbers = st.lists(st.integers(-rank - 2, rank + 2), max_size=8)
+    separators = st.sampled_from([" ", ",", ", ", "  "])
+    return rank, draw(st.one_of(
+        st.text(letters, max_size=12),
+        st.text(st.one_of(letters, letters, letters, odd), max_size=12),
+        st.builds(lambda sep, xs: sep.join(map(str, xs)), separators, numbers),
+        st.sampled_from(["", " ", "aA", "abBA", "1 -1", "\uff41", "\u00e9", "\u00b2", "1 \u00b2",
+                         "a\u00b2", "\u00e9a", "27 -1"]),
+    ))
+
+
+def outcome(fn, *args):
+    """A call's result, or the type and message of the exception it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # compared, not handled
+        return type(exc), str(exc)
+
+
+class TestParseCyclic:
+    """The one-loop reader against parsing, then cyclically reducing."""
+
+    @settings(max_examples=500)
+    @given(word_texts())
+    def test_matches_parse_word_then_cyclic_reduce(self, case):
+        rank, text = case
+        alphabet = Alphabet(rank)
+
+        def reference(text, alphabet):
+            letters = parse_word(text, alphabet)
+            return cyclic_reduce(letters)[0], len(letters)
+
+        assert outcome(_parse_cyclic, text, alphabet) == outcome(reference, text, alphabet)
+
+    def test_examples(self):
+        assert _parse_cyclic("bAaaBBb", ALPH2) == (CyclicWord((1,)), 7)
+        assert _parse_cyclic("2 -1", ALPH2) == (CyclicWord((-1, 2)), 2)
+        assert _parse_cyclic("abBA", ALPH2) == (None, 4)
+        with pytest.raises(ParseError, match="outside alphabet of rank 2"):
+            _parse_cyclic("abc", ALPH2)
+        with pytest.raises(ParseError, match="malformed"):
+            _parse_cyclic("a\u00b2", ALPH2)
 
 
 class TestAlphabet:
