@@ -7,19 +7,20 @@ period, a rotation of the word or of its inverse).  A vertex u and a
 period p, read forward as p^oo and backward as (p^-1)^oo, span a line
 based at u exactly when neither direction cancels the last letter of u.
 
-The generator ``_lines`` yields each line meeting the ball once, as a
-tuple: base id (see ``tree``), last letter, reach (radius - |base|) and
-the period's ``_Rays``, which give a line's vertex ids and star bits by
-one multiply-add each.  It builds no object per line and skips the bases
-on the outer sphere, most of the ball, whose lines have no edge in it.
-The per-edge counts, the star graph, the star certificate and the class
-profile each read that stream in one loop: counts and stars are flat
-lists indexed by id, a star is an int with one bit per letter pair that
-``_star_rows`` decodes for ``graphs._search``, and the profile is a
-union-find over ids.  Only ``enumerate_axes`` builds ``Axis`` objects,
-one per line, sphere bases included, for JSON ``tree axes`` and the
-subtree analysis; the functions that take axes turn them back into the
-stream and refuse axes traced in a ball of another rank or radius.
+The generator ``_lines`` yields each base once: its id (see ``tree``),
+last letter, reach (radius - |base|) and row, the ``_Rays`` of the periods
+spanning a line from it, whose one walk gives a line's vertex ids and star
+bits by one multiply-add each, so a line costs only the steps it walks.
+It builds no object per line and skips the bases on the outer sphere,
+most of the ball, whose lines have no edge in it.  The per-edge counts,
+the star graph, the star certificate and the class profile each read that
+stream in one loop: counts and stars are flat lists indexed by id, a star
+is an int with one bit per letter pair that ``_star_rows`` decodes for
+``graphs._search``, and the profile is a union-find over ids.  Only
+``enumerate_axes`` builds ``Axis`` objects, one per line, sphere bases
+included, for JSON ``tree axes`` and the subtree analysis; the functions
+that take axes turn them into one-ray rows and refuse axes traced in a
+ball of another rank or radius.
 
 The subtree analysis computes, for a finite subtree S, the intervals
 axis-by-axis, the interval-gluing graph on interval endpoints, and the
@@ -30,7 +31,7 @@ leaving S) stand in for the ends of the tree that project onto them.
 
 from __future__ import annotations
 
-from itertools import islice
+from itertools import count, cycle, islice, repeat
 
 from .errors import DEFAULT_VERTEX_CAP, InvalidInputError
 from .graphs import Multigraph, _search
@@ -39,7 +40,7 @@ from .words import Alphabet, CyclicWord, Word, _Record, invert_word, letter_inde
 
 
 class _Rays:
-    """A period's two rays in a ball, as walks of vertex ids and star bits.
+    """A period's two rays in a ball, as one walk of vertex ids and star bits.
 
     The forward ray reads period^oo from the base, the backward ray
     (period^-1)^oo; ``first`` holds their first letters' indices.  A line
@@ -48,48 +49,43 @@ class _Rays:
     letter index with a < b, so that equal stars are equal ints whichever
     way their lines pass, and kept as the bit ``1 << code``; ``origin`` is
     the base's.
-    The vertex j steps out from a base u has the id (2n-1)^j · u + c, c fixed
-    by the ray and the base's last letter (``tree.child_step``): ``walks[last]``
-    lists ((2n-1)^j, c and bit forward, c and bit backward) for j = 1 .. radius,
-    and a line of reach k reads its first k entries.
+    A ray's first vertex off a base u has the id (2n-1)·u + ``child_step``
+    of u's last letter and the ray's first (``_firsts``), and its j-th the
+    id (2n-1)^(j-1) · first + e_j, e_j fixed by the ray alone: ``walk`` lists
+    ((2n-1)^(j-1), e_j and bit forward, e_j and bit backward) for j = 1 ..
+    radius, and a line of reach k, from any base, reads its first k entries.
     """
 
-    __slots__ = ("ball", "period", "first", "origin", "walks")
+    __slots__ = ("ball", "period", "first", "origin", "walk")
 
     def __init__(self, period: Word, ball: TreeBall):
-        self.ball = ball
-        self.period = period
-        m, length, branch = 2 * ball.alphabet.rank, ball.radius + 1, ball.branch
+        self.ball, self.period = ball, period
+        m, branch = 2 * ball.alphabet.rank, ball.branch
         # the letter index of x^-1 is that of x with its last bit flipped
-        index = [letter_index(x) for x in period]
-        forward, backward = rays = [(word * (length // len(word) + 1))[:length]
-                                    for word in (index, [x ^ 1 for x in reversed(index)])]
-        self.first = [ray[0] for ray in rays]
-        pair = lambda a, b: 1 << min(a, b) * m + max(a, b)
-        self.origin = pair(backward[0] ^ 1, forward[0] ^ 1)
-        bits = [[pair(a, b ^ 1) for a, b in zip(forward, forward[1:])],
-                [pair(b ^ 1, a) for a, b in zip(backward, backward[1:])]]
-        # ids[ray][passed]: c for j = 1 .. radius, less (2n-1)^(j-1) when the
-        # first letter passes the inverse of the base's last letter
-        powers = [branch ** j for j in range(length)]
-        ids = []
-        for ray in rays:
-            c = [2 + ray[0]]
-            for x, y in zip(ray, ray[1:-1]):
-                c.append(branch * c[-1] + child_step(x, y))
-            ids.append((c, [v - q for v, q in zip(c, powers)]))
-        # by the base's last letter index, the root's (-1) last
-        passed = [(forward[0] > x ^ 1, backward[0] > x ^ 1) for x in [*range(m), -1]]
-        walks = {(f, b): list(zip(powers[1:], ids[0][f], bits[0], ids[1][b], bits[1]))
-                 for f, b in set(passed)}
-        self.walks = [walks[key] for key in passed]
+        forward = [letter_index(x) for x in period]
+        backward = [x ^ 1 for x in reversed(forward)]
+        self.first = forward[0], backward[0]
+        # round the period, per y read after x: child_step(x, y), bit of {x, y^-1}
+        steps = [[(2 + y - (y > x ^ 1), 1 << (x * m + (y ^ 1) if x < y ^ 1 else (y ^ 1) * m + x))
+                  for x, y in zip(ray, ray[1:] + ray[:1])] for ray in (forward, backward)]
+        self.origin = steps[0][-1][1]  # the base reads the period's last letter in
+        self.walk, p, e, g = [], 1, 0, 0
+        for (s, f), (t, b) in islice(zip(cycle(steps[0]), cycle(steps[1])), ball.radius):
+            self.walk.append((p, e, f, g, b))
+            p, e, g = branch * p, branch * e + s, branch * g + t
+
+
+def _firsts(base_id: int, last: int, rays: _Rays) -> tuple[int, int]:
+    """A line's first vertex ids off its base, forward and backward (the loops inline it)."""
+    base = rays.ball.branch * base_id
+    return base + child_step(last, rays.first[0]), base + child_step(last, rays.first[1])
 
 
 class Axis:
     """A line in the Cayley tree, keyed by (base, period), traced in a ball.
 
-    ``line`` is the line's ``_lines`` tuple (base id, last letter index,
-    reach, rays).  The base's word is decoded from its id when it is read.
+    ``line`` is (base id, last letter index, reach, rays) for one ``_Rays``
+    of a ``_lines`` row.  The base's word is decoded from its id when read.
     """
 
     __slots__ = ("base_id", "period", "line")
@@ -131,14 +127,15 @@ class Axis:
 
 
 def _lines(family, ball: TreeBall, sphere: bool = False):
-    """(base id, last, reach, rays) per line of the family's conjugates in the ball.
+    """(base id, last, reach, row) per base vertex of the family's lines in the ball.
 
-    ``last`` is the letter index of the base's last letter (-1 at the
-    root) and ``reach`` is radius - |base|, 0 only with ``sphere``.  Each
-    period is a rotation of a family word or of its inverse, whichever is
-    smaller under ``word_key``, so conjugates and inverses share lines and
-    a proper power keeps its own.  Lines come by base id, which is
-    (length, ``word_key``) order, then by period ``word_key``.
+    ``last`` is the letter index of the base's last letter (-1 at the root),
+    ``reach`` is radius - |base|, 0 only with ``sphere``, and ``row`` holds
+    the ``_Rays`` of the periods that span a line from the base.  A period
+    is a rotation of a family word or of its inverse, whichever is smaller
+    under ``word_key``, so conjugates and inverses share lines and a proper
+    power keeps its own.  Bases come by id, which is (length, ``word_key``)
+    order, and a row by period ``word_key``.
     """
     family = tuple(family)
     for w in family:
@@ -146,53 +143,59 @@ def _lines(family, ball: TreeBall, sphere: bool = False):
             raise InvalidInputError(f"family members must be CyclicWord, got {w!r}")
         ball.alphabet.validate_letters(w.letters)
     periods = {min(r, invert_word(r), key=word_key) for w in family for r in w.rotations()}
-    rays = [_Rays(p, ball) for p in sorted(periods, key=word_key)]
+    rays = tuple(_Rays(p, ball) for p in sorted(periods, key=word_key))
     m = 2 * ball.alphabet.rank
     # rows by the last letter index of the base, the root's last (index -1):
     # a period extends a base when neither ray's first letter cancels it, so
     # only the rows of letters that some first letter cancels drop a period
     admissible = [rays] * (m + 1)
     for x in {f ^ 1 for r in rays for f in r.first}:
-        admissible[x] = [r for r in rays if x ^ 1 not in r.first]
+        admissible[x] = tuple(r for r in rays if x ^ 1 not in r.first)
     v = 0
     for reach, level in zip(range(ball.radius, -1 if sphere else 0, -1), ball.levels()):
-        for last in level:
-            for r in admissible[last]:
-                yield v, last, reach, r
-            v += 1
+        yield from zip(count(v), level, repeat(reach), map(admissible.__getitem__, level))
+        v += len(level)
 
 
 def _axis_lines(ball: TreeBall, axes):
-    """The axes with an edge in the ball as ``_lines`` tuples; refuses another ball's axes."""
+    """The axes with an edge in the ball as one-ray rows; refuses another ball's axes."""
     shape = (ball.alphabet.rank, ball.radius)
     for axis in axes:
-        other = axis.line[3].ball
-        if other is not ball and (other.alphabet.rank, other.radius) != shape:
+        base_id, last, reach, rays = axis.line
+        if rays.ball is not ball and (rays.ball.alphabet.rank, rays.ball.radius) != shape:
             raise InvalidInputError(f"axis not in a ball of rank {shape[0]}, radius {shape[1]}")
-        if axis.line[2] > 0:
-            yield axis.line
+        if reach > 0:
+            yield base_id, last, reach, (rays,)
 
 
 def _trace_ids(line) -> list[int]:
-    """The ids of a ``_lines`` line's vertices in the ball, from the far end
+    """The ids of an ``Axis.line``'s vertices in the ball, from the far end
     against the period."""
     base_id, last, reach, rays = line
-    walk = [(p * base_id + c, p * base_id + d)
-            for p, c, _, d, _ in islice(rays.walks[last], reach)]
+    head, tail = _firsts(base_id, last, rays)
+    walk = [(p * head + e, p * tail + g) for p, e, _, g, _ in islice(rays.walk, reach)]
     return [b for _, b in reversed(walk)] + [base_id] + [f for f, _ in walk]
 
 
 def enumerate_axes(family, ball: TreeBall) -> tuple[Axis, ...]:
     """All distinct axes of conjugates of family words meeting the ball, in ``_lines`` order."""
-    return tuple(map(Axis, _lines(family, ball, sphere=True)))
+    return tuple(Axis((v, last, reach, rays))
+                 for v, last, reach, row in _lines(family, ball, sphere=True) for rays in row)
 
 
 def _child_counts(ball: TreeBall, lines) -> list[int]:
     counts = [0] * len(ball.vertices)
-    for base_id, last, reach, rays in lines:
-        for p, c, _, d, _ in islice(rays.walks[last], reach):
-            counts[p * base_id + c] += 1
-            counts[p * base_id + d] += 1
+    for base_id, last, reach, row in lines:
+        step, inverse = ball.branch * base_id + 2, last ^ 1
+        for rays in row:
+            x, y = rays.first
+            head, tail = step + x - (x > inverse), step + y - (y > inverse)
+            counts[head] += 1
+            counts[tail] += 1
+            if reach > 1:
+                for p, e, _, g, _ in islice(rays.walk, 1, reach):
+                    counts[p * head + e] += 1
+                    counts[p * tail + g] += 1
     return counts
 
 
@@ -226,14 +229,16 @@ def _star_graph(ball: TreeBall, lines, center: Word) -> Multigraph:
     if target is None or len(center) > ball.radius - 1:
         raise InvalidInputError(f"star of {center} does not lie inside the ball")
     bits = []
-    for base_id, last, reach, rays in lines:
+    for base_id, last, reach, row in lines:
         # a line meets the center's sphere this many steps out from its base
         steps = reach - ball.radius + len(center)
         if base_id == target:
-            bits.append(rays.origin)
+            bits += [rays.origin for rays in row]
         elif steps > 0:
-            p, c, f, d, b = rays.walks[last][steps - 1]
-            bits += [bit for v, bit in [(c, f), (d, b)] if p * base_id + v == target]
+            for rays in row:
+                p, e, f, g, b = rays.walk[steps - 1]
+                head, tail = _firsts(base_id, last, rays)
+                bits += [bit for v, bit in [(p * head + e, f), (p * tail + g, b)] if v == target]
     letters = ball.alphabet.letters()
     return Multigraph._from_rows(letters, _star_rows(bits, len(letters)))
 
@@ -285,20 +290,23 @@ def _certificate(ball: TreeBall, lines) -> StarCertificate:
     if ball.radius < 2:
         raise InvalidInputError("certificate needs radius >= 2")
     m = 2 * ball.alphabet.rank
-    stars = [0] * ball.offsets[ball.radius]
-    for base_id, last, reach, rays in lines:
-        stars[base_id] |= rays.origin
-        for p, c, f, d, b in islice(rays.walks[last], reach - 1):
-            stars[p * base_id + c] |= f
-            stars[p * base_id + d] |= b
-    verdicts = {}
-    for v, star in enumerate(stars):
-        ok = verdicts.get(star)
-        if ok is None:
-            components, cuts = _search(_star_rows((star,), m))
-            ok = verdicts[star] = len(components) == 1 and not cuts
-        if not ok:
-            return StarCertificate(False, ball.vertices[v])
+    stars, masks = [0] * ball.offsets[ball.radius], {}
+    for base_id, last, reach, row in lines:
+        # each origin is one bit, so the distinct ones sum to their union
+        stars[base_id] |= masks.get(row) or masks.setdefault(row, sum({r.origin for r in row}))
+        if reach > 1:
+            step, inverse = ball.branch * base_id + 2, last ^ 1
+            for rays in row:
+                x, y = rays.first
+                head, tail = step + x - (x > inverse), step + y - (y > inverse)
+                for p, e, f, g, b in islice(rays.walk, reach - 1):
+                    stars[p * head + e] |= f
+                    stars[p * tail + g] |= b
+    # distinct masks by first vertex: a failing one first met is at the first failing vertex
+    for star in dict.fromkeys(stars):
+        components, cuts = _search(_star_rows((star,), m))
+        if len(components) != 1 or cuts:
+            return StarCertificate(False, ball.vertices[stars.index(star)])
     return StarCertificate(True, None)
 
 
@@ -421,6 +429,10 @@ def class_count_profile(
     if max_radius < 1:
         raise InvalidInputError("max_radius must be >= 1")
     ball = build_ball(alphabet, max_radius, cap=cap)
+    return _class_counts(ball, _lines(family, ball))
+
+
+def _class_counts(ball: TreeBall, lines) -> tuple[tuple[int, int], ...]:
     # one union-find over vertex ids; an axis joins its exits at each
     # distance past its base, so unions never leave a sphere
     parent = list(range(len(ball.vertices)))
@@ -431,13 +443,21 @@ def class_count_profile(
             i = parent[i]
         return i
 
-    for base_id, last, reach, rays in _lines(family, ball):
-        for p, c, _, d, _ in islice(rays.walks[last], reach):
-            a, b = find(p * base_id + c), find(p * base_id + d)
+    for base_id, last, reach, row in lines:
+        step, inverse = ball.branch * base_id + 2, last ^ 1
+        for rays in row:
+            x, y = rays.first
+            head, tail = step + x - (x > inverse), step + y - (y > inverse)
+            a, b = find(head), find(tail)
             if a != b:
                 parent[a] = b
+            if reach > 1:
+                for p, e, _, g, _ in islice(rays.walk, 1, reach):
+                    a, b = find(p * head + e), find(p * tail + g)
+                    if a != b:
+                        parent[a] = b
     offsets = ball.offsets
     return tuple(
         (radius, sum(1 for v in range(offsets[radius], offsets[radius + 1]) if parent[v] == v))
-        for radius in range(1, max_radius + 1)
+        for radius in range(1, ball.radius + 1)
     )

@@ -195,12 +195,12 @@ def _cmd_tree_axes(args):
              "trace": [labels[v] for v in arcs._trace_ids(a.line)]}
             for a in axes
         ]}, None, None
-    # labels come in id order, as the bases do, and none past the last base is built
+    # labels come in id order, as the bases do, and none past the last line's base is built
     labels, lines, at = ball.iter_labels(), [], -1
-    for v, _, _, rays in arcs._lines(args.words, ball, sphere=True):
-        while at < v:
+    for v, _, _, row in arcs._lines(args.words, ball, sphere=True):
+        while row and at < v:
             label, at = next(labels), at + 1
-        lines.append(f"axis base={label} period={period(rays.period)}")
+        lines += [f"axis base={label} period={period(rays.period)}" for rays in row]
     lines.append(f"total {len(lines)}")
     return None, None, lines, None
 

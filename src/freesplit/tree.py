@@ -115,7 +115,7 @@ class TreeBall:
 
         A word with a letter past the 26 of the letter form is numeric
         throughout, so such a letter switches the label to the numeric
-        form of the whole word.
+        form of the whole word, which for a child of the root is the letter.
         """
         letters = self.alphabet.letters()
         letter = [format_letter(x) for x in letters[:52]]
@@ -131,7 +131,7 @@ class TreeBall:
                 elif x < 52:
                     sphere.append(head + letter[x])
                 else:
-                    sphere.append(format_word(self.vertices[v + j]))
+                    sphere.append(format_word(self.vertices[v + j]) if head else str(letters[x]))
             yield from sphere
             before, v = sphere, v + len(sphere)
 

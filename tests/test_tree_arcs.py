@@ -122,19 +122,21 @@ def reference_edge_counts(traces):
 def direction_pairs(ball, family):
     """The {letter in, letter out inverted} pairs of the lines of ``_lines``, by vertex word.
 
-    Each line gives its base the pair of the bit ``rays.origin`` and each
-    ray vertex short of the sphere the pair of its bit in ``rays.walks``,
+    Each line of a row gives its base the pair of the bit ``rays.origin`` and
+    each ray vertex short of the sphere the pair of its bit in ``rays.walk``,
     the letter of lower index first.
     """
     letters = ball.alphabet.letters()
     pairs = {}
-    for base_id, last, reach, rays in _lines(family, ball):
-        chunks = [(base_id, rays.origin)]
-        for p, c, f, d, b in islice(rays.walks[last], reach - 1):
-            chunks += [(p * base_id + c, f), (p * base_id + d, b)]
-        for v, bit in chunks:
-            a, b = divmod(bit.bit_length() - 1, len(letters))
-            pairs.setdefault(ball.vertices[v], []).append((letters[a], letters[b]))
+    for base_id, last, reach, row in _lines(family, ball):
+        for rays in row:
+            head, tail = arcs._firsts(base_id, last, rays)
+            chunks = [(base_id, rays.origin)]
+            for p, e, f, g, b in islice(rays.walk, reach - 1):
+                chunks += [(p * head + e, f), (p * tail + g, b)]
+            for v, bit in chunks:
+                a, b = divmod(bit.bit_length() - 1, len(letters))
+                pairs.setdefault(ball.vertices[v], []).append((letters[a], letters[b]))
     return pairs
 
 
@@ -202,7 +204,7 @@ def mixed_radix_id(word, letters):
 
 # Families whose interior stars are all 2-connected
 FILLING = {1: [("a",), ("aa",)], 2: [("abAB",), ("aabb",), ("abaB",)],
-           3: [("aabbcc",), ("abAB", "bcBC")]}
+           3: [("aabbcc",), ("abAB", "bcBC")], 4: [("aabbccdd",), ("abAB", "bcBC", "cdCD")]}
 
 
 @st.composite
@@ -245,6 +247,26 @@ def axis_corpus(draw):
         family.append(CyclicWord(w.letters[k:] + w.letters[:k]))
     family = draw(st.permutations(family))
     return build_ball(Alphabet(rank), draw(st.integers(min_value=0, max_value=4))), tuple(family)
+
+
+@st.composite
+def row_corpus(draw):
+    """A ball of rank 1-4 and radius 2-5 (2-4 at rank 4, past 20,000 vertices
+    at 5) with a certified or random family that may hold a proper power,
+    and a random source for picking and shuffling its lines."""
+    rank = draw(st.integers(min_value=1, max_value=4))
+    letters = Alphabet(rank).letters()
+    if draw(st.booleans()):
+        family = list(fam(*draw(st.sampled_from(FILLING[rank])), rank=rank))
+    else:
+        words = draw(st.lists(st.lists(st.sampled_from(letters), max_size=4),
+                              min_size=1, max_size=3))
+        family = [core for core, _ in map(cyclic_reduce, words) if core is not None]
+        family = family or [CyclicWord((rank,))]
+    if draw(st.booleans()):
+        family.append(CyclicWord(draw(st.sampled_from(family)).letters * 2))
+    radius = draw(st.integers(min_value=2, max_value=5 if rank < 4 else 4))
+    return build_ball(Alphabet(rank), radius), tuple(family), draw(st.randoms())
 
 
 class TestBall:
@@ -718,12 +740,57 @@ class TestLineStream:
     def test_lines_skip_the_sphere(self):
         ball = build_ball(ALPH2, 4)
         family = fam("abAB", "aab")
-        inner = [(*line[:3], line[3].period) for line in _lines(family, ball)]
-        every = [(*line[:3], line[3].period) for line in _lines(family, ball, sphere=True)]
+        inner = [(*line[:3], rays.period) for line in _lines(family, ball) for rays in line[3]]
+        every = [(*line[:3], rays.period)
+                 for line in _lines(family, ball, sphere=True) for rays in line[3]]
         assert inner == [line for line in every if line[2] > 0]
         assert len(every) == len(enumerate_axes(family, ball))
         sphere = [v for v, _, reach, _ in every if not reach]
         assert set(sphere) == set(range(ball.offsets[ball.radius], ball.vertex_count()))
+
+    @staticmethod
+    def streamed(ball, lines, center):
+        """The certificate, counts, star of ``center`` and profile of the lines."""
+        lines = list(lines)
+        return (_certificate(ball, lines), _child_counts(ball, lines),
+                _star_graph(ball, lines, center).edges(), arcs._class_counts(ball, lines))
+
+    @settings(max_examples=40, deadline=None)
+    @given(row_corpus())
+    def test_rows_match_one_ray_rows(self, corpus):
+        # each row's origin mask is computed once, keyed by the row; the
+        # one-ray rows of axes are built per axis and dropped, so a mask kept
+        # by anything but the row's contents would read another row's
+        ball, family, rng = corpus
+        rows = list(_lines(family, ball))
+        axes = enumerate_axes(family, ball)
+        center = ball.vertices[rng.randrange(ball.offsets[ball.radius - 1])]
+        profile = class_count_profile(ball.alphabet, family, ball.radius)
+        assert arcs._class_counts(ball, rows) == profile
+        keep = {(a.base_id, a.period) for a in axes if rng.random() < 0.5}
+        subset = [(v, last, reach, tuple(r for r in row if (v, r.period) in keep))
+                  for v, last, reach, row in rows]
+        chosen = [a for a in axes if (a.base_id, a.period) in keep]
+        for lines, some in [(rows, axes), (subset, chosen)]:
+            want = self.streamed(ball, lines, center)
+            for order in [some, rng.sample(some, len(some))]:
+                assert want == (lemma33_certificate(ball, order), child_counts(ball, order),
+                                star_graph(ball, order, center).edges(),
+                                arcs._class_counts(ball, arcs._axis_lines(ball, order)))
+
+    def test_rays_do_not_grow_with_the_rank(self):
+        # one walk per period, as long as the radius: a table per base letter
+        # would hold 600,001 entries here (the period is a, whose star bits,
+        # unlike those of later letters, are small ints)
+        ball = build_ball(Alphabet(300_000), 1)
+        tracemalloc.start()
+        try:
+            rays = arcs._Rays((1,), ball)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+        assert len(rays.walk) == 1
 
     def test_cli_builds_no_axis(self, capsys, monkeypatch):
         def refuse(*args):
