@@ -18,9 +18,9 @@ stream in one loop: counts and stars are flat lists indexed by id, a star
 is an int with one bit per letter pair that ``_star_rows`` decodes for
 ``graphs._search``, and the profile is a union-find over ids.  Only
 ``enumerate_axes`` builds ``Axis`` objects, one per line, sphere bases
-included, for JSON ``tree axes`` and the subtree analysis; the functions
-that take axes turn them into one-ray rows and refuse axes traced in a
-ball of another rank or radius.
+included, for the library and the subtree analysis, never for the CLI;
+the functions that take axes turn them into one-ray rows and refuse axes
+traced in a ball of another rank or radius.
 
 The subtree analysis computes, for a finite subtree S, the intervals
 axis-by-axis, the interval-gluing graph on interval endpoints, and the
@@ -36,7 +36,7 @@ from itertools import count, cycle, islice, repeat
 from .errors import DEFAULT_VERTEX_CAP, InvalidInputError
 from .graphs import Multigraph, _search
 from .tree import TreeBall, build_ball, child_step
-from .words import Alphabet, CyclicWord, Word, _Record, invert_word, letter_index, word_key
+from .words import Alphabet, Word, _Record, _family_letters, invert_word, letter_index, word_key
 
 
 class _Rays:
@@ -138,10 +138,7 @@ def _lines(family, ball: TreeBall, sphere: bool = False):
     order, and a row by period ``word_key``.
     """
     family = tuple(family)
-    for w in family:
-        if not isinstance(w, CyclicWord):
-            raise InvalidInputError(f"family members must be CyclicWord, got {w!r}")
-        ball.alphabet.validate_letters(w.letters)
+    _family_letters(ball.alphabet, family)
     periods = {min(r, invert_word(r), key=word_key) for w in family for r in w.rotations()}
     rays = tuple(_Rays(p, ball) for p in sorted(periods, key=word_key))
     m = 2 * ball.alphabet.rank

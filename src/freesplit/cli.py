@@ -188,16 +188,17 @@ def _cmd_tree_profile(args):
 def _cmd_tree_axes(args):
     ball = _tree_lines(args)[0]
     period = functools.cache(format_word)  # each period's label once
+    rows = arcs._lines(args.words, ball, sphere=True)
     if args.format == "json":
-        axes, labels = arcs.enumerate_axes(args.words, ball), ball.labels()
+        labels = ball.labels()
         return None, lambda: {"axes": [
-            {"base": labels[a.base_id], "period": period(a.period),
-             "trace": [labels[v] for v in arcs._trace_ids(a.line)]}
-            for a in axes
+            {"base": labels[v], "period": period(rays.period),
+             "trace": [labels[u] for u in arcs._trace_ids((v, last, reach, rays))]}
+            for v, last, reach, row in rows for rays in row
         ]}, None, None
     # labels come in id order, as the bases do, and none past the last line's base is built
     labels, lines, at = ball.iter_labels(), [], -1
-    for v, _, _, row in arcs._lines(args.words, ball, sphere=True):
+    for v, _, _, row in rows:
         while row and at < v:
             label, at = next(labels), at + 1
         lines += [f"axis base={label} period={period(rays.period)}" for rays in row]

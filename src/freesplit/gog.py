@@ -29,11 +29,12 @@ from .errors import (
     DEFAULT_VERTEX_CAP, InvalidInputError, ParseError, ResourceCapError, UnsupportedExportError,
 )
 from .graphs import _search
-from .whitehead import IndecomposabilityVerdict, _neighbours, decide_indecomposable
+from .whitehead import IndecomposabilityVerdict, _capacity_rows, decide_indecomposable
 from .words import (
     Alphabet,
     CyclicWord,
     _Record,
+    _family_letters,
     _parse_cyclic,
     _within_rank,
     conjugacy_class_rep,
@@ -223,13 +224,13 @@ def one_ended(g: GraphOfGroups) -> OneEndednessVerdict:
     attachment words (a loop contributes both of its words).  By
     Whitehead's cut-vertex lemma a 2-vertex connected Whitehead graph of
     those words already proves it.  ``decide_indecomposable`` applies the
-    lemma itself, but vertices here often share one graph, so the test is
-    made once per distinct graph and the decision runs only on the
-    vertices whose graph fails it.  A rank above the words'
-    total length leaves a generator unused, so its two letters isolated,
-    and fails the test before any row is built.  A free or
-    cyclic vertex without incident edges is the whole graph, and its
-    group (free, or Z) splits freely.  Otherwise cyclic and opaque
+    lemma itself, but vertices here often share one graph, so the test,
+    one search of the graph's capacity rows, is made once per distinct
+    graph and the decision runs only on the vertices whose graph fails it.
+    A rank above the words' total length leaves a generator unused, so its
+    two letters isolated, and fails the test before any row is built.  A
+    free or cyclic vertex without incident edges is the whole graph, and
+    its group (free, or Z) splits freely.  Otherwise cyclic and opaque
     vertices never split over a finite subgroup relative to their edge
     groups.  The lowest failing vertex id wins.
     """
@@ -240,7 +241,7 @@ def one_ended(g: GraphOfGroups) -> OneEndednessVerdict:
     trivial = _trivial_vertices(g, incident, order)
     if trivial:
         raise InvalidInputError(f"graph has trivial vertices: {', '.join(trivial)}")
-    two_connected: dict[tuple[frozenset, ...], bool] = {}  # by the rows' neighbour sets
+    two_connected: dict[tuple[frozenset, ...], bool] = {}  # by each row's neighbours, its keys
     for vid in order:
         group = g.vertices[vid]
         if not isinstance(group, (FreeVertex, CyclicVertex)):
@@ -257,7 +258,7 @@ def one_ended(g: GraphOfGroups) -> OneEndednessVerdict:
             continue
         letters = [e.attachments[slot].letters for e, slot in incident[vid]]
         if group.rank <= sum(map(len, letters)):
-            rows = _neighbours(group.rank, letters)
+            rows = _capacity_rows(group.rank, letters)
             key = tuple(map(frozenset, rows))
             if key not in two_connected:
                 components, cuts = _search(rows)
@@ -287,14 +288,8 @@ def double(alphabet: Alphabet, family) -> GraphOfGroups:
     family = tuple(family)
     if not family:
         raise InvalidInputError("family must be nonempty")
-    reps = []
-    for w in family:
-        if not isinstance(w, CyclicWord):
-            raise InvalidInputError(f"family members must be CyclicWord, got {w!r}")
-        alphabet.validate_letters(w.letters)
-        rep = conjugacy_class_rep(w)
-        if rep not in reps:
-            reps.append(rep)
+    _family_letters(alphabet, family)
+    reps = dict.fromkeys(map(conjugacy_class_rep, family))
     vertices = {"v1": FreeVertex(alphabet.rank), "v2": FreeVertex(alphabet.rank)}
     edges = [
         EdgeSpec(f"e{i}", ("v1", "v2"), (rep, rep)) for i, rep in enumerate(reps, start=1)

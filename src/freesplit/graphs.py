@@ -116,10 +116,10 @@ class Multigraph:
 
 
 def _search(rows) -> tuple[list[list[int]], list[int]]:
-    """Components of rows ``rows[u]`` of neighbour positions (capacity rows,
-    or neighbour sets), as lists of positions in order of their first
-    position, and the sorted cut positions, from one iterative
-    Hopcroft-Tarjan pass.  Multiplicities and loops are ignored."""
+    """Components of capacity rows ``rows[u]``, keyed by neighbour position,
+    as lists of positions in order of their first position, and the sorted
+    cut positions, from one iterative Hopcroft-Tarjan pass.  Multiplicities
+    and loops are ignored."""
     disc, low = [-1] * len(rows), [0] * len(rows)
     found, components, cuts = [], [], set()
     for root in range(len(rows)):

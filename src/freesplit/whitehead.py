@@ -34,6 +34,7 @@ from .words import (
     MultiplierAutomorphism,
     _Record,
     _core,
+    _family_letters,
     _parse_cyclic,
     canonical_rotation,
     letter_index,
@@ -55,15 +56,12 @@ def build_whitehead_graph(alphabet: Alphabet, family) -> Multigraph:
 
 
 def _checked_letters(alphabet: Alphabet, family) -> list[tuple[int, ...]]:
-    """The family's letter tuples; refuses a rank past the vertex budget, then a foreign letter."""
+    """The family's letter tuples; refuses a rank past the vertex budget, then a bad member."""
     if 2 * alphabet.rank > DEFAULT_VERTEX_CAP:
         raise ResourceCapError(f"Whitehead graph of rank {alphabet.rank} has {2 * alphabet.rank}"
                                f" vertices (cap {DEFAULT_VERTEX_CAP})",
                                predicted=2 * alphabet.rank, cap=DEFAULT_VERTEX_CAP)
-    words = [word.letters for word in family]
-    for letters in words:
-        alphabet.validate_letters(letters)
-    return words
+    return _family_letters(alphabet, family)
 
 
 def _capacity_rows(rank: int, words) -> list[dict[int, int]]:
@@ -81,27 +79,13 @@ def _capacity_rows(rank: int, words) -> list[dict[int, int]]:
     return rows
 
 
-def _neighbours(rank: int, words) -> list[set[int]]:
-    """``_capacity_rows`` without the multiplicities, which connectivity
-    does not read: one neighbour set per letter position."""
-    rows = [set() for _ in range(2 * rank)]
-    for letters in words:
-        i = letter_index(letters[-1])
-        for y in letters:
-            j = 2 * y - 1 if y > 0 else -2 * y - 2
-            rows[i].add(j)
-            rows[j].add(i)
-            i = j ^ 1
-    return rows
-
-
 def _two_connected(rank: int, words) -> bool:
     """Whether the Whitehead graph of checked letter tuples is 2-vertex
     connected.  A rank above their total length leaves a generator unused,
     so its letters isolated: False before any row is built."""
     if rank > sum(map(len, words)):
         return False
-    components, cuts = _search(_neighbours(rank, words))
+    components, cuts = _search(_capacity_rows(rank, words))
     return len(components) == 1 and not cuts
 
 
@@ -172,21 +156,19 @@ def minimize(alphabet: Alphabet, family) -> tuple[tuple[CyclicWord, ...], Minimi
     help the descent.  The trace length is at most the initial total
     length.
     """
-    minimized, trace, _ = _descend(alphabet, family)
+    minimized, trace, _ = _descend(alphabet, _checked_letters(alphabet, family))
     return minimized, trace
 
 
-def _descend(alphabet: Alphabet, family):
-    """``minimize``, plus the Whitehead graph of the minimized family.
+def _descend(alphabet: Alphabet, current: list[tuple[int, ...]]):
+    """``minimize`` on checked letter tuples, plus the Whitehead graph of the result.
 
     The last, non-improving step builds that graph anyway, so a decision
     takes it from here instead of building it again.  The graph and the
     length do not depend on rotation, so steps carry unrotated cores and
     only the result is rotated.  Moves keep letters in the alphabet, so
-    the family is checked once, on entry.
+    the caller's check of the family is the only one.
     """
-    family = tuple(family)
-    current = _checked_letters(alphabet, family)
     letters = alphabet.letters()
     steps = []
     length = total_cyclic_length(current)
@@ -203,8 +185,8 @@ def _descend(alphabet: Alphabet, family):
                                                   frozenset(letters[i] for i in side))
                     best_change = cut - degree
         if best is None:
-            if steps:
-                family = tuple(CyclicWord._from_canonical(canonical_rotation(w)) for w in current)
+            family = tuple(CyclicWord._from_canonical(canonical_rotation(w) if steps else w)
+                           for w in current)
             graph = Multigraph._from_rows(letters, rows)
             return family, MinimizationTrace(alphabet.rank, tuple(steps)), graph
         mapping = best.to_map()
@@ -242,11 +224,11 @@ class IndecomposabilityVerdict(_Record):
         super().__init__(decision, minimized, graph, trace, bipartition, None)
 
     @classmethod
-    def _by_lemma(cls, alphabet: Alphabet, family) -> "IndecomposabilityVerdict":
-        """An INDECOMPOSABLE verdict for a checked family whose Whitehead
+    def _by_lemma(cls, alphabet: Alphabet, words) -> "IndecomposabilityVerdict":
+        """An INDECOMPOSABLE verdict for checked letter tuples whose Whitehead
         graph is 2-vertex connected; its certificate is built on first read."""
         verdict = cls(INDECOMPOSABLE, None, None, None, None)
-        object.__setattr__(verdict, "_pending", (alphabet, family))
+        object.__setattr__(verdict, "_pending", (alphabet, words))
         return verdict
 
     def _certificate(self) -> tuple:
@@ -315,12 +297,10 @@ def decide_indecomposable(alphabet: Alphabet, family) -> IndecomposabilityVerdic
     family = tuple(family)
     if not family:
         raise InvalidInputError("family must be nonempty")
-    for w in family:
-        if not isinstance(w, CyclicWord):
-            raise InvalidInputError(f"family members must be CyclicWord, got {w!r}")
-    if _two_connected(alphabet.rank, _checked_letters(alphabet, family)):
-        return IndecomposabilityVerdict._by_lemma(alphabet, family)
-    minimized, trace, graph = _descend(alphabet, family)
+    words = _checked_letters(alphabet, family)
+    if _two_connected(alphabet.rank, words):
+        return IndecomposabilityVerdict._by_lemma(alphabet, words)
+    minimized, trace, graph = _descend(alphabet, words)
     # One search answers both tests: on its 2n >= 2 letters, a connected
     # graph without a cut vertex is 2-vertex connected.
     components, cuts = graph._search()
@@ -351,13 +331,12 @@ def recognize_basis(alphabet: Alphabet, words) -> tuple[bool, FreeGroupMap | Non
     words = tuple(words)
     if len(words) != alphabet.rank:
         return False, None
-    if alphabet.rank > 1 and _two_connected(alphabet.rank, _checked_letters(alphabet, words)):
+    letters = _checked_letters(alphabet, words)
+    if alphabet.rank > 1 and _two_connected(alphabet.rank, letters):
         return False, None
-    minimized, trace = minimize(alphabet, words)
-    if any(len(w) != 1 for w in minimized):
-        return False, None
-    indices = [abs(w.letters[0]) for w in minimized]
-    if len(set(indices)) != alphabet.rank:
+    minimized, trace, _ = _descend(alphabet, letters)
+    # of the rank words, those of one letter use rank distinct generators iff all do
+    if len({abs(w.letters[0]) for w in minimized if len(w) == 1}) != alphabet.rank:
         return False, None
     return True, trace.composite
 

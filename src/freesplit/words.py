@@ -251,6 +251,18 @@ def total_cyclic_length(family) -> int:
     return sum(len(w) for w in family)
 
 
+def _family_letters(alphabet: Alphabet, family) -> list[Word]:
+    """The letter tuples of a family; refuses, member by member, one that is
+    not a CyclicWord, then one with a letter outside the alphabet."""
+    words = []
+    for w in family:
+        if not isinstance(w, CyclicWord):
+            raise InvalidInputError(f"family members must be CyclicWord, got {w!r}")
+        alphabet.validate_letters(w.letters)
+        words.append(w.letters)
+    return words
+
+
 # ---------------------------------------------------------------------------
 # Automorphisms
 

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from freesplit import gog
 from freesplit.errors import (
     InvalidInputError,
     ParseError,
@@ -249,6 +250,35 @@ class TestOneEnded:
         verdict = one_ended(parse_gog(text))
         assert calls == [(2, ["aaabab"]), (3, ["abAB", "ab"])]
         assert (verdict.decision, verdict.witness_vertex) == (NOT_ONE_ENDED, "w")
+
+    def test_pretest_searches_each_distinct_graph_once(self, monkeypatch):
+        # nine free vertices, three Whitehead graphs: abAB and its inverse's
+        # rotation BAba share one, aabb has another, and aaabab's has a cut
+        # vertex, so its two vertices fail the test and are decided
+        searches = []
+
+        def counting(rows):
+            searches.append(tuple(map(frozenset, rows)))
+            return search(rows)
+
+        search = gog._search
+        monkeypatch.setattr(gog, "_search", counting)
+        words = ["abAB", "abAB", "BAba", "aabb", "abAB", "aaabab", "aabb", "BAba", "aaabab"]
+        text = "vertex h cyclic\n" + "".join(
+            f"vertex v{i} free 2\nedge e{i} v{i} h {w} {i + 1}\n" for i, w in enumerate(words))
+        g = parse_gog(text)
+        verdict = one_ended(g)
+        assert len(searches) == len(set(searches)) == 3
+        assert verdict_key(verdict) == verdict_key(reference_one_ended(g))
+        assert verdict.decision == ONE_ENDED
+        # a decomposable vertex after them all still finds its graph searched once
+        g.vertices["w"] = FreeVertex(2)
+        g.edges.append(EdgeSpec("f", ("w", "h"), (fam("ab")[0], 5)))
+        searches.clear()
+        verdict = one_ended(g)
+        assert len(searches) == len(set(searches)) == 4
+        assert verdict_key(verdict) == verdict_key(reference_one_ended(g))
+        assert verdict.witness_vertex == "w"
 
     def test_rank_above_length_builds_no_rows(self):
         # the rank-10^9 vertex leaves a generator unused, so it fails the

@@ -3,7 +3,8 @@
 The README ``## Library`` block is run statement by statement, and each
 statement with a trailing ``# <value>`` comment must evaluate to that value.
 Every record value refuses attribute assignment, as README says, while a
-graph of groups stays editable.
+graph of groups stays editable, and every function that takes a family
+refuses a member that is not a ``CyclicWord``.
 ``bench/worker.py`` wraps the functions named in its ``TARGETS`` list; the
 list is read with ``ast`` (the worker is not imported) and every name must
 resolve in freesplit.
@@ -17,10 +18,12 @@ from pathlib import Path
 import pytest
 
 from freesplit import (
-    Alphabet, CyclicVertex, EdgeSpec, FreeGroupMap, FreeVertex, OpaqueVertex, analyze_subtree,
-    build_ball, decide_indecomposable, double, enumerate_axes, family_from_texts,
-    lemma33_certificate, minimize, one_ended, parse_gog,
+    Alphabet, CyclicVertex, CyclicWord, EdgeSpec, FreeGroupMap, FreeVertex, OpaqueVertex,
+    analyze_subtree, build_ball, build_whitehead_graph, class_count_profile,
+    decide_indecomposable, double, enumerate_axes, family_from_texts, lemma33_certificate,
+    minimize, one_ended, parse_gog, recognize_basis,
 )
+from freesplit.errors import InvalidInputError
 from freesplit.words import _Record
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -116,3 +119,26 @@ def test_records_refuse_assignment_and_graphs_stay_editable(name):
         with pytest.raises(AttributeError):
             setattr(value, field, None)
     assert {field: getattr(value, field) for field in before} == before
+
+
+# Every public function that takes a family, called on one at rank 2.
+FAMILY_CALLS = {
+    "build_whitehead_graph": lambda family: build_whitehead_graph(Alphabet(2), family),
+    "minimize": lambda family: minimize(Alphabet(2), family),
+    "recognize_basis": lambda family: recognize_basis(Alphabet(2), family),
+    "decide_indecomposable": lambda family: decide_indecomposable(Alphabet(2), family),
+    "enumerate_axes": lambda family: enumerate_axes(family, build_ball(Alphabet(2), 2)),
+    "class_count_profile": lambda family: class_count_profile(Alphabet(2), family, 2),
+    "double": lambda family: double(Alphabet(2), family),
+}
+
+
+@pytest.mark.parametrize("member", [(1, 2), "ab", None], ids=["tuple", "str", "None"])
+@pytest.mark.parametrize("name", sorted(FAMILY_CALLS))
+def test_family_member_that_is_not_a_cyclic_word_is_refused(name, member):
+    # two members, so that recognize_basis reads a tuple as long as the rank
+    family = (CyclicWord((1, 2)), member)
+    with pytest.raises(InvalidInputError, match="must be CyclicWord"):
+        FAMILY_CALLS[name](family)
+    with pytest.raises(InvalidInputError, match="must be CyclicWord"):
+        FAMILY_CALLS[name](iter(family[::-1]))

@@ -553,7 +553,7 @@ class TestDecidedByLemma:
     @given(wide_corpus())
     def test_agrees_with_oracle_and_eager_descent(self, case):
         alphabet, family = case
-        minimized, trace, graph = whitehead._descend(alphabet, family)
+        minimized, trace, graph = whitehead._descend(alphabet, [w.letters for w in family])
         two_connected = helpers.whitehead_two_connected(alphabet, family)
         verdict = decide_indecomposable(alphabet, family)
         assert (verdict._pending is not None) == two_connected
@@ -582,15 +582,16 @@ class TestDecidedByLemma:
         assert verdict.is_indecomposable and verdict.bipartition is None
         assert descents == []
         graph = verdict.graph
-        assert descents == [family]
+        letters = [w.letters for w in family]  # the descent reads checked letter tuples
+        assert descents == [letters]
         assert verdict.graph is graph and verdict.minimized == family
         assert verdict.trace.steps == () and verdict.automorphism == FreeGroupMap.identity(2)
-        assert descents == [family]
+        assert descents == [letters]
         # the public five-field form still builds an eager verdict
         eager = whitehead.IndecomposabilityVerdict(
             INDECOMPOSABLE, verdict.minimized, graph, verdict.trace, None)
         assert eager == verdict and hash(eager) == hash(verdict)
-        assert descents == [family]
+        assert descents == [letters]
 
     def test_unminimized_certificate_is_checked(self, monkeypatch):
         # a descent that ended on a graph with a cut vertex is a defect, reported on read
@@ -616,7 +617,7 @@ class TestDecidedByLemma:
         assert main(["indecomposable", "--rank", "3", "AABCABCbc"]) == 0
         assert capsys.readouterr().out == "INDECOMPOSABLE\n"
         assert flows == []
-        assert len(whitehead._descend(alphabet, family)[1].steps) == 2
+        assert len(whitehead._descend(alphabet, [w.letters for w in family])[1].steps) == 2
         eager = len(flows)
         flows.clear()
         assert main(["indecomposable", "--rank", "3", "--format", "json", "AABCABCbc"]) == 0
@@ -637,6 +638,40 @@ class TestDecidedByLemma:
     def test_foreign_letter_refused_before_the_lemma(self):
         with pytest.raises(InvalidInputError, match="outside"):
             decide_indecomposable(ALPH2, fam("abcABC", rank=3))
+
+
+class TestOneValidation:
+    """Each call checks its family once, whichever path it takes."""
+
+    @pytest.mark.parametrize("call, words, rank", [
+        ("decide", ("abAB", "aabb"), 2),  # by the lemma, certificate read
+        ("decide", ("ab", "b"), 2),  # past the lemma: decomposable
+        ("decide", ("AABCABCbc",), 3),  # by the lemma, two-step certificate
+        ("basis", ("ab", "b"), 2),  # past the lemma at rank 2
+        ("basis", ("a",), 1),  # rank 1 skips the lemma
+        ("minimize", ("aab",), 2),
+        ("graph", ("abAB",), 2),
+    ])
+    def test_family_checked_once(self, monkeypatch, call, words, rank):
+        checks = []
+
+        def counting(alphabet, family):
+            checks.append(len(family))
+            return family_letters(alphabet, family)
+
+        family_letters = whitehead._family_letters
+        monkeypatch.setattr(whitehead, "_family_letters", counting)
+        alphabet, family = Alphabet(rank), fam(*words, rank=rank)
+        if call == "decide":
+            verdict = decide_indecomposable(alphabet, family)
+            verdict.graph, verdict.trace.composite  # the lazy certificate, if any
+        elif call == "basis":
+            recognize_basis(alphabet, family)
+        elif call == "minimize":
+            minimize(alphabet, family)
+        else:
+            build_whitehead_graph(alphabet, family)
+        assert checks == [len(family)]
 
 
 class TestRecognizeBasis:
