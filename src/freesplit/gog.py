@@ -317,7 +317,7 @@ def presentation(g: GraphOfGroups) -> str:
     letters, than ``DEFAULT_VERTEX_CAP`` raise ResourceCapError before any
     is named.
     """
-    errors = validate(g)
+    errors, incident = _checked(g)
     if errors:
         raise InvalidInputError("; ".join(errors))
     order = sorted(g.vertices)
@@ -359,40 +359,27 @@ def presentation(g: GraphOfGroups) -> str:
         return separator.join([generators[base + x] if x > 0 else inverses[base - x]
                                for x in attachment.letters])
 
-    # Replay the sweeps on a heap of the edge positions due in this sweep.
-    # An edge comes up once, when the first of its ends is reached, and
-    # only if its far end is not (an edge with both ends reached, a loop
-    # too, never joins): in the same sweep if it lies after the tree edge
-    # that reached that end, else in the next one.
+    # Replay the sweeps on one heap of (sweep, edge position, far end).  An
+    # edge is pushed once, when the first of its ends is reached, and only
+    # if its far end is not (an edge with both ends reached, a loop too,
+    # never joins): in the same sweep if it lies after the tree edge that
+    # reached that end, else in the next one.  Position -1 brings up the root.
     sorted_edges = sorted(g.edges, key=lambda e: e.id)
-    at = {vid: [] for vid in order}  # each vertex's (edge position, far end) pairs
-    for i, e in enumerate(sorted_edges):
-        u, v = e.endpoints
-        at[u].append((i, v))
-        at[v].append((i, u))
-    # Position -1, the last slot of far, brings up the root before any edge.
-    far = [None] * len(sorted_edges) + [order[0]]
-    reached, tree, later = set(), [], [-1]
-    while later:
-        events, later = later, []
-        heapq.heapify(events)
-        while events:
-            i = heapq.heappop(events)
-            new = far[i]
-            if new in reached:
-                continue
-            reached.add(new)
-            tree.append(i)
-            for j, w in at[new]:
-                if w not in reached:
-                    far[j] = w
-                    if j > i:
-                        heapq.heappush(events, j)
-                    else:
-                        later.append(j)
-    del tree[0]  # position -1
+    position = {e.id: i for i, e in enumerate(sorted_edges)}  # ids are unique once valid
+    reached, tree, heap = set(), [], [(0, -1, order[0])]
+    while heap:
+        sweep, i, new = heapq.heappop(heap)
+        if new in reached:
+            continue
+        reached.add(new)
+        tree.append(i)
+        for e, slot in incident[new]:
+            w = e.endpoints[1 - slot]
+            if w not in reached:
+                j = position[e.id]
+                heapq.heappush(heap, (sweep + (j < i), j, w))
     relations = []
-    for i in tree:
+    for i in tree[1:]:  # past position -1, the root's
         (u, v), (a, b) = sorted_edges[i].endpoints, sorted_edges[i].attachments
         relations.append(f"{render(u, a)} = {render(v, b)}")
     in_tree = set(tree)
@@ -546,6 +533,4 @@ def _format_attachment(att) -> str:
         return str(att)
     if isinstance(att, str):
         return _token("tag", att, "-")
-    if all(1 <= abs(x) <= 26 for x in att.letters):
-        return format_word(att.letters)
-    return ",".join(str(x) for x in att.letters)
+    return format_word(att.letters).replace(" ", ",")

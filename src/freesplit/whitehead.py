@@ -215,7 +215,7 @@ class IndecomposabilityVerdict(_Record):
     generators from only one side.  A verdict that the cut-vertex lemma
     decided runs the descent for its certificate when ``minimized``,
     ``graph``, ``trace`` or ``automorphism`` is first read, and keeps it;
-    equality and hashing compare the same five fields either way.
+    equality and hashing compare all but ``graph``, which ``minimized`` fixes.
     """
 
     __slots__ = ("decision", "_minimized", "_graph", "_trace", "bipartition", "_pending")
@@ -250,7 +250,7 @@ class IndecomposabilityVerdict(_Record):
     trace = property(lambda self: self._certificate()[2], doc="The descent's trace.")
 
     def _key(self) -> tuple:
-        return (self.decision, *self._certificate(), self.bipartition)
+        return self.decision, self.minimized, self.trace, self.bipartition
 
     @property
     def automorphism(self) -> FreeGroupMap:
@@ -328,10 +328,9 @@ def recognize_basis(alphabet: Alphabet, words) -> tuple[bool, FreeGroupMap | Non
     and up a basis is decomposable, so a tuple whose Whitehead graph is
     2-vertex connected is refused by the cut-vertex lemma, with no descent.
     """
-    words = tuple(words)
-    if len(words) != alphabet.rank:
-        return False, None
     letters = _checked_letters(alphabet, words)
+    if len(letters) != alphabet.rank:
+        return False, None
     if alphabet.rank > 1 and _two_connected(alphabet.rank, letters):
         return False, None
     minimized, trace, _ = _descend(alphabet, letters)

@@ -204,6 +204,7 @@ class TestBoundedRefusals:
         ("tree", "ball", "--rank", "100000000", "--radius", "0"),
         ("one-ended", "/dev/zero"),
         ("present", "/dev/zero"),
+        ("basis", "--rank", "400000000", "ab"),  # one word, read before its length
     ])
     def test_refusal_in_bounded_memory(self, tmp_path, argv):
         if argv[-1].endswith("_GOG"):

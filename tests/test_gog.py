@@ -156,6 +156,13 @@ class TestOneEnded:
         assert verdict.witness_vertex == "v1"
         assert verdict.witness.bipartition == (frozenset({1}), frozenset({2}))
 
+    def test_split_verdicts_compare_by_value(self):
+        g = double(ALPH2, fam("ab"))
+        first, second = one_ended(g), one_ended(g)
+        assert first.decision == NOT_ONE_ENDED
+        assert first.witness.graph is not second.witness.graph
+        assert first == second and hash(first) == hash(second)
+
     def test_opaque_vertex_vacuous(self):
         g = GraphOfGroups({"v1": OpaqueVertex("surface")}, [])
         assert one_ended(g).decision == ONE_ENDED

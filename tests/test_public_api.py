@@ -136,9 +136,9 @@ FAMILY_CALLS = {
 @pytest.mark.parametrize("member", [(1, 2), "ab", None], ids=["tuple", "str", "None"])
 @pytest.mark.parametrize("name", sorted(FAMILY_CALLS))
 def test_family_member_that_is_not_a_cyclic_word_is_refused(name, member):
-    # two members, so that recognize_basis reads a tuple as long as the rank
-    family = (CyclicWord((1, 2)), member)
-    with pytest.raises(InvalidInputError, match="must be CyclicWord"):
-        FAMILY_CALLS[name](family)
-    with pytest.raises(InvalidInputError, match="must be CyclicWord"):
-        FAMILY_CALLS[name](iter(family[::-1]))
+    # as long as the rank, and longer: recognize_basis reads both before their length
+    for family in ((CyclicWord((1, 2)), member), (CyclicWord((1, 2)), member, CyclicWord((2,)))):
+        with pytest.raises(InvalidInputError, match="must be CyclicWord"):
+            FAMILY_CALLS[name](family)
+        with pytest.raises(InvalidInputError, match="must be CyclicWord"):
+            FAMILY_CALLS[name](iter(family[::-1]))

@@ -640,6 +640,30 @@ class TestDecidedByLemma:
             decide_indecomposable(ALPH2, fam("abcABC", rank=3))
 
 
+class TestVerdictValue:
+    """Verdicts from separate calls compare and hash equal: their Whitehead
+    graphs are separate objects, and the graph follows from the minimized
+    family anyway."""
+
+    @pytest.mark.parametrize("words, lemma", [
+        (("abAB",), True),
+        (("abAB", "aabb"), True),
+        (("ab",), False),
+        (("ab", "b"), False),
+        (("aaabab",), False),  # indecomposable, past the lemma
+    ])
+    def test_equal_values_and_hashes(self, words, lemma):
+        family = fam(*words)
+        first, second = decide_indecomposable(ALPH2, family), decide_indecomposable(ALPH2, family)
+        assert (first._pending is not None) == lemma
+        assert first.graph is not second.graph
+        assert first == second and hash(first) == hash(second)
+        if lemma:  # one certificate read and one not: the read builds the other's
+            third = decide_indecomposable(ALPH2, family)
+            assert third._pending is not None
+            assert third == first and hash(third) == hash(first)
+
+
 class TestOneValidation:
     """Each call checks its family once, whichever path it takes."""
 
@@ -651,6 +675,7 @@ class TestOneValidation:
         ("basis", ("a",), 1),  # rank 1 skips the lemma
         ("minimize", ("aab",), 2),
         ("graph", ("abAB",), 2),
+        ("basis", ("a",), 2),  # a tuple shorter than the rank
     ])
     def test_family_checked_once(self, monkeypatch, call, words, rank):
         checks = []
