@@ -31,6 +31,7 @@ leaving S) stand in for the ends of the tree that project onto them.
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import count, cycle, islice, repeat
 
 from .errors import DEFAULT_VERTEX_CAP, InvalidInputError
@@ -364,14 +365,12 @@ def analyze_subtree(ball: TreeBall, subtree_vertices, axes) -> SubtreeAnalysis:
                 f"vertex {v} too close to the ball boundary for a safe analysis"
             )
     ordered = sorted(subtree, key=lambda v: (len(v), word_key(v)))
-    tree_edges = Multigraph(ordered, allow_loops=False)
-    for v in ordered:
-        if v and v[:-1] in subtree:
-            tree_edges.add_edge(v[:-1], v)
-    if len(tree_edges.components()) != 1:
+    # the first vertex is the only one whose parent can be outside a connected S
+    if any(v[:-1] not in subtree for v in ordered[1:]):
         raise InvalidInputError("subtree vertex set is not connected")
-    # every vertex of S is interior, so degree 2n means no tree edge leaves S
-    degrees = tree_edges.degrees()
+    # both ends of each tree edge in S; every vertex of S is interior, so
+    # degree 2n means no tree edge leaves S
+    degrees = Counter(x for v in ordered[1:] for x in (v[:-1], v))
     ordered_carriers = [v for v in ordered if degrees[v] < 2 * ball.alphabet.rank]
     carriers = frozenset(ordered_carriers)
 
@@ -393,14 +392,11 @@ def analyze_subtree(ball: TreeBall, subtree_vertices, axes) -> SubtreeAnalysis:
     gs_graph = Multigraph(endpoint_vertices, allow_loops=False)
     for iv in intervals:
         gs_graph.add_edge(*iv.endpoints)
-
-    class_graph = Multigraph(ordered_carriers, allow_loops=True)
-    for iv in intervals:
-        p, q = iv.endpoints
-        if p not in carriers or q not in carriers:
-            raise InvalidInputError("interval endpoint is not a carrier vertex")
-        class_graph.add_edge(p, q)
-    classes = class_graph.components()
+    if not carriers.issuperset(endpoint_vertices):
+        raise InvalidInputError("interval endpoint is not a carrier vertex")
+    # the gluing components and the unglued carriers, in order of first carrier
+    glued = {v: c for c in gs_graph.components() for v in c}
+    classes = tuple(dict.fromkeys(glued.get(v) or frozenset((v,)) for v in ordered_carriers))
 
     return SubtreeAnalysis(subtree, carriers, tuple(intervals), gs_graph, classes)
 

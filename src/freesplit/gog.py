@@ -241,20 +241,18 @@ def one_ended(g: GraphOfGroups) -> OneEndednessVerdict:
     trivial = _trivial_vertices(g, incident, order)
     if trivial:
         raise InvalidInputError(f"graph has trivial vertices: {', '.join(trivial)}")
+    vid = order[0]  # with no edges, the one vertex of a valid (connected) graph
+    if not g.edges and isinstance(g.vertices[vid], (FreeVertex, CyclicVertex)):
+        kind = "free" if isinstance(g.vertices[vid], FreeVertex) else "cyclic"
+        return OneEndednessVerdict(
+            NOT_ONE_ENDED,
+            witness_vertex=vid,
+            reason=f"{kind} vertex {vid} has no incident edges and splits freely",
+        )
     two_connected: dict[tuple[frozenset, ...], bool] = {}  # by each row's neighbours, its keys
     for vid in order:
         group = g.vertices[vid]
-        if not isinstance(group, (FreeVertex, CyclicVertex)):
-            continue
-        if not g.edges:
-            # A valid graph is connected, so vid is its only vertex.
-            kind = "free" if isinstance(group, FreeVertex) else "cyclic"
-            return OneEndednessVerdict(
-                NOT_ONE_ENDED,
-                witness_vertex=vid,
-                reason=f"{kind} vertex {vid} has no incident edges and splits freely",
-            )
-        if isinstance(group, CyclicVertex):
+        if not isinstance(group, FreeVertex):
             continue
         letters = [e.attachments[slot].letters for e, slot in incident[vid]]
         if group.rank <= sum(map(len, letters)):

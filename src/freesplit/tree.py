@@ -145,33 +145,21 @@ class TreeBall:
         return "\n".join(lines) + "\n"
 
 
-def _bounded_vertex_count(rank: int, radius: int, bound: int) -> int | None:
-    """``predicted_vertex_count``, or None once the count is known to pass ``bound``.
-
-    Sums the spheres outward and stops at the first sum past the bound, so
-    at rank >= 2 it takes at most about log(bound) steps at any radius.
-    """
-    if rank == 1 or radius < 0:
-        count = predicted_vertex_count(rank, radius)
-        return count if count <= bound else None
-    count, sphere = 1, 2 * rank
-    for _ in range(radius):
-        count += sphere
-        if count > bound:
-            return None
-        sphere *= 2 * rank - 1
-    return count
-
-
 def build_ball(alphabet: Alphabet, radius: int, cap: int = DEFAULT_VERTEX_CAP) -> TreeBall:
     """The ball, refusing if the predicted size, or the 2n letters that its
     per-letter tables take even at radius 0, exceed ``cap``.
 
-    A size past ``max(cap, 10**18)`` is never computed in full: the
-    refusal reports it as more than that bound, with ``predicted=None``.
+    A size past ``bound = max(cap, 10**18)`` is never computed in full: at
+    rank n >= 2 it exceeds (2n-1)^radius >= 2^(radius·(b-1)), b the bit
+    length of 2n-1, so once radius·(b-1) reaches the bound's bit length the
+    refusal reports it as more than the bound, with ``predicted=None``.
     """
     bound = max(cap, 10**18)
-    predicted = _bounded_vertex_count(alphabet.rank, radius, bound)
+    predicted = None
+    if radius * ((2 * alphabet.rank - 1).bit_length() - 1) < bound.bit_length():
+        predicted = predicted_vertex_count(alphabet.rank, radius)
+        if predicted > bound:
+            predicted = None
     if predicted is None or predicted > cap:
         size = f"more than {bound}" if predicted is None else predicted
         raise ResourceCapError(

@@ -100,12 +100,15 @@ def free_reduce(letters) -> Word:
     """
     out: list[int] = []
     for x in letters:
-        if out and out[-1] == -x:
-            out.pop()
-        else:
-            if not isinstance(x, int) or x == 0:
-                raise InvalidInputError(f"invalid letter {x!r}")
-            out.append(x)
+        try:
+            if out and out[-1] == -x:
+                out.pop()
+            else:
+                if not isinstance(x, int) or x == 0:
+                    raise InvalidInputError(f"invalid letter {x!r}")
+                out.append(x)
+        except TypeError:  # -x of a member that is not a number
+            raise InvalidInputError(f"invalid letter {x!r}") from None
     return tuple(out)
 
 
@@ -159,6 +162,9 @@ class CyclicWord(_Record):
         letters = tuple(letters)
         if not letters:
             raise InvalidInputError("cyclic word must be nonempty")
+        for x in letters:
+            if not isinstance(x, int) or x == 0:
+                raise InvalidInputError(f"invalid letter {x!r}")
         if not is_cyclically_reduced(letters):
             raise InvalidInputError(f"not cyclically reduced: {letters}")
         super().__init__(canonical_rotation(letters))
@@ -280,16 +286,25 @@ class FreeGroupMap(_Record):
         images = tuple(tuple(img) for img in images)
         if len(images) != rank:
             raise InvalidInputError(f"need {rank} generator images, got {len(images)}")
-        super().__init__(rank, tuple(free_reduce(img) for img in images))
+        images = tuple(free_reduce(img) for img in images)
+        for x in itertools.chain.from_iterable(images):
+            if not -rank <= x <= rank:
+                raise InvalidInputError(f"letter {x!r} outside alphabet of rank {rank}")
+        super().__init__(rank, images)
 
     @classmethod
     def identity(cls, rank: int) -> "FreeGroupMap":
         return cls(rank, [(i,) for i in range(1, rank + 1)])
 
     def letter_image(self, x: int) -> Word:
-        if x > 0:
-            return self.images[x - 1]
-        return invert_word(self.images[-x - 1])
+        try:
+            if x > 0:
+                return self.images[x - 1]
+            if x:
+                return invert_word(self.images[-x - 1])
+        except (IndexError, TypeError):  # past the rank, or not an int
+            pass
+        raise InvalidInputError(f"letter {x!r} outside alphabet of rank {self.rank}")
 
     def apply(self, word) -> Word:
         return free_reduce(itertools.chain.from_iterable(self.letter_image(x) for x in word))

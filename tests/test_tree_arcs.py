@@ -5,7 +5,7 @@ from itertools import islice
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from freesplit import arcs
+from freesplit import arcs, tree
 from freesplit.arcs import (
     StarCertificate,
     _certificate,
@@ -301,6 +301,41 @@ class TestBall:
         with pytest.raises(ResourceCapError) as info:
             build_ball(ALPH2, 20)
         assert info.value.predicted == predicted_vertex_count(2, 20)
+
+    def test_size_refusal_around_the_cut_off(self):
+        # radii 37-63 hold the "more than" boundary (rank 2, radius 38) and
+        # the bit-length cut-off (rank 3, radius 30; rank 27, radius 11)
+        for rank in (1, 2, 3, 27, 10**30):
+            alphabet = Alphabet(rank)
+            for radius in range(-1, 70):
+                for cap in (0, 10, 2_000_000, 10**18, 10**18 + 1, 10**30):
+                    if radius < 0:
+                        with pytest.raises(InvalidInputError, match="radius must be >= 0, got -1"):
+                            build_ball(alphabet, radius, cap)
+                        continue
+                    count, bound = predicted_vertex_count(rank, radius), max(cap, 10**18)
+                    if count <= cap and 2 * rank <= cap:
+                        assert build_ball(alphabet, radius, cap).vertex_count() == count
+                        continue
+                    with pytest.raises(ResourceCapError) as info:
+                        build_ball(alphabet, radius, cap)
+                    if count > cap:
+                        size = count if count <= bound else f"more than {bound}"
+                        assert info.value.predicted == (count if count <= bound else None)
+                        assert str(info.value) == (f"ball of rank {rank}, radius {radius} has"
+                                                   f" {size} vertices (cap {cap})")
+                    else:
+                        assert info.value.predicted == 2 * rank
+
+    def test_no_closed_form_past_the_cut_off(self, monkeypatch):
+        def refuse(rank, radius):
+            raise AssertionError(f"closed form computed at rank {rank}, radius {radius}")
+
+        monkeypatch.setattr(tree, "predicted_vertex_count", refuse)
+        for rank, radius in ((2, 60), (3, 30), (2, 10**30), (10**300, 1)):
+            with pytest.raises(ResourceCapError) as info:
+                build_ball(Alphabet(rank), radius)
+            assert info.value.predicted is None
 
     def test_letters_count_against_the_cap(self):
         # a radius-0 ball has one vertex, but its per-letter tables take 2n entries
@@ -873,6 +908,45 @@ class TestAnalyzeSubtree:
             assert gs_components == touched | {
                 c for c in untouched if set(c) <= set(analysis.gs_graph.vertices)
             }
+
+    def test_matches_networkx_on_random_vertex_sets(self):
+        # connectivity, carriers and classes against networkx on the ball's
+        # tree: sets grown along tree edges, and random sets that are mostly
+        # disconnected
+        import networkx as nx
+
+        rng = random.Random(113)
+        ball = build_ball(ALPH2, 4)
+        interior = [v for v in ball.vertices if len(v) <= 3]
+        tree_graph = nx.Graph((v, v[:-1]) for v in ball.vertices if v)
+        order = {v: i for i, v in enumerate(ball.vertices)}
+        connected_sets = 0
+        for trial in range(120):
+            axes = enumerate_axes(helpers.random_clean_family(rng, 2, 2, 6), ball)
+            if trial % 2:
+                subtree = set(rng.sample(interior, rng.randint(1, 5)))
+            else:
+                subtree = {rng.choice(interior)}
+                for _ in range(rng.randint(0, 15)):
+                    v = rng.choice(sorted(subtree, key=order.get))
+                    subtree.add(rng.choice([w for w in tree_graph[v] if len(w) <= 3]))
+            if not nx.is_connected(tree_graph.subgraph(subtree)):
+                with pytest.raises(InvalidInputError, match="not connected"):
+                    analyze_subtree(ball, subtree, axes)
+                continue
+            connected_sets += 1
+            analysis = analyze_subtree(ball, subtree, axes)
+            carriers = sorted((v for v in subtree if set(tree_graph[v]) - subtree), key=order.get)
+            assert analysis.carriers == frozenset(carriers)
+            glue = nx.Graph()
+            glue.add_nodes_from(carriers)
+            for axis in axes:
+                inside = [v for v in axis.trace if v in subtree]
+                if len(inside) >= 2:
+                    glue.add_edge(inside[0], inside[-1])
+            expected = sorted(nx.connected_components(glue), key=lambda c: min(map(order.get, c)))
+            assert analysis.classes == tuple(map(frozenset, expected))
+        assert 20 <= connected_sets <= 100
 
     def test_rejects_disconnected_subtree(self):
         ball = build_ball(ALPH2, 2)

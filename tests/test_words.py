@@ -1,4 +1,5 @@
 import random
+import re
 import string
 
 import pytest
@@ -90,6 +91,15 @@ class TestFreeReduce:
     def test_rejects_out_of_range(self):
         with pytest.raises(InvalidInputError):
             free_reduce((0,))
+
+    @pytest.mark.parametrize("letters", [(1, "x"), ("x",), (2, [1]), (1, None)])
+    def test_refuses_a_member_that_is_not_a_letter(self, letters):
+        # a member that cannot be negated is refused as a letter, first or not
+        bad = letters[-1]
+        with pytest.raises(InvalidInputError, match=f"^invalid letter {re.escape(repr(bad))}$"):
+            free_reduce(letters)
+        with pytest.raises(InvalidInputError, match=f"^invalid letter {re.escape(repr(bad))}$"):
+            cyclic_reduce(letters)
 
     def test_randomized_contract(self):
         # idempotent, length-nonincreasing, and w w^-1 cancels entirely
@@ -198,6 +208,14 @@ class TestCyclicWord:
         with pytest.raises(InvalidInputError):
             CyclicWord(())
 
+    @pytest.mark.parametrize("letters", [(1, 0), (0,), (1.0,), (1, "x"), ("x",), (1, -1.0)])
+    def test_refuses_a_member_that_is_not_a_nonzero_int(self, letters):
+        # refused as a letter before the reduction test, which took (1, 0) for
+        # a reduced word
+        bad = next(x for x in letters if not isinstance(x, int) or x == 0)
+        with pytest.raises(InvalidInputError, match=f"^invalid letter {re.escape(repr(bad))}$"):
+            CyclicWord(letters)
+
     def test_inverse_not_identified(self):
         assert CW("ab") != CW("ab").inverse()
 
@@ -241,6 +259,29 @@ class TestAutomorphisms:
     def test_map_requires_all_images(self):
         with pytest.raises(InvalidInputError):
             FreeGroupMap(2, [(1,)])
+
+    def test_map_refuses_image_letters_outside_its_rank(self):
+        for images, bad in (([(5,), (1,)], 5), ([(1,), (2, -3)], -3)):
+            with pytest.raises(InvalidInputError, match=f"^letter {bad} outside alphabet of rank 2$"):
+                FreeGroupMap(2, images)
+        assert FreeGroupMap(2, [(1, 3, -3), (2,)]).images == ((1,), (2,))
+
+    @pytest.mark.parametrize("word, bad", [((0,), "0"), ((1, 0, 2), "0"), ((3,), "3"),
+                                           ((-3,), "-3"), ((2, 1.0), "1.0"), ((1, "a"), "'a'")])
+    def test_map_refuses_letters_outside_its_rank(self, word, bad):
+        # the identity once sent 0 to b^-1, so that a 0 b came out as a
+        message = f"^letter {re.escape(bad)} outside alphabet of rank 2$"
+        with pytest.raises(InvalidInputError, match=message):
+            FreeGroupMap.identity(2).apply(word)
+
+    def test_composition_and_cyclic_images_refuse_letters_outside_the_rank(self):
+        message = "^letter 3 outside alphabet of rank 2$"
+        with pytest.raises(InvalidInputError, match=message):
+            FreeGroupMap.identity(3).then(FreeGroupMap.identity(2))
+        with pytest.raises(InvalidInputError, match=message):
+            FreeGroupMap.identity(2).apply_cyclic(CyclicWord((3,)))
+        with pytest.raises(InvalidInputError, match="^letter 0 outside alphabet of rank 2$"):
+            FreeGroupMap.identity(2).letter_image(0)
 
 
 class TestTextSyntax:
