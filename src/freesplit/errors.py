@@ -1,4 +1,5 @@
-"""Exception types, and the vertex budget they enforce, shared across the package."""
+"""Exception types, the vertex budget they enforce and the text of the
+numbers they report, shared across the package."""
 
 
 class FreesplitError(Exception):
@@ -22,6 +23,15 @@ class ParseError(InvalidInputError):
 # The vertex budget: the default ball cap, and the bound on Whitehead graphs
 # and presentations.
 DEFAULT_VERTEX_CAP = 2_000_000
+
+
+def _int_text(n: int) -> str:
+    """``str(n)``, or, for an int past the interpreter's limit on decimal
+    conversion (4,300 digits by default), its sign and bit length."""
+    try:
+        return str(n)
+    except ValueError:
+        return f"{'a negative' if n < 0 else 'an'} int of {n.bit_length()} bits"
 
 
 class ResourceCapError(FreesplitError):

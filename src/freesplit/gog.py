@@ -27,6 +27,7 @@ from collections import Counter, defaultdict
 
 from .errors import (
     DEFAULT_VERTEX_CAP, InvalidInputError, ParseError, ResourceCapError, UnsupportedExportError,
+    _int_text,
 )
 from .graphs import _search
 from .whitehead import IndecomposabilityVerdict, _capacity_rows, decide_indecomposable
@@ -47,7 +48,7 @@ class FreeVertex(_Record):
 
     def __init__(self, rank: int):
         if rank < 1:
-            raise InvalidInputError(f"free vertex rank must be >= 1, got {rank}")
+            raise InvalidInputError(f"free vertex rank must be >= 1, got {_int_text(rank)}")
         super().__init__(rank)
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from .errors import DEFAULT_VERTEX_CAP, InvalidInputError, ResourceCapError
+from .errors import DEFAULT_VERTEX_CAP, InvalidInputError, ResourceCapError, _int_text
 from .words import Alphabet, format_letter, format_word, letter_index
 
 
@@ -161,15 +161,17 @@ def build_ball(alphabet: Alphabet, radius: int, cap: int = DEFAULT_VERTEX_CAP) -
         if predicted > bound:
             predicted = None
     if predicted is None or predicted > cap:
-        size = f"more than {bound}" if predicted is None else predicted
+        size = "more than " + _int_text(bound) if predicted is None else _int_text(predicted)
         raise ResourceCapError(
-            f"ball of rank {alphabet.rank}, radius {radius} has {size} vertices (cap {cap})",
+            f"ball of rank {_int_text(alphabet.rank)}, radius {_int_text(radius)} has {size}"
+            f" vertices (cap {_int_text(cap)})",
             predicted=predicted,
             cap=cap,
         )
     if 2 * alphabet.rank > cap:
-        raise ResourceCapError(f"ball of rank {alphabet.rank} has {2 * alphabet.rank} letters"
-                               f" (cap {cap})", predicted=2 * alphabet.rank, cap=cap)
+        raise ResourceCapError(f"ball of rank {_int_text(alphabet.rank)} has"
+                               f" {_int_text(2 * alphabet.rank)} letters (cap {_int_text(cap)})",
+                               predicted=2 * alphabet.rank, cap=cap)
     return TreeBall(alphabet, radius)
 
 

@@ -24,7 +24,7 @@ a family only when its certificate is read.
 from __future__ import annotations
 
 from .errors import (
-    DEFAULT_VERTEX_CAP, InternalConsistencyError, InvalidInputError, ResourceCapError,
+    DEFAULT_VERTEX_CAP, InternalConsistencyError, InvalidInputError, ResourceCapError, _int_text,
 )
 from .graphs import Multigraph, _max_flow, _search
 from .words import (
@@ -58,8 +58,9 @@ def build_whitehead_graph(alphabet: Alphabet, family) -> Multigraph:
 def _checked_letters(alphabet: Alphabet, family) -> list[tuple[int, ...]]:
     """The family's letter tuples; refuses a rank past the vertex budget, then a bad member."""
     if 2 * alphabet.rank > DEFAULT_VERTEX_CAP:
-        raise ResourceCapError(f"Whitehead graph of rank {alphabet.rank} has {2 * alphabet.rank}"
-                               f" vertices (cap {DEFAULT_VERTEX_CAP})",
+        raise ResourceCapError(f"Whitehead graph of rank {_int_text(alphabet.rank)} has"
+                               f" {_int_text(2 * alphabet.rank)} vertices"
+                               f" (cap {DEFAULT_VERTEX_CAP})",
                                predicted=2 * alphabet.rank, cap=DEFAULT_VERTEX_CAP)
     return _family_letters(alphabet, family)
 
@@ -79,14 +80,16 @@ def _capacity_rows(rank: int, words) -> list[dict[int, int]]:
     return rows
 
 
-def _two_connected(rank: int, words) -> bool:
+def _two_connected(rank: int, words) -> tuple[bool, list[dict[int, int]] | None]:
     """Whether the Whitehead graph of checked letter tuples is 2-vertex
-    connected.  A rank above their total length leaves a generator unused,
-    so its letters isolated: False before any row is built."""
+    connected, and its capacity rows, for a descent to start from.  A rank
+    above their total length leaves a generator unused, so its letters
+    isolated: ``(False, None)`` before any row is built."""
     if rank > sum(map(len, words)):
-        return False
-    components, cuts = _search(_capacity_rows(rank, words))
-    return len(components) == 1 and not cuts
+        return False, None
+    rows = _capacity_rows(rank, words)
+    components, cuts = _search(rows)
+    return len(components) == 1 and not cuts, rows
 
 
 def whitehead_moves(alphabet: Alphabet):
@@ -160,36 +163,40 @@ def minimize(alphabet: Alphabet, family) -> tuple[tuple[CyclicWord, ...], Minimi
     return minimized, trace
 
 
-def _descend(alphabet: Alphabet, current: list[tuple[int, ...]]):
+def _descend(alphabet: Alphabet, current: list[tuple[int, ...]], rows=None):
     """``minimize`` on checked letter tuples, plus the Whitehead graph of the result.
 
     The last, non-improving step builds that graph anyway, so a decision
-    takes it from here instead of building it again.  The graph and the
-    length do not depend on rotation, so steps carry unrotated cores and
-    only the result is rotated.  Moves keep letters in the alphabet, so
-    the caller's check of the family is the only one.
+    takes it from here instead of building it again; a decision's
+    2-connectivity test hands over, as ``rows``, the capacity rows of the
+    first step.  The graph and the length do not depend on rotation, so
+    steps carry unrotated cores and only the result is rotated.  Moves keep
+    letters in the alphabet, so the caller's check of the family is the
+    only one.
     """
     letters = alphabet.letters()
     steps = []
     length = total_cyclic_length(current)
-    while True:
+    if rows is None:
         rows = _capacity_rows(alphabet.rank, current)
-        best = None
+    while True:
+        best = None  # (source, side) of the best strict reducer so far
         best_change = 0
         for source in range(0, len(rows), 2):
             degree = sum(rows[source].values())
             if degree + best_change > 0:
                 cut, side = _max_flow(rows, source, source + 1, degree + best_change)
                 if side is not None:  # cut - degree < best_change: a strict improvement
-                    best = MultiplierAutomorphism(alphabet.rank, letters[source],
-                                                  frozenset(letters[i] for i in side))
-                    best_change = cut - degree
+                    best, best_change = (source, side), cut - degree
         if best is None:
             family = tuple(CyclicWord._from_canonical(canonical_rotation(w) if steps else w)
                            for w in current)
             graph = Multigraph._from_rows(letters, rows)
             return family, MinimizationTrace(alphabet.rank, tuple(steps)), graph
-        mapping = best.to_map()
+        source, side = best
+        move = MultiplierAutomorphism(alphabet.rank, letters[source],
+                                      frozenset(letters[i] for i in side))
+        mapping = move.to_map()
         images = [mapping.apply(w) for w in current]
         if () in images:
             trivial = CyclicWord(current[images.index(())])
@@ -198,11 +205,12 @@ def _descend(alphabet: Alphabet, current: list[tuple[int, ...]]):
         new_length = total_cyclic_length(current)
         if new_length != length + best_change:
             raise InternalConsistencyError(
-                f"move (multiplier {best.multiplier}, side {sorted(best.side)}) changed length"
+                f"move (multiplier {move.multiplier}, side {sorted(move.side)}) changed length"
                 f" {length} -> {new_length}, but its cut predicts {length + best_change}"
             )
-        steps.append(TraceStep(best, length, new_length))
+        steps.append(TraceStep(move, length, new_length))
         length = new_length
+        rows = _capacity_rows(alphabet.rank, current)
 
 
 class IndecomposabilityVerdict(_Record):
@@ -298,9 +306,10 @@ def decide_indecomposable(alphabet: Alphabet, family) -> IndecomposabilityVerdic
     if not family:
         raise InvalidInputError("family must be nonempty")
     words = _checked_letters(alphabet, family)
-    if _two_connected(alphabet.rank, words):
+    two_connected, rows = _two_connected(alphabet.rank, words)
+    if two_connected:
         return IndecomposabilityVerdict._by_lemma(alphabet, words)
-    minimized, trace, graph = _descend(alphabet, words)
+    minimized, trace, graph = _descend(alphabet, words, rows)
     # One search answers both tests: on its 2n >= 2 letters, a connected
     # graph without a cut vertex is 2-vertex connected.
     components, cuts = graph._search()
@@ -331,9 +340,10 @@ def recognize_basis(alphabet: Alphabet, words) -> tuple[bool, FreeGroupMap | Non
     letters = _checked_letters(alphabet, words)
     if len(letters) != alphabet.rank:
         return False, None
-    if alphabet.rank > 1 and _two_connected(alphabet.rank, letters):
+    two_connected, rows = _two_connected(alphabet.rank, letters)
+    if two_connected and alphabet.rank > 1:
         return False, None
-    minimized, trace, _ = _descend(alphabet, letters)
+    minimized, trace, _ = _descend(alphabet, letters, rows)
     # of the rank words, those of one letter use rank distinct generators iff all do
     if len({abs(w.letters[0]) for w in minimized if len(w) == 1}) != alphabet.rank:
         return False, None

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 
-from .errors import InvalidInputError, ParseError
+from .errors import InvalidInputError, ParseError, _int_text
 
 Word = tuple[int, ...]
 
@@ -72,7 +72,7 @@ class Alphabet(_Record):
 
     def __init__(self, rank: int):
         if rank < 1:
-            raise InvalidInputError(f"alphabet rank must be >= 1, got {rank}")
+            raise InvalidInputError(f"alphabet rank must be >= 1, got {_int_text(rank)}")
         super().__init__(rank)
 
     def letters(self) -> tuple[int, ...]:
@@ -100,15 +100,13 @@ def free_reduce(letters) -> Word:
     """
     out: list[int] = []
     for x in letters:
-        try:
-            if out and out[-1] == -x:
-                out.pop()
-            else:
-                if not isinstance(x, int) or x == 0:
-                    raise InvalidInputError(f"invalid letter {x!r}")
-                out.append(x)
-        except TypeError:  # -x of a member that is not a number
-            raise InvalidInputError(f"invalid letter {x!r}") from None
+        # checked before it can cancel: 1.0 equals the letter 1 but is no letter
+        if not isinstance(x, int) or x == 0:
+            raise InvalidInputError(f"invalid letter {x!r}")
+        if out and out[-1] == -x:
+            out.pop()
+        else:
+            out.append(x)
     return tuple(out)
 
 
@@ -259,13 +257,18 @@ def total_cyclic_length(family) -> int:
 
 def _family_letters(alphabet: Alphabet, family) -> list[Word]:
     """The letter tuples of a family; refuses, member by member, one that is
-    not a CyclicWord, then one with a letter outside the alphabet."""
+    not a CyclicWord, then one with a letter outside the alphabet.  A
+    CyclicWord's letters are nonzero ints, so their least and greatest
+    decide the range."""
+    rank = alphabet.rank
     words = []
     for w in family:
         if not isinstance(w, CyclicWord):
             raise InvalidInputError(f"family members must be CyclicWord, got {w!r}")
-        alphabet.validate_letters(w.letters)
-        words.append(w.letters)
+        letters = w.letters
+        if min(letters) < -rank or max(letters) > rank:
+            alphabet.validate_letters(letters)  # names the first letter outside
+        words.append(letters)
     return words
 
 
@@ -307,7 +310,25 @@ class FreeGroupMap(_Record):
         raise InvalidInputError(f"letter {x!r} outside alphabet of rank {self.rank}")
 
     def apply(self, word) -> Word:
-        return free_reduce(itertools.chain.from_iterable(self.letter_image(x) for x in word))
+        """The freely reduced image of a word, each distinct letter mapped once.
+
+        Past a member that is not an int (1.0 would share the entry of 1) or
+        not a letter of the rank, letters are mapped in word order, so that
+        the refusal names the first bad member.
+        """
+        word = tuple(word)
+        letters = set(word) if set(map(type, word)) <= {int} else word
+        if letters is not word and not _within_rank(letters, self.rank):
+            letters = word
+        images = {x: self.letter_image(x) for x in letters}
+        # image letters were checked when the map was built: no member test here
+        out = [0]  # 0 cancels no letter
+        for x in itertools.chain.from_iterable(map(images.__getitem__, word)):
+            if out[-1] == -x:
+                out.pop()
+            else:
+                out.append(x)
+        return tuple(out[1:])
 
     def apply_cyclic(self, word: CyclicWord) -> CyclicWord:
         core = _cyclic_core(self.apply(word.letters))[0]
@@ -369,6 +390,7 @@ _LOWER = "abcdefghijklmnopqrstuvwxyz"
 # Letter-form characters: a-z are the generators 1..26, A-Z their inverses.
 _LETTER_OF = {c: i for i, c in enumerate(_LOWER, 1)}
 _LETTER_OF |= {c.upper(): -i for c, i in _LETTER_OF.items()}
+_CHAR_OF = {x: c for c, x in _LETTER_OF.items()}
 
 
 def parse_word(text: str, alphabet: Alphabet) -> Word:
@@ -459,6 +481,7 @@ def format_word(word) -> str:
     word = tuple(word)
     if not word:
         return "1"
-    if all(1 <= abs(x) <= 26 for x in word):
-        return "".join(format_letter(x) for x in word)
-    return " ".join(str(x) for x in word)
+    try:
+        return "".join(map(_CHAR_OF.__getitem__, word))
+    except KeyError:  # an index past z
+        return " ".join(map(str, word))

@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import functools
 import random
-from itertools import islice
+from itertools import chain, islice
 
 from hypothesis import strategies as st
 
@@ -27,6 +27,7 @@ from freesplit.whitehead import build_whitehead_graph
 from freesplit.words import (
     Alphabet,
     CyclicWord,
+    FreeGroupMap,
     MultiplierAutomorphism,
     conjugacy_class_rep,
     cyclic_reduce,
@@ -78,6 +79,12 @@ def random_move(rng: random.Random, rank: int) -> MultiplierAutomorphism:
     x = rng.choice(letters)
     side = {x} | {y for y in letters if y not in (x, -x) and rng.random() < 0.5}
     return MultiplierAutomorphism(rank, x, frozenset(side))
+
+
+def reference_apply(mapping: FreeGroupMap, word) -> tuple[int, ...]:
+    """``mapping.apply(word)`` as one image per letter, in word order, freely
+    reduced once: the form ``apply`` had before its image table."""
+    return free_reduce(chain.from_iterable(mapping.letter_image(x) for x in word))
 
 
 def is_proper_power(word: CyclicWord) -> bool:

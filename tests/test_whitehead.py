@@ -10,7 +10,8 @@ from freesplit import graphs, whitehead
 from freesplit.cli import main
 from freesplit.errors import InternalConsistencyError, InvalidInputError, ResourceCapError
 from freesplit.graphs import Multigraph
-from freesplit.gog import NOT_ONE_ENDED, double, one_ended
+from freesplit.gog import NOT_ONE_ENDED, FreeVertex, double, one_ended
+from freesplit.tree import build_ball
 from freesplit.whitehead import (
     DECOMPOSABLE,
     INDECOMPOSABLE,
@@ -454,7 +455,7 @@ class TestDecide:
 
     def test_connected_minimal_graph_with_a_cut_vertex_is_a_defect(self, monkeypatch):
         # fam("ab", "b") has a connected Whitehead graph with cut vertices b and B
-        monkeypatch.setattr(whitehead, "_descend", lambda alphabet, family: (
+        monkeypatch.setattr(whitehead, "_descend", lambda alphabet, family, rows: (
             family, MinimizationTrace(2, ()), build_whitehead_graph(alphabet, fam("ab", "b"))))
         with pytest.raises(InternalConsistencyError) as raised:
             decide_indecomposable(ALPH2, fam("ab"))
@@ -697,6 +698,119 @@ class TestOneValidation:
         else:
             build_whitehead_graph(alphabet, family)
         assert checks == [len(family)]
+
+    @pytest.mark.parametrize("letters, bad", [((1, 4, -3), 4), ((1, -3, 4), -3), ((1, -3), -3),
+                                              ((3, 1), 3)])
+    def test_first_letter_outside_the_rank_is_named(self, letters, bad):
+        # first in the canonical rotation, the order a CyclicWord keeps
+        family = (CyclicWord((1, 2)), CyclicWord(letters))
+        for call in (decide_indecomposable, minimize, recognize_basis, build_whitehead_graph):
+            with pytest.raises(InvalidInputError,
+                               match=f"^letter {bad} outside alphabet of rank 2$"):
+                call(ALPH2, family)
+
+
+class TestDescentWork:
+    """Each descent step builds one Whitehead graph and one move; a decision
+    hands the capacity rows of its 2-connectivity test to the first step."""
+
+    @pytest.mark.parametrize("call, words, rank, steps", [
+        ("decide", ("aBBBB",), 2, 4),
+        ("decide", ("aCBBBBB",), 3, 6),
+        ("decide", ("add",), 4, 2),  # rank past the length: no test, no rows to hand over
+        ("basis", ("a", "aaaab"), 2, 4),
+        ("basis", ("aC", "acbc", "Acc"), 3, 5),
+    ])
+    def test_rows_built_once_per_step_and_one_move_per_step(self, monkeypatch, call, words,
+                                                             rank, steps):
+        alphabet, family = Alphabet(rank), fam(*words, rank=rank)
+        trace = minimize(alphabet, family)[1]
+        assert len(trace.steps) == steps
+        rows, moves = [], []
+
+        def counting_rows(rank, words):
+            rows.append(len(words))
+            return capacity_rows(rank, words)
+
+        def counting_move(self, *fields):
+            moves.append(fields)
+            move_init(self, *fields)
+
+        capacity_rows, move_init = whitehead._capacity_rows, MultiplierAutomorphism.__init__
+        monkeypatch.setattr(whitehead, "_capacity_rows", counting_rows)
+        monkeypatch.setattr(MultiplierAutomorphism, "__init__", counting_move)
+        if call == "decide":
+            verdict = decide_indecomposable(alphabet, family)
+            assert verdict._pending is None and verdict.trace == trace
+        else:
+            assert recognize_basis(alphabet, family) == (True, trace.composite)
+        assert len(rows) == steps + 1
+        assert moves == [(rank, step.automorphism.multiplier, step.automorphism.side)
+                         for step in trace.steps]
+
+    def test_decision_trace_is_the_minimize_trace(self):
+        # random families and bases at ranks 2-8, moved by random moves
+        rng = random.Random(89)
+        multi_step = bases = 0
+        for i in range(280):
+            rank = 2 + i % 7
+            alphabet = Alphabet(rank)
+            if i // 7 % 2:
+                family = tuple(CyclicWord((g,)) for g in range(1, rank + 1))
+            else:
+                family = helpers.random_family(rng, rank, 3, 3 * rank)
+            for _ in range(rng.randint(1, 5)):
+                move = helpers.random_move(rng, rank).to_map()
+                family = tuple(move.apply_cyclic(w) for w in family)
+            minimized, trace = minimize(alphabet, family)
+            verdict = decide_indecomposable(alphabet, family)
+            assert verdict.trace == trace and verdict.minimized == minimized
+            multi_step += len(trace.steps) >= 2
+            if i // 7 % 2:
+                assert recognize_basis(alphabet, family) == (True, trace.composite)
+                bases += 1
+        assert multi_step >= 150 and bases == 140
+
+
+class TestRankPastTheDigitLimit:
+    """A rank past the interpreter's 4,300-digit limit on decimal conversion is
+    refused by the vertex budget in one short line; every smaller rank prints
+    in full, as before."""
+
+    CALLS = {
+        "ball": lambda alphabet: build_ball(alphabet, 1),
+        "ball radius 0": lambda alphabet: build_ball(alphabet, 0),
+        "minimize": lambda alphabet: minimize(alphabet, fam("ab")),
+        "decide": lambda alphabet: decide_indecomposable(alphabet, fam("ab")),
+        "basis": lambda alphabet: recognize_basis(alphabet, fam("ab")),
+    }
+
+    @pytest.mark.parametrize("call", CALLS)
+    def test_refused_in_one_short_line(self, call):
+        with pytest.raises(ResourceCapError) as raised:
+            self.CALLS[call](Alphabet(10**4400))
+        message = str(raised.value)
+        assert "rank an int of 14617 bits" in message
+        assert "\n" not in message and len(message) < 200
+
+    @pytest.mark.parametrize("rank, size", [(10**6 + 1, "2000003"),  # 7 digits
+                                                (10**4299, f"more than {10**18}")])  # 4,300
+    def test_printable_ranks_keep_their_messages(self, rank, size):
+        expected = {
+            "ball": f"ball of rank {rank}, radius 1 has {size} vertices (cap 2000000)",
+            "ball radius 0": f"ball of rank {rank} has {2 * rank} letters (cap 2000000)",
+            "decide": f"Whitehead graph of rank {rank} has {2 * rank} vertices (cap 2000000)",
+        }
+        for call, message in expected.items():
+            with pytest.raises(ResourceCapError) as raised:
+                self.CALLS[call](Alphabet(rank))
+            assert str(raised.value) == message
+
+    def test_negative_ranks_are_refused_in_one_short_line(self):
+        for make, name in ((Alphabet, "alphabet"), (FreeVertex, "free vertex")):
+            with pytest.raises(InvalidInputError, match=f"^{name} rank must be >= 1, got a"
+                                                        " negative int of 14617 bits$"):
+                make(-10**4400)
 
 
 class TestRecognizeBasis:

@@ -1,3 +1,4 @@
+import functools
 import random
 import re
 import string
@@ -44,6 +45,20 @@ def long_words(draw):
         return tuple(draw(st.lists(letters, min_size=1, max_size=200)))
     power = draw(st.integers(min_value=2, max_value=5))
     return tuple(draw(st.lists(letters, min_size=1, max_size=40))) * power
+
+
+@st.composite
+def maps_and_words(draw, junk=False):
+    """A map at rank 1-6 with unreduced, sometimes empty, generator images and
+    a word of its letters, unreduced; with ``junk``, members that are no
+    letter of the rank (0, past the rank, floats, bools, strings, lists) too."""
+    rank = draw(st.integers(min_value=1, max_value=6))
+    letters = st.integers(min_value=-rank, max_value=rank).filter(bool)
+    images = draw(st.lists(st.lists(letters, max_size=6), min_size=rank, max_size=rank))
+    if junk:
+        letters = st.one_of(letters, st.sampled_from(
+            [0, rank + 1, -rank - 1, 1.0, -1.0, True, False, "a", None, (1,), [1]]))
+    return FreeGroupMap(rank, images), tuple(draw(st.lists(letters, max_size=40)))
 
 
 def nested_key(word):
@@ -119,6 +134,18 @@ class TestFreeReduce:
     def test_hypothesis_idempotent(self, letters):
         reduced = free_reduce(letters)
         assert free_reduce(reduced) == reduced
+
+    @pytest.mark.parametrize("letters, bad", [((1, -1.0), -1.0), ((2, 1, -1.0, -2), -1.0),
+                                              ((-1, 1.0), 1.0), ((2, -2.0, 1), -2.0)])
+    def test_a_member_equal_to_an_inverse_is_checked_before_it_cancels(self, letters, bad):
+        # -1.0 == -1, so (1, -1.0) once reduced to () with no member left to check
+        message = f"^invalid letter {re.escape(repr(bad))}$"
+        with pytest.raises(InvalidInputError, match=message):
+            free_reduce(letters)
+        with pytest.raises(InvalidInputError, match=message):
+            cyclic_reduce(letters)
+        with pytest.raises(InvalidInputError, match=message):
+            FreeGroupMap(2, [letters, (2,)])
 
 
 class TestCyclicReduce:
@@ -274,6 +301,50 @@ class TestAutomorphisms:
         with pytest.raises(InvalidInputError, match=message):
             FreeGroupMap.identity(2).apply(word)
 
+    @settings(max_examples=300, deadline=None)
+    @given(maps_and_words())
+    def test_apply_matches_the_letter_by_letter_oracle(self, case):
+        mapping, word = case
+        expected = helpers.reference_apply(mapping, word)
+        assert mapping.apply(word) == expected
+        assert mapping.apply(list(word)) == expected
+        assert mapping.apply(iter(word)) == expected  # a one-shot iterable
+
+    @settings(max_examples=300, deadline=None)
+    @given(maps_and_words(junk=True))
+    def test_apply_refuses_the_first_bad_member_as_the_oracle_does(self, case):
+        mapping, word = case
+        outcomes = []
+        for apply in (mapping.apply, functools.partial(helpers.reference_apply, mapping)):
+            try:
+                outcomes.append(apply(word))
+            except InvalidInputError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
+
+    @pytest.mark.parametrize("word, bad", [((1, 1.0), "1.0"), ((2, -2.0, 2), "-2.0"),
+                                           ((1, [1], 0), "[1]"), ((3, 1, 0), "3"),
+                                           ((1, 2, 0, -3), "0"), ((-1, {}, 1.0), "{}")])
+    def test_apply_names_the_first_bad_member_in_word_order(self, word, bad):
+        # a float shares its letter's hash, and a list has none, yet both are refused
+        message = f"^letter {re.escape(bad)} outside alphabet of rank 2$"
+        with pytest.raises(InvalidInputError, match=message):
+            FreeGroupMap.identity(2).apply(word)
+
+    def test_apply_maps_each_distinct_letter_once(self, monkeypatch):
+        mapping = MultiplierAutomorphism(2, 1, frozenset({1, -2})).to_map()
+        word = W("abAbabBBa")
+        letter_image = FreeGroupMap.letter_image
+        mapped = []
+
+        def counting(self, x):
+            mapped.append(x)
+            return letter_image(self, x)
+
+        monkeypatch.setattr(FreeGroupMap, "letter_image", counting)
+        assert mapping.apply(word) == helpers.reference_apply(mapping, word)
+        assert sorted(mapped[:4]) == [-2, -1, 1, 2] and len(mapped) == 4 + len(word)
+
     def test_composition_and_cyclic_images_refuse_letters_outside_the_rank(self):
         message = "^letter 3 outside alphabet of rank 2$"
         with pytest.raises(InvalidInputError, match=message):
@@ -323,6 +394,16 @@ class TestTextSyntax:
 
     def test_empty_renders_as_identity(self):
         assert format_word(()) == "1"
+
+    def test_format_matches_the_letter_by_letter_rule(self):
+        # letter form when every index fits a-z, else the numeric form
+        rng = random.Random(37)
+        for _ in range(500):
+            rank = rng.choice((2, 26, 27, 40))
+            w = helpers.random_reduced_word(rng, rank, rng.randint(1, 12))
+            expected = ("".join(map(format_letter, w)) if all(abs(x) <= 26 for x in w)
+                        else " ".join(map(str, w)))
+            assert format_word(w) == format_word(iter(w)) == expected
 
 
 @st.composite
