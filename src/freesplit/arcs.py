@@ -82,7 +82,7 @@ def _firsts(base_id: int, last: int, rays: _Rays) -> tuple[int, int]:
     return base + child_step(last, rays.first[0]), base + child_step(last, rays.first[1])
 
 
-class Axis:
+class Axis(_Record):
     """A line in the Cayley tree, keyed by (base, period), traced in a ball.
 
     ``line`` is (base id, last letter index, reach, rays) for one ``_Rays``
@@ -92,19 +92,14 @@ class Axis:
     __slots__ = ("base_id", "period", "line")
 
     def __init__(self, line):
-        self.base_id, self.period, self.line = line[0], line[3].period, line
+        super().__init__(line[0], line[3].period, line)
 
     @property
     def base(self) -> Word:
         return self.line[3].ball.vertices[self.base_id]
 
-    def __eq__(self, other):
-        if type(other) is not Axis:
-            return NotImplemented
-        return self.base == other.base and self.period == other.period
-
-    def __hash__(self):
-        return hash((self.base, self.period))
+    def _key(self) -> tuple:
+        return self.base, self.period
 
     @property
     def trace(self) -> tuple[Word, ...]:

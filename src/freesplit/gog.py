@@ -23,14 +23,14 @@ when the family is indecomposable.
 from __future__ import annotations
 
 import heapq
-from collections import Counter, defaultdict
+from collections import Counter
 
 from .errors import (
     DEFAULT_VERTEX_CAP, InvalidInputError, ParseError, ResourceCapError, UnsupportedExportError,
     _int_text,
 )
 from .graphs import _search
-from .whitehead import IndecomposabilityVerdict, _capacity_rows, decide_indecomposable
+from .whitehead import IndecomposabilityVerdict, _by_descent, _capacity_rows, _checked_letters
 from .words import (
     Alphabet,
     CyclicWord,
@@ -93,17 +93,13 @@ class GraphOfGroups:
         return self.vertices == other.vertices and self.edges == other.edges
 
 
-def incidence(g: GraphOfGroups) -> defaultdict[str, list[tuple[EdgeSpec, int]]]:
+def incidence(g: GraphOfGroups) -> dict[str, list[tuple[EdgeSpec, int]]]:
     """Each vertex id's incident (edge, endpoint slot) pairs, in edge order.
 
-    Loops appear twice.  Built in one pass over the edges; the graph is
-    mutable, so callers build it where they use it rather than caching it.
+    Loops appear twice; an edge with an unknown end is left out.  The graph
+    is mutable, so callers build this where they use it rather than caching it.
     """
-    out = defaultdict(list)
-    for e in g.edges:
-        for slot in (0, 1):
-            out[e.endpoints[slot]].append((e, slot))
-    return out
+    return _checked(g)[1]
 
 
 def _attachment_error(vid: str, group: VertexGroup, att) -> str | None:
@@ -133,9 +129,9 @@ def validate(g: GraphOfGroups) -> list[str]:
 
 def _checked(g: GraphOfGroups) -> tuple[list[str], dict[str, list[tuple[EdgeSpec, int]]]]:
     """``validate``'s errors, and every vertex id's incident (edge, endpoint
-    slot) pairs, as ``incidence`` gives them for a valid graph, from the
-    same pass over the edges.  A nonzero int at a cyclic vertex is passed
-    there; any other attachment gets the check that words its error."""
+    slot) pairs in edge order, from the same pass over the edges.  A nonzero
+    int at a cyclic vertex is passed there; any other attachment gets the
+    check that words its error."""
     vertices = g.vertices
     if not vertices:
         return ["graph has no vertices"], {}
@@ -143,22 +139,17 @@ def _checked(g: GraphOfGroups) -> tuple[list[str], dict[str, list[tuple[EdgeSpec
     incident = {vid: [] for vid in vertices}
     for e in g.edges:
         (u, v), (a, b) = e.endpoints, e.attachments
-        at_u, at_v = incident.get(u), incident.get(v)
-        if at_u is None or at_v is None:
+        if u not in vertices or v not in vertices:
             unknown += [
                 f"edge {e.id}: unknown vertex {x}" for x in e.endpoints if x not in vertices
             ]
             continue
-        at_u.append((e, 0))
-        at_v.append((e, 1))
-        if type(a) is not int or not a or type(vertices[u]) is not CyclicVertex:
-            error = _attachment_error(u, vertices[u], a)
-            if error:
-                attachment.append(f"edge {e.id}: {error}")
-        if type(b) is not int or not b or type(vertices[v]) is not CyclicVertex:
-            error = _attachment_error(v, vertices[v], b)
-            if error:
-                attachment.append(f"edge {e.id}: {error}")
+        for slot, vid, att in ((0, u, a), (1, v, b)):
+            incident[vid].append((e, slot))
+            if type(att) is not int or not att or type(vertices[vid]) is not CyclicVertex:
+                error = _attachment_error(vid, vertices[vid], att)
+                if error:
+                    attachment.append(f"edge {e.id}: {error}")
     repeated = []
     if len({e.id for e in g.edges}) != len(g.edges):
         repeated = sorted(i for i, n in Counter(e.id for e in g.edges).items() if n > 1)
@@ -227,7 +218,8 @@ def one_ended(g: GraphOfGroups) -> OneEndednessVerdict:
     those words already proves it.  ``decide_indecomposable`` applies the
     lemma itself, but vertices here often share one graph, so the test,
     one search of the graph's capacity rows, is made once per distinct
-    graph and the decision runs only on the vertices whose graph fails it.
+    graph, and only a vertex whose graph fails it descends, from the rows
+    that the test built.
     A rank above the words' total length leaves a generator unused, so its
     two letters isolated, and fails the test before any row is built.  A
     free or cyclic vertex without incident edges is the whole graph, and
@@ -256,6 +248,7 @@ def one_ended(g: GraphOfGroups) -> OneEndednessVerdict:
         if not isinstance(group, FreeVertex):
             continue
         letters = [e.attachments[slot].letters for e, slot in incident[vid]]
+        rows = None
         if group.rank <= sum(map(len, letters)):
             rows = _capacity_rows(group.rank, letters)
             key = tuple(map(frozenset, rows))
@@ -264,8 +257,9 @@ def one_ended(g: GraphOfGroups) -> OneEndednessVerdict:
                 two_connected[key] = len(components) == 1 and not cuts
             if two_connected[key]:
                 continue
-        words = [e.attachments[slot] for e, slot in incident[vid]]
-        verdict = decide_indecomposable(Alphabet(group.rank), words)
+        alphabet = Alphabet(group.rank)
+        words = _checked_letters(alphabet, [e.attachments[slot] for e, slot in incident[vid]])
+        verdict = _by_descent(alphabet, words, rows)
         if not verdict.is_indecomposable:
             return OneEndednessVerdict(
                 NOT_ONE_ENDED,
@@ -328,15 +322,13 @@ def presentation(g: GraphOfGroups) -> str:
         counts.append(group.rank if isinstance(group, FreeVertex) else 1)
     total = sum(counts)
     # a valid graph is connected, so all but |V| - 1 edges get a stable letter
-    n = total + len(g.edges) - len(order) + 1
-    if n > DEFAULT_VERTEX_CAP:
-        raise ResourceCapError(f"presentation has {n} generators (cap {DEFAULT_VERTEX_CAP})",
-                               predicted=n, cap=DEFAULT_VERTEX_CAP)
-    n = sum(abs(att) if isinstance(att, int) else len(att.letters)
-            for e in g.edges for att in e.attachments)
-    if n > DEFAULT_VERTEX_CAP:
-        raise ResourceCapError(f"presentation has {n} relation letters"
-                               f" (cap {DEFAULT_VERTEX_CAP})", predicted=n, cap=DEFAULT_VERTEX_CAP)
+    generator_count = total + len(g.edges) - len(order) + 1
+    letter_count = sum(abs(att) if isinstance(att, int) else len(att.letters)
+                       for e in g.edges for att in e.attachments)
+    for n, what in ((generator_count, "generators"), (letter_count, "relation letters")):
+        if n > DEFAULT_VERTEX_CAP:
+            message = f"presentation has {_int_text(n)} {what} (cap {DEFAULT_VERTEX_CAP})"
+            raise ResourceCapError(message, predicted=n, cap=DEFAULT_VERTEX_CAP)
     if total <= len(_VERTEX_LETTER_POOL):
         separator, generators = "", list(_VERTEX_LETTER_POOL[:total])
         inverses = [name.upper() for name in generators]

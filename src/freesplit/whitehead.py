@@ -309,6 +309,12 @@ def decide_indecomposable(alphabet: Alphabet, family) -> IndecomposabilityVerdic
     two_connected, rows = _two_connected(alphabet.rank, words)
     if two_connected:
         return IndecomposabilityVerdict._by_lemma(alphabet, words)
+    return _by_descent(alphabet, words, rows)
+
+
+def _by_descent(alphabet: Alphabet, words, rows) -> IndecomposabilityVerdict:
+    """``decide_indecomposable`` past the lemma: checked letter tuples whose
+    capacity ``rows`` (None if not built) are not 2-vertex connected descend."""
     minimized, trace, graph = _descend(alphabet, words, rows)
     # One search answers both tests: on its 2n >= 2 letters, a connected
     # graph without a cut vertex is 2-vertex connected.

@@ -85,7 +85,8 @@ class Alphabet(_Record):
     def validate_letters(self, letters) -> None:
         if not _within_rank(letters, self.rank):
             x = next(x for x in letters if not _within_rank((x,), self.rank))
-            raise InvalidInputError(f"letter {x!r} outside alphabet of rank {self.rank}")
+            raise InvalidInputError(f"letter {_member_text(x)} outside alphabet"
+                                    f" of rank {_int_text(self.rank)}")
 
 
 def free_reduce(letters) -> Word:
@@ -102,7 +103,7 @@ def free_reduce(letters) -> Word:
     for x in letters:
         # checked before it can cancel: 1.0 equals the letter 1 but is no letter
         if not isinstance(x, int) or x == 0:
-            raise InvalidInputError(f"invalid letter {x!r}")
+            raise InvalidInputError(f"invalid letter {_member_text(x)}")
         if out and out[-1] == -x:
             out.pop()
         else:
@@ -162,9 +163,10 @@ class CyclicWord(_Record):
             raise InvalidInputError("cyclic word must be nonempty")
         for x in letters:
             if not isinstance(x, int) or x == 0:
-                raise InvalidInputError(f"invalid letter {x!r}")
-        if not is_cyclically_reduced(letters):
-            raise InvalidInputError(f"not cyclically reduced: {letters}")
+                raise InvalidInputError(f"invalid letter {_member_text(x)}")
+        if not is_cyclically_reduced(letters):  # so two letters or more: no "(x,)" form
+            raise InvalidInputError(
+                f"not cyclically reduced: ({', '.join(map(_member_text, letters))})")
         super().__init__(canonical_rotation(letters))
 
     @classmethod
@@ -288,11 +290,12 @@ class FreeGroupMap(_Record):
     def __init__(self, rank: int, images):
         images = tuple(tuple(img) for img in images)
         if len(images) != rank:
-            raise InvalidInputError(f"need {rank} generator images, got {len(images)}")
+            raise InvalidInputError(f"need {_int_text(rank)} generator images, got {len(images)}")
         images = tuple(free_reduce(img) for img in images)
         for x in itertools.chain.from_iterable(images):
             if not -rank <= x <= rank:
-                raise InvalidInputError(f"letter {x!r} outside alphabet of rank {rank}")
+                raise InvalidInputError(f"letter {_member_text(x)} outside alphabet"
+                                        f" of rank {rank}")
         super().__init__(rank, images)
 
     @classmethod
@@ -307,7 +310,7 @@ class FreeGroupMap(_Record):
                 return invert_word(self.images[-x - 1])
         except (IndexError, TypeError):  # past the rank, or not an int
             pass
-        raise InvalidInputError(f"letter {x!r} outside alphabet of rank {self.rank}")
+        raise InvalidInputError(f"letter {_member_text(x)} outside alphabet of rank {self.rank}")
 
     def apply(self, word) -> Word:
         """The freely reduced image of a word, each distinct letter mapped once.
@@ -386,9 +389,8 @@ class MultiplierAutomorphism(_Record):
 # ---------------------------------------------------------------------------
 # Text syntax
 
-_LOWER = "abcdefghijklmnopqrstuvwxyz"
 # Letter-form characters: a-z are the generators 1..26, A-Z their inverses.
-_LETTER_OF = {c: i for i, c in enumerate(_LOWER, 1)}
+_LETTER_OF = {c: i for i, c in enumerate("abcdefghijklmnopqrstuvwxyz", 1)}
 _LETTER_OF |= {c.upper(): -i for c, i in _LETTER_OF.items()}
 _CHAR_OF = {x: c for c, x in _LETTER_OF.items()}
 
@@ -452,6 +454,11 @@ def _parse_cyclic(text: str, alphabet: Alphabet) -> tuple[CyclicWord | None, int
     return CyclicWord._from_canonical(tuple(core[k:] + core[:k] if k else core)), len(text)
 
 
+def _member_text(x) -> str:
+    """``repr(x)``, or ``_int_text(x)`` for an int, which prints at any size."""
+    return _int_text(x) if type(x) is int else repr(x)
+
+
 def _within_rank(letters, rank: int) -> bool:
     """Whether every letter is a nonzero int of absolute value at most rank."""
     for x in letters:
@@ -467,9 +474,8 @@ def _is_int_token(token: str) -> bool:
 
 def format_letter(x: int) -> str:
     """Letter shorthand when the index fits a-z, else a<i>/A<i> labels."""
-    if 1 <= abs(x) <= 26:
-        c = _LOWER[abs(x) - 1]
-        return c if x > 0 else c.upper()
+    if x in _CHAR_OF:
+        return _CHAR_OF[x]
     return f"a{abs(x)}" if x > 0 else f"A{abs(x)}"
 
 

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from freesplit import gog
+from freesplit import gog, whitehead
 from freesplit.errors import (
     InvalidInputError,
     ParseError,
@@ -102,6 +102,37 @@ class TestValidate:
         )
         assert validate(g) == ["graph is not connected (unreached: v2, v3, v4)"]
 
+    def test_both_ends_bad_keep_their_error_order(self):
+        # unknown ends first, in edge order, then each edge's attachments, u before v
+        word = fam("ab")[0]
+        g = GraphOfGroups(
+            {"c": CyclicVertex(), "f": FreeVertex(1), "o": OpaqueVertex()},
+            [
+                EdgeSpec("e1", ("c", "f"), (0, None)),
+                EdgeSpec("e2", ("x", "y"), (word, word)),
+                EdgeSpec("e3", ("f", "f"), ("t", word)),
+                EdgeSpec("e4", ("z", "z"), (1, 1)),
+                EdgeSpec("e5", ("c", "c"), (2.0, -1)),
+                EdgeSpec("e6", ("o", "c"), (3, 0)),
+            ],
+        )
+        expected = [
+            "edge e2: unknown vertex x",
+            "edge e2: unknown vertex y",
+            "edge e4: unknown vertex z",
+            "edge e4: unknown vertex z",
+            "edge e1: attachment at cyclic vertex c must be a nonzero integer",
+            "edge e1: trivial edge group at free vertex f"
+            " (attachment must be a nontrivial word)",
+            "edge e3: trivial edge group at free vertex f"
+            " (attachment must be a nontrivial word)",
+            "edge e3: attachment ab uses letters outside rank-1 vertex f",
+            "edge e5: attachment at cyclic vertex c must be a nonzero integer",
+            "edge e6: attachment at opaque vertex o must be a tag",
+            "edge e6: attachment at cyclic vertex c must be a nonzero integer",
+        ]
+        assert validate(g) == reference_validate(g) == expected
+
     def test_zero_exponent(self):
         g = GraphOfGroups(
             {"v1": CyclicVertex(), "v2": CyclicVertex()},
@@ -143,6 +174,52 @@ class TestTrivialVertices:
             [EdgeSpec("e1", ("v1", "v1"), (w, w))],
         )
         assert trivial_vertices(g) == []
+
+
+def reference_incidence(g):
+    """Each vertex id's (edge, slot) pairs, in edge order, over the edges with known ends."""
+    out = {vid: [] for vid in g.vertices}
+    for e in g.edges:
+        if all(vid in g.vertices for vid in e.endpoints):
+            for slot in (0, 1):
+                out[e.endpoints[slot]].append((e, slot))
+    return out
+
+
+class TestIncidence:
+    def test_loops_parallel_edges_and_a_lone_vertex(self):
+        w, v = fam("ab")[0], fam("aabb")[0]
+        graphs = [
+            GraphOfGroups({"v": FreeVertex(2)}, []),
+            GraphOfGroups(
+                {"v1": FreeVertex(2), "v2": FreeVertex(2), "h": CyclicVertex()},
+                [
+                    EdgeSpec("e1", ("v1", "v2"), (w, v)),
+                    EdgeSpec("e2", ("v2", "v1"), (v, w)),
+                    EdgeSpec("e3", ("v1", "v1"), (w, v)),
+                    EdgeSpec("e4", ("h", "v2"), (2, w)),
+                    EdgeSpec("e5", ("h", "h"), (1, -3)),
+                ],
+            ),
+        ]
+        for g in graphs:
+            assert validate(g) == []
+            assert incidence(g) == reference_incidence(g)
+        assert incidence(graphs[0]) == {"v": []}
+        e3 = graphs[1].edges[2]
+        assert incidence(graphs[1])["v1"][-2:] == [(e3, 0), (e3, 1)]
+
+    def test_edges_with_an_unknown_end_are_left_out(self):
+        w = fam("ab")[0]
+        g = GraphOfGroups(
+            {"v1": FreeVertex(2), "v2": FreeVertex(2)},
+            [
+                EdgeSpec("e1", ("v1", "vX"), (w, w)),
+                EdgeSpec("e2", ("v1", "v2"), (w, w)),
+                EdgeSpec("e3", ("vY", "v2"), (w, w)),
+            ],
+        )
+        assert incidence(g) == {"v1": [(g.edges[1], 0)], "v2": [(g.edges[1], 1)]}
 
 
 class TestOneEnded:
@@ -248,15 +325,35 @@ class TestOneEnded:
         # p, q and s have 2-connected Whitehead graphs, so only r and w are decided
         calls = []
 
-        def recording(alphabet, family):
-            calls.append((alphabet.rank, [format_word(w.letters) for w in family]))
-            return decide_indecomposable(alphabet, family)
+        def recording(alphabet, words, rows):
+            calls.append((alphabet.rank, [format_word(w) for w in words]))
+            return by_descent(alphabet, words, rows)
 
-        monkeypatch.setattr("freesplit.gog.decide_indecomposable", recording)
+        by_descent = gog._by_descent
+        monkeypatch.setattr(gog, "_by_descent", recording)
         text = (Path(__file__).resolve().parent / "golden" / "lemma.gog").read_text()
         verdict = one_ended(parse_gog(text))
         assert calls == [(2, ["aaabab"]), (3, ["abAB", "ab"])]
         assert (verdict.decision, verdict.witness_vertex) == (NOT_ONE_ENDED, "w")
+
+    def test_failing_vertex_descends_from_the_rows_of_its_test(self, monkeypatch):
+        # the test's rows feed the first descent step, and the one step's
+        # result is built once more: 2 builds, where deciding again made 3
+        builds = []
+
+        def counting(rank, words):
+            builds.append(rank)
+            return capacity_rows(rank, words)
+
+        capacity_rows = whitehead._capacity_rows
+        monkeypatch.setattr(gog, "_capacity_rows", counting)
+        monkeypatch.setattr(whitehead, "_capacity_rows", counting)
+        g = double(ALPH2, fam("ab", "b"))
+        verdict = one_ended(g)
+        assert builds == [2, 2]
+        monkeypatch.undo()
+        assert verdict.witness == decide_indecomposable(ALPH2, fam("ab", "b"))
+        assert verdict_key(verdict) == verdict_key(reference_one_ended(g))
 
     def test_pretest_searches_each_distinct_graph_once(self, monkeypatch):
         # nine free vertices, three Whitehead graphs: abAB and its inverse's
@@ -534,6 +631,29 @@ def connected_cyclic_graphs(draw):
             u, v = v, u
         edges.append(EdgeSpec(ids[k], (names[u], names[v]), (k + 1, k + 2)))
     return GraphOfGroups({name: CyclicVertex() for name in names}, edges)
+
+
+class TestPresentationBudget:
+    def test_generators_are_refused_first(self):
+        # 2,000,001 + 1 generators and 3,000,000,001 relation letters
+        g = GraphOfGroups(
+            {"u": CyclicVertex(), "w": FreeVertex(2_000_001)},
+            [EdgeSpec("e", ("u", "w"), (3_000_000_000, fam("a", rank=1)[0]))],
+        )
+        with pytest.raises(ResourceCapError) as info:
+            presentation(g)
+        assert str(info.value) == "presentation has 2000002 generators (cap 2000000)"
+        assert (info.value.predicted, info.value.cap) == (2_000_002, 2_000_000)
+
+    def test_count_past_the_digit_limit_in_one_line(self):
+        g = GraphOfGroups(
+            {"u": CyclicVertex(), "w": FreeVertex(1)},
+            [EdgeSpec("e", ("u", "w"), (10**4400, fam("a", rank=1)[0]))],
+        )
+        with pytest.raises(ResourceCapError) as info:
+            presentation(g)
+        assert str(info.value) == (
+            "presentation has an int of 14617 bits relation letters (cap 2000000)")
 
 
 class TestPresentation:
@@ -1022,6 +1142,11 @@ class TestParserAgainstReference:
     @given(programmatic_graphs())
     def test_validate_matches_reference(self, g):
         assert outcome(validate, g) == outcome(reference_validate, g)
+
+    @settings(max_examples=200, deadline=None)
+    @given(programmatic_graphs())
+    def test_incidence_matches_reference(self, g):
+        assert incidence(g) == (reference_incidence(g) if g.vertices else {})
 
     @settings(max_examples=100, deadline=None)
     @given(mixed_graphs())

@@ -82,6 +82,7 @@ def record_samples() -> dict:
     assert shared.vertices["u"] is shared.vertices["v"]
     return {
         "Alphabet": alphabet,
+        "Axis": axes[0],
         "CyclicWord": family[0],
         "FreeGroupMap": FreeGroupMap.identity(2),
         "MultiplierAutomorphism": trace.steps[0].automorphism,

@@ -813,6 +813,56 @@ class TestRankPastTheDigitLimit:
                 make(-10**4400)
 
 
+class TestLetterPastTheDigitLimit:
+    """A letter past the 4,300-digit limit is named by its bit length in a
+    one-line InvalidInputError, where formatting its message raised a bare
+    ValueError; printable letters keep their messages."""
+
+    CALLS = {
+        "apply": (lambda: FreeGroupMap.identity(2).apply((10**4400,)),
+                  "letter an int of 14617 bits outside alphabet of rank 2"),
+        "letter_image": (lambda: FreeGroupMap.identity(2).letter_image(10**4400),
+                         "letter an int of 14617 bits outside alphabet of rank 2"),
+        "map image": (lambda: FreeGroupMap(2, [(10**4400,), (1,)]),
+                      "letter an int of 14617 bits outside alphabet of rank 2"),
+        "map rank": (lambda: FreeGroupMap(10**4400, []),
+                     "need an int of 14617 bits generator images, got 0"),
+        "decide": (lambda: decide_indecomposable(Alphabet(2), [CyclicWord((1, 10**4400))]),
+                   "letter an int of 14617 bits outside alphabet of rank 2"),
+        "cyclic word": (lambda: CyclicWord((10**4400, -10**4400)),
+                        "not cyclically reduced: (an int of 14617 bits,"
+                        " a negative int of 14617 bits)"),
+        "alphabet": (lambda: Alphabet(10**4400).validate_letters([10**4400 + 1]),
+                     "letter an int of 14617 bits outside alphabet of rank an int of 14617 bits"),
+    }
+
+    @pytest.mark.parametrize("call", CALLS)
+    def test_refused_in_one_line(self, call):
+        make, message = self.CALLS[call]
+        with pytest.raises(InvalidInputError) as raised:
+            make()
+        assert str(raised.value) == message
+
+    def test_printable_letters_keep_their_messages(self):
+        cases = [
+            (lambda: FreeGroupMap.identity(2).apply((1, 3)), "letter 3 outside alphabet of rank 2"),
+            (lambda: FreeGroupMap.identity(2).letter_image(1.0),
+             "letter 1.0 outside alphabet of rank 2"),
+            (lambda: FreeGroupMap(2, [(-3,), (1,)]), "letter -3 outside alphabet of rank 2"),
+            (lambda: FreeGroupMap(3, []), "need 3 generator images, got 0"),
+            (lambda: Alphabet(2).validate_letters([1, "a"]), "letter 'a' outside alphabet of rank 2"),
+            (lambda: CyclicWord((1, 2, -1)), "not cyclically reduced: (1, 2, -1)"),
+            (lambda: CyclicWord((True, -1)), "not cyclically reduced: (True, -1)"),
+            (lambda: CyclicWord((1, 2.0)), "invalid letter 2.0"),
+            (lambda: free_reduce((1, 0)), "invalid letter 0"),
+            (lambda: free_reduce((1, "b")), "invalid letter 'b'"),
+        ]
+        for make, message in cases:
+            with pytest.raises(InvalidInputError) as raised:
+                make()
+            assert str(raised.value) == message
+
+
 class TestRecognizeBasis:
     def test_standard_basis(self):
         ok, witness = recognize_basis(ALPH2, fam("a", "b"))

@@ -392,6 +392,17 @@ class TestTextSyntax:
         assert format_word((27, -1)) == "27 -1"
         assert parse_word("27 -1", Alphabet(27)) == (27, -1)
 
+    def test_format_letter_matches_the_index_rule(self):
+        # a-z by index, A-Z for inverses, and a<i>/A<i> labels past z
+        def by_index(x):
+            if 1 <= abs(x) <= 26:
+                c = string.ascii_lowercase[abs(x) - 1]
+                return c if x > 0 else c.upper()
+            return f"a{abs(x)}" if x > 0 else f"A{abs(x)}"
+
+        for x in [*range(-60, 61), 10**30, -10**30]:
+            assert format_letter(x) == by_index(x)
+
     def test_empty_renders_as_identity(self):
         assert format_word(()) == "1"
 
